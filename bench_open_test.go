@@ -1,11 +1,10 @@
 package blend
 
-// Cold-open benchmarks: how fast an on-disk index becomes queryable.
-// The v3 path decodes every shard's dictionary and postings before
-// OpenIndex returns; the v4 path memory-maps the segment file and only
-// parses the footer directory, deferring shard decode to first touch.
-// scripts/bench.sh pairs V3Eager and V4Mmap into BENCH.json's
-// open_speedup, and the disk_bytes metrics into index_bytes_on_disk.
+// Cold-open benchmarks: how fast an on-disk index becomes queryable. The
+// mmap path only parses the footer directory, deferring shard decode to
+// first touch; the eager path decodes every shard before OpenIndex
+// returns. scripts/bench.sh pairs V4Eager and V4Mmap into BENCH.json's
+// open_speedup.
 
 import (
 	"os"
@@ -13,21 +12,17 @@ import (
 	"testing"
 
 	"blend/internal/datalake"
-	"blend/internal/storage"
 )
 
 const benchOpenShards = 8
 
 var benchOpen struct {
 	once   sync.Once
-	v3Path string
 	v4Path string
-	v3Size int64
 	v4Size int64
 }
 
-// benchOpenSetup builds one moderately sized lake and persists it twice:
-// in the legacy v3 format and in the current segmented v4 format.
+// benchOpenSetup builds one moderately sized lake and persists it once.
 func benchOpenSetup(b *testing.B) {
 	b.Helper()
 	benchOpen.once.Do(func() {
@@ -40,30 +35,16 @@ func benchOpenSetup(b *testing.B) {
 		if err != nil {
 			panic(err)
 		}
-		benchOpen.v3Path = dir + "/lake.v3.blend"
 		benchOpen.v4Path = dir + "/lake.v4.blend"
-		sh := d.Engine().Store().(*storage.ShardedStore)
-		f, err := os.Create(benchOpen.v3Path)
-		if err != nil {
-			panic(err)
-		}
-		if err := sh.SaveLegacy(f, 3); err != nil {
-			panic(err)
-		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
 		if err := d.SaveIndex(benchOpen.v4Path); err != nil {
 			panic(err)
 		}
-		benchOpen.v3Size = fileSize(benchOpen.v3Path)
 		benchOpen.v4Size = fileSize(benchOpen.v4Path)
 	})
-	if benchOpen.v3Size == 0 || benchOpen.v4Size == 0 {
-		b.Fatal("cold-open fixture files missing")
+	if benchOpen.v4Size == 0 {
+		b.Fatal("cold-open fixture file missing")
 	}
 }
-
 func fileSize(path string) int64 {
 	st, err := os.Stat(path)
 	if err != nil {
@@ -73,25 +54,10 @@ func fileSize(path string) int64 {
 }
 
 // BenchmarkOpenIndexCold measures time-to-queryable for a cold open of
-// the same lake in each persisted format. Each sub-benchmark also
-// reports its file's on-disk size so bench.sh can track the compression
-// ratio alongside the open latency.
+// the same file, mapped and eagerly decoded. Each sub-benchmark also
+// reports the file's on-disk size.
 func BenchmarkOpenIndexCold(b *testing.B) {
 	benchOpenSetup(b)
-	b.Run("V3Eager", func(b *testing.B) {
-		b.ReportMetric(float64(benchOpen.v3Size), "disk_bytes")
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d, err := OpenIndex(benchOpen.v3Path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if d.NumTables() == 0 {
-				b.Fatal("empty index")
-			}
-			d.Close()
-		}
-	})
 	b.Run("V4Mmap", func(b *testing.B) {
 		b.ReportMetric(float64(benchOpen.v4Size), "disk_bytes")
 		b.ReportAllocs()

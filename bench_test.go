@@ -41,7 +41,6 @@ var benchLake = struct {
 	union   *datalake.UnionBenchmark
 	corr    *datalake.CorrBenchmark
 	col     *Discovery
-	row     *Discovery
 	sharded *Discovery
 	josie   *josie.Index
 	mate    *mate.Index
@@ -64,7 +63,6 @@ func benchSetup(b *testing.B) {
 			benchLake.tuples = append(benchLake.tuples, t)
 		}
 		benchLake.col = IndexTables(ColumnStore, benchLake.join.Tables)
-		benchLake.row = IndexTables(RowStore, benchLake.join.Tables)
 		benchLake.sharded = IndexTables(ColumnStore, benchLake.join.Tables, WithShards(4))
 		benchLake.josie = josie.Build(benchLake.join.Tables)
 		benchLake.mate = mate.Build(benchLake.join.Tables)
@@ -109,25 +107,14 @@ func BenchmarkIndexPersist(b *testing.B) {
 	}
 }
 
-// BenchmarkSCSeekerColumn / BenchmarkSCSeekerRow / BenchmarkJosie cover
-// Fig. 5 (and the runtime bar of Fig. 6).
+// BenchmarkSCSeekerColumn / BenchmarkJosie cover Fig. 5 (and the runtime
+// bar of Fig. 6).
 func BenchmarkSCSeekerColumn(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q := benchLake.queries[i%len(benchLake.queries)]
 		if _, err := benchLake.col.Seek(context.Background(), SC(q, 10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSCSeekerRow(b *testing.B) {
-	benchSetup(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q := benchLake.queries[i%len(benchLake.queries)]
-		if _, err := benchLake.row.Seek(context.Background(), SC(q, 10)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,15 +32,12 @@ import (
 	"blend/internal/table"
 )
 
-// Re-exported substrate types. Table is the relational table model; Layout
-// selects the physical representation of the index.
+// Re-exported substrate types. Table is the relational table model.
 type (
 	// Table is an in-memory relational table (see NewTable, ReadCSVFile).
 	Table = table.Table
 	// Column is one table attribute.
 	Column = table.Column
-	// Layout selects the index's physical layout.
-	Layout = storage.Layout
 	// Plan is a declarative discovery task: a DAG of seekers and
 	// combiners.
 	Plan = core.Plan
@@ -60,15 +57,14 @@ type (
 	CacheStats = core.CacheStats
 )
 
-// Physical layouts of the AllTables index.
-const (
-	// ColumnStore stores index attributes in parallel arrays (the paper's
-	// commercial-column-store deployment; fastest for seekers).
-	ColumnStore = storage.ColumnStore
-	// RowStore stores one struct per index entry (the paper's PostgreSQL
-	// deployment).
-	RowStore = storage.RowStore
-)
+// Layout names the physical layout of the AllTables index. The column
+// layout is the only one; the type remains so that callers passing
+// ColumnStore to IndexTables and IndexCSVDir keep compiling.
+type Layout int
+
+// ColumnStore stores index attributes in parallel arrays (the paper's
+// column-store deployment).
+const ColumnStore Layout = 0
 
 // NewTable creates an empty table with the given column names.
 func NewTable(name string, columns ...string) *Table { return table.New(name, columns...) }
@@ -165,7 +161,7 @@ type indexConfig struct {
 // its own dictionary, inverted index, and table-range index. Seekers then
 // scan every shard concurrently and merge top-k results, while the global
 // view (table ids, raw SQL, persistence) stays identical to a monolithic
-// index. n <= 1 keeps the monolithic store.
+// index. Without it (or with n <= 1) the index has one shard.
 func WithShards(n int) IndexOption {
 	return func(c *indexConfig) { c.shards = n }
 }
@@ -197,9 +193,8 @@ func WithoutNativeExec() IndexOption {
 // memory tracks the working set; query results are identical either way
 // (the differential tests assert it). WithMmap(false) restores the eager
 // loader, which decodes every shard up front — useful for A/B timing and
-// for tools that will scan the whole lake anyway. Pre-v4 files always
-// load eagerly; IndexTables ignores the option (a freshly built index is
-// already resident).
+// for tools that will scan the whole lake anyway. IndexTables ignores the
+// option (a freshly built index is already resident).
 func WithMmap(on bool) IndexOption {
 	return func(c *indexConfig) { c.eager = !on }
 }
@@ -207,20 +202,15 @@ func WithMmap(on bool) IndexOption {
 // IndexTables builds the unified index over the given tables (the offline
 // phase, Fig. 2e) and returns a ready-to-query Discovery. Call
 // Table.InferKinds (or load via CSV, which infers automatically) before
-// indexing so numeric columns gain quadrant bits. Options select the
-// physical organisation, e.g. WithShards(8) for a hash-partitioned index.
-func IndexTables(layout Layout, tables []*Table, opts ...IndexOption) *Discovery {
+// indexing so numeric columns gain quadrant bits. The layout argument must
+// be ColumnStore. Options select the physical organisation, e.g.
+// WithShards(8) for a hash-partitioned index.
+func IndexTables(_ Layout, tables []*Table, opts ...IndexOption) *Discovery {
 	var cfg indexConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var idx storage.Index
-	if cfg.shards > 1 {
-		idx = storage.BuildSharded(layout, tables, cfg.shards)
-	} else {
-		idx = storage.Build(layout, tables)
-	}
-	return newDiscovery(idx, cfg)
+	return newDiscovery(storage.Build(tables, cfg.shards), cfg)
 }
 
 // newDiscovery wires an indexConfig's engine-level options onto a fresh
@@ -248,9 +238,10 @@ func IndexCSVDir(layout Layout, dir string, opts ...IndexOption) (*Discovery, er
 	return IndexTables(layout, tables, opts...), nil
 }
 
-// OpenIndex opens a previously saved index file. Segmented (v4) files are
-// memory-mapped with lazy shard materialization by default — see WithMmap
-// to opt out; older formats load eagerly. The remaining options configure
+// OpenIndex opens a previously saved v4 index file, memory-mapped with
+// lazy shard materialization by default — see WithMmap to opt out. Files
+// in the retired v1–v3 formats fail with ErrBadIndex and must be rebuilt
+// with `blend index`. The remaining options configure
 // the engine the same way they do at build time — WithoutNativeExec and
 // WithResultCache apply; WithShards is ignored, because the shard count
 // is a property of the persisted file.

@@ -281,23 +281,6 @@ func TestIndexSizeBytes(t *testing.T) {
 	}
 }
 
-func TestRowStoreLayoutAnswersIdentically(t *testing.T) {
-	row := IndexTables(RowStore, fig1Tables())
-	col := IndexTables(ColumnStore, fig1Tables())
-	p := NegativeExamplesPlan([][]string{{"HR", "Firenze"}}, [][]string{{"IT", "Tom Riddle"}}, 10)
-	r1, err := row.Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := col.Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1.Tables, r2.Tables) {
-		t.Fatalf("layouts disagree: %v vs %v", r1.Tables, r2.Tables)
-	}
-}
-
 func TestSemanticSeekerPublicAPI(t *testing.T) {
 	d := IndexTables(ColumnStore, fig1Tables())
 	hits, err := d.Seek(context.Background(), Semantic([]string{"Firenze", "Draco Malfoy"}, 2))
@@ -466,59 +449,57 @@ func TestShardedIndexPublicAPI(t *testing.T) {
 }
 
 // TestPersistenceRegressionBothFormats round-trips SaveIndex/OpenIndex for
-// both physical layouts and both file formats (v1 monolithic, v2 sharded),
+// both v4 file kinds (monolithic for one shard, sharded for more),
 // including incremental AddTable after load.
 func TestPersistenceRegressionBothFormats(t *testing.T) {
 	dir := t.TempDir()
-	for _, layout := range []Layout{ColumnStore, RowStore} {
-		for _, shards := range []int{1, 3} {
-			name := fmt.Sprintf("l%d-s%d.blend", layout, shards)
-			d := IndexTables(layout, fig1Tables(), WithShards(shards))
-			path := filepath.Join(dir, name)
-			if err := d.SaveIndex(path); err != nil {
-				t.Fatal(err)
-			}
-			back, err := OpenIndex(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if back.NumShards() != shards {
-				t.Fatalf("%s: shards = %d after reload", name, back.NumShards())
-			}
-			h1, err := d.Seek(context.Background(), KW([]string{"Firenze", "IT"}, 5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			h2, err := back.Seek(context.Background(), KW([]string{"Firenze", "IT"}, 5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(h1, h2) {
-				t.Fatalf("%s: reloaded index answers differently", name)
-			}
-			// Incremental maintenance must keep working on the loaded
-			// index, whichever format it came from.
-			nt := NewTable("T9", "Team", "Head")
-			nt.MustAppendRow("Astronomy", "Aurora Sinistra")
-			back.AddTable(nt)
-			hits, err := back.Seek(context.Background(), KW([]string{"Astronomy"}, 5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(hits) != 1 || back.TableNames(hits)[0] != "T9" {
-				t.Fatalf("%s: AddTable after load not discoverable: %v", name, hits)
-			}
-			// And the grown index must round-trip again.
-			if err := back.SaveIndex(path); err != nil {
-				t.Fatal(err)
-			}
-			again, err := OpenIndex(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again.NumTables() != back.NumTables() {
-				t.Fatalf("%s: second round trip lost tables", name)
-			}
+	for _, shards := range []int{1, 3} {
+		name := fmt.Sprintf("s%d.blend", shards)
+		d := IndexTables(ColumnStore, fig1Tables(), WithShards(shards))
+		path := filepath.Join(dir, name)
+		if err := d.SaveIndex(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := OpenIndex(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.NumShards() != shards {
+			t.Fatalf("%s: shards = %d after reload", name, back.NumShards())
+		}
+		h1, err := d.Seek(context.Background(), KW([]string{"Firenze", "IT"}, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2, err := back.Seek(context.Background(), KW([]string{"Firenze", "IT"}, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(h1, h2) {
+			t.Fatalf("%s: reloaded index answers differently", name)
+		}
+		// Incremental maintenance must keep working on the loaded
+		// index, whichever format it came from.
+		nt := NewTable("T9", "Team", "Head")
+		nt.MustAppendRow("Astronomy", "Aurora Sinistra")
+		back.AddTable(nt)
+		hits, err := back.Seek(context.Background(), KW([]string{"Astronomy"}, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) != 1 || back.TableNames(hits)[0] != "T9" {
+			t.Fatalf("%s: AddTable after load not discoverable: %v", name, hits)
+		}
+		// And the grown index must round-trip again.
+		if err := back.SaveIndex(path); err != nil {
+			t.Fatal(err)
+		}
+		again, err := OpenIndex(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.NumTables() != back.NumTables() {
+			t.Fatalf("%s: second round trip lost tables", name)
 		}
 	}
 }

@@ -24,7 +24,7 @@
 // Usage:
 //
 //	blend-serve -index lake.blend [-addr :8080] [-timeout 30s] [-workers N] [-cache N] [-mmap=false]
-//	blend-serve -lake DIR [-layout column|row] [-shards N] ...
+//	blend-serve -lake DIR [-shards N] ...
 //	blend-serve ... [-allow-dir-ingest] [-ingest-workers N] [-ingest-batch N]
 package main
 
@@ -61,7 +61,6 @@ func run(args []string) error {
 	fs.SetOutput(&strings.Builder{})
 	index := fs.String("index", "", "index file built by `blend index`")
 	lake := fs.String("lake", "", "directory of CSV tables to index at startup (alternative to -index)")
-	layout := fs.String("layout", "column", "physical layout for -lake: column or row")
 	shards := fs.Int("shards", 1, "hash-partition a -lake index across N shards")
 	addr := fs.String("addr", ":8080", "listen address")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request execution bound (0 = none)")
@@ -82,7 +81,7 @@ func run(args []string) error {
 		return berr.New(berr.CodeBadRequest, "serve.flags", "unexpected arguments %q", fs.Args())
 	}
 
-	d, err := openLake(*index, *lake, *layout, *shards, *noNative, *mmap)
+	d, err := openLake(*index, *lake, *shards, *noNative, *mmap)
 	if err != nil {
 		return err
 	}
@@ -147,7 +146,7 @@ func run(args []string) error {
 }
 
 // openLake resolves the serving lake from -index or -lake.
-func openLake(index, lake, layout string, shards int, noNative, mmap bool) (*blend.Discovery, error) {
+func openLake(index, lake string, shards int, noNative, mmap bool) (*blend.Discovery, error) {
 	var opts []blend.IndexOption
 	if noNative {
 		opts = append(opts, blend.WithoutNativeExec())
@@ -158,15 +157,7 @@ func openLake(index, lake, layout string, shards int, noNative, mmap bool) (*ble
 	case index != "":
 		return blend.OpenIndex(index, append(opts, blend.WithMmap(mmap))...)
 	case lake != "":
-		l := blend.ColumnStore
-		switch layout {
-		case "column":
-		case "row":
-			l = blend.RowStore
-		default:
-			return nil, berr.New(berr.CodeBadRequest, "serve.flags", "unknown -layout %q (want column or row)", layout)
-		}
-		return blend.IndexCSVDir(l, lake, append(opts, blend.WithShards(shards))...)
+		return blend.IndexCSVDir(blend.ColumnStore, lake, append(opts, blend.WithShards(shards))...)
 	default:
 		return nil, berr.New(berr.CodeBadRequest, "serve.flags", "one of -index or -lake is required")
 	}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	blend index -lake DIR -out FILE [-layout column|row]
+//	blend index -lake DIR -out FILE [-shards N]
 //	blend seek  -index FILE -op sc|kw -values v1,v2,… [-k 10]
 //	blend seek  -index FILE -op mc -tuples "a|b,c|d" [-k 10]
 //	blend sql   -index FILE -query "SELECT … FROM AllTables …"
@@ -111,8 +111,7 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  blend index -lake DIR -out FILE [-layout column|row] [-shards N]
-                                                         build the unified index
+  blend index -lake DIR -out FILE [-shards N]            build the unified index
   blend index -lake DIR -out FILE -append [-workers N] [-batch N]
                                                          bulk-append DIR to an existing index
   blend index -out FILE -inspect                         print a v4 index's segment directory
@@ -165,7 +164,6 @@ func cmdStats(args []string) error {
 		return err
 	}
 	st := d.Stats()
-	fmt.Printf("layout:               %v\n", st.Layout)
 	fmt.Printf("shards:               %d\n", st.Shards)
 	fmt.Printf("tables:               %d (avg %.1f cols × %.1f rows)\n",
 		st.Tables, st.AvgColumnsPerTbl, st.AvgRowsPerTable)
@@ -251,9 +249,8 @@ func cmdIndex(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ContinueOnError)
 	lakeDir := fs.String("lake", "", "directory of CSV tables")
 	out := fs.String("out", "lake.blend", "output index file")
-	layout := fs.String("layout", "column", "physical layout: column or row")
 	shards := fs.Int("shards", 1, "hash-partition the index across N shards")
-	appendMode := fs.Bool("append", false, "append -lake to the existing index at -out instead of rebuilding (bulk ingest; -layout/-shards come from the existing index)")
+	appendMode := fs.Bool("append", false, "append -lake to the existing index at -out instead of rebuilding (bulk ingest; -shards comes from the existing index)")
 	workers := fs.Int("workers", 0, "ingest parallelism for -append: CSV parsers and per-shard inserts (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "tables per atomic ingest commit batch for -append (0 = library default)")
 	timeout := fs.Duration("timeout", 0, "abort an -append ingest after this duration (0 = none)")
@@ -287,15 +284,7 @@ func cmdIndex(args []string) error {
 			report.Throughput(), *out, d.LiveTables())
 		return nil
 	}
-	l := blend.ColumnStore
-	switch *layout {
-	case "column":
-	case "row":
-		l = blend.RowStore
-	default:
-		return berr.New(berr.CodeBadRequest, "cli.index", "unknown -layout %q (want column or row)", *layout)
-	}
-	d, err := blend.IndexCSVDir(l, *lakeDir, blend.WithShards(*shards))
+	d, err := blend.IndexCSVDir(blend.ColumnStore, *lakeDir, blend.WithShards(*shards))
 	if err != nil {
 		return err
 	}
@@ -309,14 +298,14 @@ func cmdIndex(args []string) error {
 
 // inspectIndex prints a v4 index file's footer directory: per-shard
 // section sizes, tombstone counts, and the postings compression ratio
-// against the uncompressed legacy encoding. It reads only the footer and
-// the small eager sections, never materializing a shard.
+// against a fixed-width encoding. It reads only the footer and the small
+// eager sections, never materializing a shard.
 func inspectIndex(path string) error {
 	info, err := storage.InspectFile(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("index:    %s (%d bytes, version 4, %s, layout %v)\n", path, info.FileBytes, info.Kind, info.Layout)
+	fmt.Printf("index:    %s (%d bytes, version 4, %s)\n", path, info.FileBytes, info.Kind)
 	fmt.Printf("tables:   %d (%d tombstoned)\n", info.Tables, info.Tombstones)
 	fmt.Printf("entries:  %d across %d shard(s)\n", info.Entries, len(info.Shards))
 	entryBytes := info.EntryBytes()

@@ -1,5 +1,5 @@
 // Package alltables bridges the storage engine and the SQL engine: it
-// exposes a storage.Store as the AllTables relation of Fig. 3 so that the
+// exposes a storage.Reader as the AllTables relation of Fig. 3 so that the
 // seekers' generated SQL (Listings 1–3 of the paper) can run against it,
 // with the inverted index on CellValue and the range index on TableId
 // served as minisql index access paths.

@@ -10,7 +10,7 @@ import (
 	"blend/internal/table"
 )
 
-func fixtureStore(t *testing.T, layout storage.Layout) *storage.Store {
+func fixtureStore(t *testing.T) *storage.ShardedStore {
 	t.Helper()
 	t1 := table.New("T1", "Team", "Size")
 	t1.MustAppendRow("Finance", "31")
@@ -26,38 +26,36 @@ func fixtureStore(t *testing.T, layout storage.Layout) *storage.Store {
 	for _, tb := range []*table.Table{t1, t2, t3} {
 		tb.InferKinds()
 	}
-	return storage.Build(layout, []*table.Table{t1, t2, t3})
+	return storage.Build([]*table.Table{t1, t2, t3}, 1)
 }
 
-func catalogFor(s *storage.Store) *minisql.Catalog {
+func catalogFor(s storage.Reader) *minisql.Catalog {
 	cat := minisql.NewCatalog()
 	cat.Register(Name, New(s))
 	return cat
 }
 
 func TestListing1SCSeekerSQL(t *testing.T) {
-	for _, layout := range []storage.Layout{storage.ColumnStore, storage.RowStore} {
-		cat := catalogFor(fixtureStore(t, layout))
-		res, err := minisql.ExecSQL(cat, `SELECT TableId FROM AllTables
-			WHERE CellValue IN ('HR', 'Marketing', 'Finance', 'IT')
-			GROUP BY TableId, ColumnId
-			ORDER BY COUNT(DISTINCT CellValue) DESC, TableId ASC
-			LIMIT 10`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// T1.Team matches 4 values; T2.Team and T3.Team match 2 each.
-		if res.NumRows() != 3 {
-			t.Fatalf("layout %v: rows = %d", layout, res.NumRows())
-		}
-		if got, _ := res.Cell(0, 0).AsInt(); got != 0 {
-			t.Fatalf("layout %v: best table = %v, want T1 (id 0)", layout, res.Cell(0, 0))
-		}
+	cat := catalogFor(fixtureStore(t))
+	res, err := minisql.ExecSQL(cat, `SELECT TableId FROM AllTables
+		WHERE CellValue IN ('HR', 'Marketing', 'Finance', 'IT')
+		GROUP BY TableId, ColumnId
+		ORDER BY COUNT(DISTINCT CellValue) DESC, TableId ASC
+		LIMIT 10`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// T1.Team matches 4 values; T2.Team and T3.Team match 2 each.
+	if res.NumRows() != 3 {
+		t.Fatalf("rows = %d", res.NumRows())
+	}
+	if got, _ := res.Cell(0, 0).AsInt(); got != 0 {
+		t.Fatalf("best table = %v, want T1 (id 0)", res.Cell(0, 0))
 	}
 }
 
 func TestQuadrantNullSurfacesAsSQLNull(t *testing.T) {
-	cat := catalogFor(fixtureStore(t, storage.ColumnStore))
+	cat := catalogFor(fixtureStore(t))
 	res, err := minisql.ExecSQL(cat, "SELECT COUNT(*) FROM AllTables WHERE Quadrant IS NOT NULL")
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +67,7 @@ func TestQuadrantNullSurfacesAsSQLNull(t *testing.T) {
 }
 
 func TestLookupInTableID(t *testing.T) {
-	r := New(fixtureStore(t, storage.ColumnStore))
+	r := New(fixtureStore(t))
 	rows, ok := r.LookupIn(ColTableID, []minisql.Value{minisql.Int(1)})
 	if !ok {
 		t.Fatal("TableId should be indexed")
@@ -90,7 +88,7 @@ func TestLookupInTableID(t *testing.T) {
 }
 
 func TestLookupInCellValueDedups(t *testing.T) {
-	r := New(fixtureStore(t, storage.ColumnStore))
+	r := New(fixtureStore(t))
 	once, _ := r.LookupIn(ColCellValue, []minisql.Value{minisql.Str("HR")})
 	twice, _ := r.LookupIn(ColCellValue, []minisql.Value{minisql.Str("HR"), minisql.Str("HR")})
 	if !reflect.DeepEqual(once, twice) {
@@ -99,12 +97,12 @@ func TestLookupInCellValueDedups(t *testing.T) {
 }
 
 func TestUnindexedColumnFallsBack(t *testing.T) {
-	r := New(fixtureStore(t, storage.ColumnStore))
+	r := New(fixtureStore(t))
 	if _, ok := r.LookupIn(ColRowID, []minisql.Value{minisql.Int(0)}); ok {
 		t.Fatal("RowId is not indexed; must report ok=false")
 	}
 	// The executor must still answer the query by scanning.
-	cat := catalogFor(fixtureStore(t, storage.ColumnStore))
+	cat := catalogFor(fixtureStore(t))
 	res, err := minisql.ExecSQL(cat, "SELECT COUNT(*) FROM AllTables WHERE RowId = 0")
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +113,7 @@ func TestUnindexedColumnFallsBack(t *testing.T) {
 }
 
 func TestSuperKeyColumnsExposed(t *testing.T) {
-	r := New(fixtureStore(t, storage.ColumnStore))
+	r := New(fixtureStore(t))
 	for p := 0; p < r.NumRows(); p++ {
 		lo := r.Cell(p, ColSuperLo)
 		hi := r.Cell(p, ColSuperHi)
@@ -128,7 +126,7 @@ func TestSuperKeyColumnsExposed(t *testing.T) {
 func TestListing2MCFirstPhaseSQL(t *testing.T) {
 	// The MC seeker's first phase (Listing 2): candidate rows carrying
 	// values from both query columns in the same row.
-	cat := catalogFor(fixtureStore(t, storage.ColumnStore))
+	cat := catalogFor(fixtureStore(t))
 	res, err := minisql.ExecSQL(cat, `SELECT * FROM
 		(SELECT * FROM AllTables WHERE CellValue IN ('HR')) AS Q1_index_hits
 		INNER JOIN
@@ -165,7 +163,7 @@ func TestListing3CorrelationSQL(t *testing.T) {
 		tb.MustAppendRow(c, fmt.Sprintf("%d", (i+1)*10))
 	}
 	tb.InferKinds()
-	st := storage.Build(storage.ColumnStore, []*table.Table{tb})
+	st := storage.Build([]*table.Table{tb}, 1)
 	cat := catalogFor(st)
 	// Query target grows with city index: keys below the target mean are
 	// aa..cc (k0), the rest are k1 — and Pop follows the same split.
@@ -207,8 +205,8 @@ func TestShardedGlobalViewMatchesMonolithicSQL(t *testing.T) {
 		tb.InferKinds()
 	}
 	tables := []*table.Table{t1, t2, t3}
-	mono := storage.Build(storage.ColumnStore, tables)
-	shard := storage.BuildSharded(storage.ColumnStore, tables, 3)
+	mono := storage.Build(tables, 1)
+	shard := storage.Build(tables, 3)
 	queries := []string{
 		"SELECT TableId, COUNT(DISTINCT CellValue) AS overlap FROM AllTables" +
 			" WHERE CellValue IN ('HR', 'IT') GROUP BY TableId ORDER BY overlap DESC, TableId ASC",

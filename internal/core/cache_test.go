@@ -12,7 +12,7 @@ import (
 )
 
 func cacheTestEngine(capacity int) *Engine {
-	e := NewEngine(storage.Build(storage.ColumnStore, fig1Lake()))
+	e := NewEngine(storage.Build(fig1Lake(), 1))
 	e.SetResultCache(capacity)
 	return e
 }
@@ -262,7 +262,7 @@ func TestResultCacheEligibility(t *testing.T) {
 // TestCacheDisabledByDefault asserts a fresh engine performs no caching
 // until configured — experiments and benchmarks measure real executions.
 func TestCacheDisabledByDefault(t *testing.T) {
-	e := NewEngine(storage.Build(storage.ColumnStore, fig1Lake()))
+	e := NewEngine(storage.Build(fig1Lake(), 1))
 	s := NewKW([]string{"HR"}, 5)
 	for i := 0; i < 2; i++ {
 		if _, st, err := e.RunSeeker(context.Background(), s); err != nil || st.CacheHit {

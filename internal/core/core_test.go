@@ -45,7 +45,7 @@ func fig1Lake() []*table.Table {
 }
 
 func fig1Engine() *Engine {
-	return NewEngine(storage.Build(storage.ColumnStore, fig1Lake()))
+	return NewEngine(storage.Build(fig1Lake(), 1))
 }
 
 var departments = []string{"HR", "Marketing", "Finance", "IT", "R&D", "Sales"}
@@ -233,7 +233,7 @@ func correlationLake() []*table.Table {
 }
 
 func TestCorrelationSeeker(t *testing.T) {
-	e := NewEngine(storage.Build(storage.ColumnStore, correlationLake()))
+	e := NewEngine(storage.Build(correlationLake(), 1))
 	keys := corrCities()
 	targets := make([]float64, len(keys))
 	for i := range targets {
@@ -267,7 +267,7 @@ func TestCorrelationSeekerNumericKeys(t *testing.T) {
 		tb.MustAppendRow(strconv.Itoa(i), strconv.Itoa(i*100))
 	}
 	tb.InferKinds()
-	e := NewEngine(storage.Build(storage.ColumnStore, []*table.Table{tb}))
+	e := NewEngine(storage.Build([]*table.Table{tb}, 1))
 	keys := []string{"1", "2", "3", "4", "5", "6", "7", "8"}
 	targets := []float64{10, 20, 30, 40, 50, 60, 70, 80}
 	hits, _, err := e.RunSeeker(context.Background(), NewCorrelation(keys, targets, 1))

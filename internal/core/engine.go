@@ -92,7 +92,7 @@ type Engine struct {
 func NewEngine(store storage.Index) *Engine {
 	e := &Engine{SampleH: DefaultSampleH, retention: DefaultRetainedGenerations}
 	e.lease = newStoreLease(store)
-	if sh, ok := store.(storage.Sharded); ok && len(sh.ShardReaders()) > 1 {
+	if store.NumShards() > 1 {
 		e.shardSem = newShardSem()
 	}
 	e.writeMu.Lock()
@@ -136,7 +136,7 @@ func (e *Engine) AddTable(t *table.Table) int32 {
 			panic(berr.Wrap(berr.CodeInternal, "engine.wal", err))
 		}
 	}
-	next, id := cloneAddTables(e.snap.Load().store, []*table.Table{t}, 0)
+	next, id := e.snap.Load().store.CloneAddTablesBatch([]*table.Table{t}, 0)
 	e.gen++
 	e.publish(e.buildSnapshot(next, e.gen))
 	if e.names != nil {
@@ -144,17 +144,6 @@ func (e *Engine) AddTable(t *table.Table) int32 {
 	}
 	e.recordBatch(1, uint64(len(t.Rows)), time.Since(start))
 	return id[0]
-}
-
-// cloneAddTables derives the next store with the batch appended,
-// copy-on-write when the store supports it. The in-place fallback covers
-// custom Index implementations outside this module: readers of older
-// snapshots then share the mutated store — the pre-MVCC behavior.
-func cloneAddTables(s storage.Index, tables []*table.Table, workers int) (storage.Index, []int32) {
-	if c, ok := s.(storage.CowIndex); ok {
-		return c.CloneAddTablesBatch(tables, workers)
-	}
-	return s, s.AddTablesBatch(tables, workers)
 }
 
 // recordBatch updates the ingest counters for one committed batch.

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"blend/internal/berr"
-	"blend/internal/storage"
 	"blend/internal/table"
 )
 
@@ -77,7 +76,7 @@ func (e *Engine) AddTables(tables []*table.Table, workers int) ([]int32, error) 
 			return nil, berr.Wrap(berr.CodeInternal, "engine.wal", err)
 		}
 	}
-	next, ids := cloneAddTables(e.snap.Load().store, tables, workers)
+	next, ids := e.snap.Load().store.CloneAddTablesBatch(tables, workers)
 	e.gen++
 	e.publish(e.buildSnapshot(next, e.gen))
 	for _, t := range tables {
@@ -102,21 +101,9 @@ func (e *Engine) AddTables(tables []*table.Table, workers int) ([]int32, error) 
 func (e *Engine) RemoveTable(tid int32) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	cur := e.snap.Load()
-	var next storage.Index
-	if c, ok := cur.store.(storage.CowIndex); ok {
-		derived, err := c.CloneRemoveTable(tid)
-		if err != nil {
-			return err
-		}
-		next = derived
-	} else {
-		// In-place fallback for custom Index implementations; older
-		// snapshots then share the mutated store (the pre-MVCC behavior).
-		if err := cur.store.RemoveTable(tid); err != nil {
-			return err
-		}
-		next = cur.store
+	next, err := e.snap.Load().store.CloneRemoveTable(tid)
+	if err != nil {
+		return err
 	}
 	if e.journal != nil {
 		if err := e.journal.RemoveTable(tid); err != nil {
@@ -143,15 +130,7 @@ func (e *Engine) RemoveTable(tid int32) error {
 func (e *Engine) Compact() int {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	cur := e.snap.Load()
-	var next storage.Index
-	var removed int
-	if c, ok := cur.store.(storage.CowIndex); ok {
-		next, removed = c.CloneCompact()
-	} else {
-		removed = cur.store.Compact()
-		next = cur.store
-	}
+	next, removed := e.snap.Load().store.CloneCompact()
 	if removed == 0 {
 		return 0
 	}

@@ -25,7 +25,7 @@ func maintLake(prefix string, n int) []*table.Table {
 
 func TestAddTablesBatchVisibilityAndCounters(t *testing.T) {
 	base := maintLake("base", 6)
-	e := NewEngine(storage.BuildSharded(storage.ColumnStore, base, 4))
+	e := NewEngine(storage.Build(base, 4))
 	add := maintLake("extra", 10)
 	ids, err := e.AddTables(add, 4)
 	if err != nil {
@@ -66,7 +66,7 @@ func TestAddTablesBatchVisibilityAndCounters(t *testing.T) {
 
 func TestAddTablesRejectsDuplicates(t *testing.T) {
 	base := maintLake("dup", 4)
-	e := NewEngine(storage.Build(storage.ColumnStore, base))
+	e := NewEngine(storage.Build(base, 1))
 	before := e.NumTables()
 
 	// Duplicate against the existing index.
@@ -102,7 +102,7 @@ func TestAddTablesRejectsDuplicates(t *testing.T) {
 
 func TestBatchCachePurgeOncePerBatch(t *testing.T) {
 	base := maintLake("cache", 6)
-	e := NewEngine(storage.Build(storage.ColumnStore, base))
+	e := NewEngine(storage.Build(base, 1))
 	e.SetResultCache(32)
 	e.SetRetention(1)
 	sc := NewSC([]string{base[0].Cell(0, 0)}, 8)
@@ -159,7 +159,7 @@ func TestBatchCachePurgeOncePerBatch(t *testing.T) {
 
 func TestRemoveTableHiddenFromQueries(t *testing.T) {
 	base := maintLake("rm", 8)
-	e := NewEngine(storage.BuildSharded(storage.ColumnStore, base, 4))
+	e := NewEngine(storage.Build(base, 4))
 	victim := int32(3)
 	val := base[victim].Cell(0, 0)
 	if err := e.RemoveTable(victim); err != nil {
@@ -210,7 +210,7 @@ func TestNativeSQLEquivalenceAfterRemoveCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, cfg := range nativeTestConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			native, sql := buildNativeTestEngines(cfg.layout, cfg.shards, lake)
+			native, sql := buildNativeTestEngines(cfg.shards, lake)
 			queries := make([][]string, 6)
 			for i := range queries {
 				queries[i] = lake.QueryColumn(15 + rng.Intn(25))
@@ -250,7 +250,7 @@ func TestNativeSQLEquivalenceAfterRemoveCompact(t *testing.T) {
 
 func TestTrainCostModelsSurvivesTombstones(t *testing.T) {
 	base := maintLake("train", 8)
-	e := NewEngine(storage.Build(storage.ColumnStore, base))
+	e := NewEngine(storage.Build(base, 1))
 	for _, tid := range []int32{1, 4, 6} {
 		if err := e.RemoveTable(tid); err != nil {
 			t.Fatal(err)
@@ -265,7 +265,7 @@ func TestTrainCostModelsSurvivesTombstones(t *testing.T) {
 
 func TestLiveTablesExcludesTombstones(t *testing.T) {
 	base := maintLake("live", 6)
-	e := NewEngine(storage.BuildSharded(storage.ColumnStore, base, 2))
+	e := NewEngine(storage.Build(base, 2))
 	if e.LiveTables() != 6 || e.NumTables() != 6 {
 		t.Fatalf("fresh lake: live=%d total=%d", e.LiveTables(), e.NumTables())
 	}
@@ -283,7 +283,7 @@ func TestLiveTablesExcludesTombstones(t *testing.T) {
 
 func TestSemanticIndexRebuiltAfterRemove(t *testing.T) {
 	base := maintLake("sem", 6)
-	e := NewEngine(storage.Build(storage.ColumnStore, base))
+	e := NewEngine(storage.Build(base, 1))
 	sem := NewSemantic([]string{base[2].Cell(0, 1)}, 12)
 	hits, _, err := e.RunSeeker(context.Background(), sem)
 	if err != nil {
@@ -308,7 +308,7 @@ func TestSemanticIndexRebuiltAfterRemove(t *testing.T) {
 
 func TestMaintenanceConcurrentWithQueries(t *testing.T) {
 	base := maintLake("conc", 8)
-	e := NewEngine(storage.BuildSharded(storage.ColumnStore, base, 4))
+	e := NewEngine(storage.Build(base, 4))
 	e.SetResultCache(64)
 	stop := make(chan struct{})
 	done := make(chan struct{})

@@ -15,13 +15,8 @@ import (
 // buildCorrTestEngines indexes numeric-bearing tables under one config and
 // returns a native-path engine and a SQL-path engine over the same store,
 // both sampling the same h.
-func buildCorrTestEngines(layout storage.Layout, shards, sampleH int, tables []*table.Table) (native, sql *Engine) {
-	var idx storage.Index
-	if shards > 1 {
-		idx = storage.BuildSharded(layout, tables, shards)
-	} else {
-		idx = storage.Build(layout, tables)
-	}
+func buildCorrTestEngines(shards, sampleH int, tables []*table.Table) (native, sql *Engine) {
+	idx := storage.Build(tables, shards)
 	native = NewEngine(idx)
 	native.SampleH = sampleH
 	sql = NewEngine(idx)
@@ -32,7 +27,7 @@ func buildCorrTestEngines(layout storage.Layout, shards, sampleH int, tables []*
 
 // TestNativeCorrSQLEquivalence is the correlation fast-path property test:
 // for generated correlation lakes, random (key, target) queries, random k,
-// sample sizes, and optimizer rewrites, across layouts and shard counts,
+// sample sizes, and optimizer rewrites, across shard counts,
 // the native executor and the minisql interpreter must return identical
 // top-k lists — same ids, same QCR scores (bit-identical floats), same
 // order — and identical SQLRows group counts.
@@ -46,7 +41,7 @@ func TestNativeCorrSQLEquivalence(t *testing.T) {
 	for _, cfg := range nativeTestConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
 			for _, h := range sampleHs {
-				native, sql := buildCorrTestEngines(cfg.layout, cfg.shards, h, bench.Tables)
+				native, sql := buildCorrTestEngines(cfg.shards, h, bench.Tables)
 				numTables := int32(native.Store().NumTables())
 				for qi, q := range bench.Queries {
 					keys := append([]string(nil), q.Keys...)
@@ -102,7 +97,7 @@ func TestNativeCorrEmptyAndDegenerate(t *testing.T) {
 		Name: "cdeg", NumTables: 4, Rows: 20, CorrelatedShare: 0.5,
 		Queries: 1, Seed: 3,
 	})
-	native, sql := buildCorrTestEngines(storage.ColumnStore, 1, 256, bench.Tables)
+	native, sql := buildCorrTestEngines(1, 256, bench.Tables)
 	ctx := context.Background()
 
 	for _, tc := range []struct {
@@ -157,7 +152,7 @@ func TestNativeCorrEquivalenceAfterRemoveCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, cfg := range nativeTestConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			native, sql := buildCorrTestEngines(cfg.layout, cfg.shards, 64, bench.Tables)
+			native, sql := buildCorrTestEngines(cfg.shards, 64, bench.Tables)
 			check := func(stage string) {
 				for qi, q := range bench.Queries {
 					k := 1 + rng.Intn(8)

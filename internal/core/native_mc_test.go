@@ -68,7 +68,7 @@ func mcQueryTuples(rng *rand.Rand, lake *datalake.JoinLake, n, width int) [][]st
 
 // TestNativeMCSQLEquivalence is the multi-column fast-path property test:
 // for random lakes, random tuple sets of varying width, random k, with and
-// without optimizer rewrites, across layouts and shard counts, the native
+// without optimizer rewrites, across shard counts, the native
 // MC executor and the SQL interpreter must return identical top-k lists
 // and identical funnel counters.
 func TestNativeMCSQLEquivalence(t *testing.T) {
@@ -79,7 +79,7 @@ func TestNativeMCSQLEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(171))
 	for _, cfg := range nativeTestConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			native, sql := buildNativeTestEngines(cfg.layout, cfg.shards, lake)
+			native, sql := buildNativeTestEngines(cfg.shards, lake)
 			numTables := int32(native.Store().NumTables())
 			for trial := 0; trial < 20; trial++ {
 				width := 1 + rng.Intn(4)
@@ -112,7 +112,7 @@ func TestNativeMCEquivalenceAfterRemoveCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(291))
 	for _, cfg := range nativeTestConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			native, sql := buildNativeTestEngines(cfg.layout, cfg.shards, lake)
+			native, sql := buildNativeTestEngines(cfg.shards, lake)
 			check := func(stage string) {
 				for trial := 0; trial < 5; trial++ {
 					width := 1 + rng.Intn(3)
@@ -156,12 +156,7 @@ func TestNativeMCDeterministicTies(t *testing.T) {
 	tuples := [][]string{{"HR", "Firenze"}, {"IT", "Tom Riddle"}}
 	for _, cfg := range nativeTestConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			var idx storage.Index
-			if cfg.shards > 1 {
-				idx = storage.BuildSharded(cfg.layout, lakeTables, cfg.shards)
-			} else {
-				idx = storage.Build(cfg.layout, lakeTables)
-			}
+			idx := storage.Build(lakeTables, cfg.shards)
 			native := NewEngine(idx)
 			sql := NewEngine(idx)
 			sql.NoNativeExec = true
@@ -202,8 +197,8 @@ func TestNativeMCDeterministicTies(t *testing.T) {
 // `IN ()`, which matches nothing).
 func TestNativeMCEdgeShapes(t *testing.T) {
 	lakeTables := fig1Lake()
-	native := NewEngine(storage.Build(storage.ColumnStore, lakeTables))
-	sql := NewEngine(storage.Build(storage.ColumnStore, lakeTables))
+	native := NewEngine(storage.Build(lakeTables, 1))
+	sql := NewEngine(storage.Build(lakeTables, 1))
 	sql.NoNativeExec = true
 	cases := []struct {
 		name   string
@@ -241,7 +236,7 @@ func TestNativeMCEdgeShapes(t *testing.T) {
 // preserved in the stats.
 func TestNativeMCCachePathPreserved(t *testing.T) {
 	lakeTables := fig1Lake()
-	e := NewEngine(storage.Build(storage.ColumnStore, lakeTables))
+	e := NewEngine(storage.Build(lakeTables, 1))
 	e.SetResultCache(16)
 	s := NewMC([][]string{{"HR", "Firenze"}}, 10)
 	first, st1, err := e.RunSeeker(context.Background(), s)
@@ -275,7 +270,7 @@ func TestNativeMCCanceledContext(t *testing.T) {
 		Name: "mccancel", NumTables: 6, ColsPerTable: 3, RowsPerTable: 20,
 		VocabSize: 60, Seed: 31,
 	})
-	native, _ := buildNativeTestEngines(storage.ColumnStore, 4, lake)
+	native, _ := buildNativeTestEngines(4, lake)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tuples, _ := lake.QueryTuples(3, 2)
@@ -293,7 +288,7 @@ func TestNativeMCPlanExplainPath(t *testing.T) {
 		Name: "mcplan", NumTables: 12, ColsPerTable: 3, RowsPerTable: 25,
 		VocabSize: 100, Seed: 37,
 	})
-	native, sql := buildNativeTestEngines(storage.ColumnStore, 4, lake)
+	native, sql := buildNativeTestEngines(4, lake)
 	tuples, _ := lake.QueryTuples(3, 2)
 	p := NewPlan()
 	p.MustAddSeeker("mc", NewMC(tuples, 8))

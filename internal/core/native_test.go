@@ -11,28 +11,20 @@ import (
 	"blend/internal/storage"
 )
 
-// nativeTestConfigs enumerates the physical organisations both execution
-// paths must agree across.
+// nativeTestConfigs enumerates the shard counts both execution paths must
+// agree across.
 var nativeTestConfigs = []struct {
 	name   string
-	layout storage.Layout
 	shards int
 }{
-	{"column", storage.ColumnStore, 1},
-	{"row", storage.RowStore, 1},
-	{"column-sharded", storage.ColumnStore, 4},
-	{"row-sharded", storage.RowStore, 4},
+	{"column", 1},
+	{"column-sharded", 4},
 }
 
 // buildNativeTestEngines indexes the lake under one config and returns a
 // native-path engine and a SQL-path engine over the same store.
-func buildNativeTestEngines(layout storage.Layout, shards int, lake *datalake.JoinLake) (native, sql *Engine) {
-	var idx storage.Index
-	if shards > 1 {
-		idx = storage.BuildSharded(layout, lake.Tables, shards)
-	} else {
-		idx = storage.Build(layout, lake.Tables)
-	}
+func buildNativeTestEngines(shards int, lake *datalake.JoinLake) (native, sql *Engine) {
+	idx := storage.Build(lake.Tables, shards)
 	native = NewEngine(idx)
 	sql = NewEngine(idx)
 	sql.NoNativeExec = true
@@ -68,7 +60,7 @@ func runBoth(t *testing.T, native, sql *Engine, s Seeker, rw Rewrite, label stri
 
 // TestNativeSQLEquivalence is the fast-path property test: for random
 // lakes, random query columns, random k, with and without MinOverlap
-// thresholds and optimizer rewrites, across layouts and shard counts, the
+// thresholds and optimizer rewrites, across shard counts, the
 // native posting-list executor and the minisql interpreter must return
 // identical top-k lists — same ids, same scores, same order.
 func TestNativeSQLEquivalence(t *testing.T) {
@@ -79,7 +71,7 @@ func TestNativeSQLEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, cfg := range nativeTestConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			native, sql := buildNativeTestEngines(cfg.layout, cfg.shards, lake)
+			native, sql := buildNativeTestEngines(cfg.shards, lake)
 			numTables := int32(native.Store().NumTables())
 			for trial := 0; trial < 25; trial++ {
 				values := lake.QueryColumn(1 + rng.Intn(40))
@@ -138,12 +130,7 @@ func TestNativeDeterministicTies(t *testing.T) {
 	}
 	for _, cfg := range nativeTestConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			var idx storage.Index
-			if cfg.shards > 1 {
-				idx = storage.BuildSharded(cfg.layout, lakeTables, cfg.shards)
-			} else {
-				idx = storage.Build(cfg.layout, lakeTables)
-			}
+			idx := storage.Build(lakeTables, cfg.shards)
 			native := NewEngine(idx)
 			sql := NewEngine(idx)
 			sql.NoNativeExec = true
@@ -186,7 +173,7 @@ func TestNativePlanEquivalence(t *testing.T) {
 		Name: "plan", NumTables: 16, ColsPerTable: 3, RowsPerTable: 30,
 		VocabSize: 120, Seed: 11,
 	})
-	native, sql := buildNativeTestEngines(storage.ColumnStore, 4, lake)
+	native, sql := buildNativeTestEngines(4, lake)
 	p := NewPlan()
 	p.MustAddSeeker("a", NewSC(lake.QueryColumn(12), 8))
 	p.MustAddSeeker("b", NewKW(lake.QueryColumn(10), 8))
@@ -232,7 +219,7 @@ func TestNativeAddTableVisibility(t *testing.T) {
 	})
 	for _, cfg := range nativeTestConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			native, sql := buildNativeTestEngines(cfg.layout, cfg.shards, lake)
+			native, sql := buildNativeTestEngines(cfg.shards, lake)
 			for _, tb := range extra.Tables {
 				native.AddTable(tb)
 				sql.AddTable(tb)
@@ -253,7 +240,7 @@ func TestNativeCanceledContext(t *testing.T) {
 		Name: "cancel", NumTables: 6, ColsPerTable: 3, RowsPerTable: 20,
 		VocabSize: 60, Seed: 5,
 	})
-	native, _ := buildNativeTestEngines(storage.ColumnStore, 4, lake)
+	native, _ := buildNativeTestEngines(4, lake)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := NewSC(lake.QueryColumn(10), 5)

@@ -77,7 +77,7 @@ func randomMixedPlan(rng *rand.Rand) *Plan {
 // execution, with and without the optimizer, on plans mixing execution
 // groups, Difference rewrites, and Union/Counter fan-outs.
 func TestSchedulerMatchesSequential(t *testing.T) {
-	e := NewEngine(storage.Build(storage.ColumnStore, schedLake(42, 14)))
+	e := NewEngine(storage.Build(schedLake(42, 14), 1))
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 20; trial++ {
 		p := randomMixedPlan(rng)
@@ -105,8 +105,8 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 // index, covering the concurrent per-shard SQL fan-out as well.
 func TestSchedulerMatchesSequentialSharded(t *testing.T) {
 	lake := schedLake(77, 14)
-	mono := NewEngine(storage.Build(storage.ColumnStore, lake))
-	shard := NewEngine(storage.BuildSharded(storage.ColumnStore, lake, 4))
+	mono := NewEngine(storage.Build(lake, 1))
+	shard := NewEngine(storage.Build(lake, 4))
 	rng := rand.New(rand.NewSource(78))
 	for trial := 0; trial < 10; trial++ {
 		p := randomMixedPlan(rng)
@@ -128,7 +128,7 @@ func TestSchedulerMatchesSequentialSharded(t *testing.T) {
 // contract: identical across repeated parallel runs and equal to the
 // sequential order, even though completion order varies.
 func TestSeekerOrderDeterministicUnderParallel(t *testing.T) {
-	e := NewEngine(storage.Build(storage.ColumnStore, schedLake(7, 12)))
+	e := NewEngine(storage.Build(schedLake(7, 12), 1))
 	p := randomMixedPlan(rand.New(rand.NewSource(8)))
 	seq, err := e.Run(context.Background(), p, RunOptions{Optimize: true})
 	if err != nil {
@@ -183,7 +183,7 @@ func (s *blockingSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, Ru
 // deadlocks (and times out) if the pool serializes them; the worker-pool
 // instrumentation must report the overlap.
 func TestIndependentSeekersRunConcurrently(t *testing.T) {
-	e := NewEngine(storage.BuildSharded(storage.ColumnStore, schedLake(11, 12), 4))
+	e := NewEngine(storage.Build(schedLake(11, 12), 4))
 	started := make(chan string, 4)
 	release := make(chan struct{})
 	p := NewPlan()
@@ -289,8 +289,8 @@ func TestRunSeekerContext(t *testing.T) {
 // the merge-exactness property the partitioning-by-table guarantees.
 func TestShardedEngineSeekersMatchMonolithic(t *testing.T) {
 	lake := schedLake(21, 16)
-	mono := NewEngine(storage.Build(storage.ColumnStore, lake))
-	shard := NewEngine(storage.BuildSharded(storage.ColumnStore, lake, 4))
+	mono := NewEngine(storage.Build(lake, 1))
+	shard := NewEngine(storage.Build(lake, 4))
 	if shard.NumShards() != 4 {
 		t.Fatalf("NumShards = %d", shard.NumShards())
 	}
@@ -326,7 +326,7 @@ func TestShardedEngineSeekersMatchMonolithic(t *testing.T) {
 // double enqueue when a dependent becomes ready while initial tasks are
 // still being seeded).
 func TestSchedulerRunsEachTaskOnce(t *testing.T) {
-	e := NewEngine(storage.Build(storage.ColumnStore, schedLake(3, 10)))
+	e := NewEngine(storage.Build(schedLake(3, 10), 1))
 	p := NewPlan()
 	ids := make([]string, 0, 12)
 	for i := 0; i < 12; i++ {

@@ -29,7 +29,7 @@ func semanticLake() []*table.Table {
 }
 
 func TestSemanticSeekerFindsSimilarColumn(t *testing.T) {
-	e := NewEngine(storage.Build(storage.ColumnStore, semanticLake()))
+	e := NewEngine(storage.Build(semanticLake(), 1))
 	// Query shares tokens with the cities table but is not identical.
 	hits, stats, err := e.RunSeeker(context.Background(), NewSemantic([]string{"berlin", "munich", "dresden"}, 1))
 	if err != nil {
@@ -47,7 +47,7 @@ func TestSemanticSeekerFindsSimilarColumn(t *testing.T) {
 }
 
 func TestSemanticSeekerEmptyAndZeroInputs(t *testing.T) {
-	e := NewEngine(storage.Build(storage.ColumnStore, semanticLake()))
+	e := NewEngine(storage.Build(semanticLake(), 1))
 	hits, _, err := e.RunSeeker(context.Background(), NewSemantic(nil, 5))
 	if err != nil || len(hits) != 0 {
 		t.Fatalf("empty input: hits=%v err=%v", hits, err)
@@ -63,7 +63,7 @@ func TestSemanticSeekerEmptyAndZeroInputs(t *testing.T) {
 // unified index corroborates, and MinSupport turns that corroboration
 // into a filter.
 func TestSemanticFunnelAndMinSupport(t *testing.T) {
-	e := NewEngine(storage.Build(storage.ColumnStore, semanticLake()))
+	e := NewEngine(storage.Build(semanticLake(), 1))
 	// "berlin" and "munich" exist verbatim in the cities table; "dresden"
 	// does not exist anywhere. The people table shares no query value.
 	q := []string{"berlin", "munich", "dresden"}
@@ -109,7 +109,7 @@ func TestSemanticFunnelAndMinSupport(t *testing.T) {
 }
 
 func TestSemanticSeekerIndexReused(t *testing.T) {
-	e := NewEngine(storage.Build(storage.ColumnStore, semanticLake()))
+	e := NewEngine(storage.Build(semanticLake(), 1))
 	v, release := testView(t, e)
 	defer release()
 	a := v.semanticIndex()
@@ -123,7 +123,7 @@ func TestSemanticSeekerIndexReused(t *testing.T) {
 }
 
 func TestSemanticSeekerRewriteIsPostFilter(t *testing.T) {
-	e := NewEngine(storage.Build(storage.ColumnStore, semanticLake()))
+	e := NewEngine(storage.Build(semanticLake(), 1))
 	s := NewSemantic([]string{"berlin", "hamburg"}, 5)
 	all, _, err := e.RunSeeker(context.Background(), s)
 	if err != nil {
@@ -171,7 +171,7 @@ func TestSemanticSeekerExcludedFromExecutionGroups(t *testing.T) {
 }
 
 func TestSemanticInPlanWithExactSeekers(t *testing.T) {
-	e := NewEngine(storage.Build(storage.ColumnStore, semanticLake()))
+	e := NewEngine(storage.Build(semanticLake(), 1))
 	p := NewPlan()
 	p.MustAddSeeker("sem", NewSemantic([]string{"berlin", "dresden"}, 5))
 	p.MustAddSeeker("sc", NewSC([]string{"germany"}, 5))

@@ -15,7 +15,8 @@ import (
 )
 
 // MVCC generation snapshots. Every index mutation builds a new immutable
-// store view copy-on-write (storage.CowIndex) and publishes it atomically:
+// store view copy-on-write (the storage.Index Clone* methods) and
+// publishes it atomically:
 // the engine holds a single atomic pointer to the current snapshot, and a
 // query resolves that pointer exactly once at start. From then on the query
 // reads only the pinned snapshot — no lock is taken on the read path, so
@@ -49,7 +50,7 @@ type snapshot struct {
 	// CAS-incrementing only positive counts.
 	refs atomic.Int64
 	// lease shares the store lineage's file mapping; released when refs
-	// hits zero. Nil for pure heap stores.
+	// hits zero.
 	lease *storeLease
 
 	// Lazily built embedding side-index for the SemanticSeeker extension.
@@ -75,7 +76,7 @@ func (sn *snapshot) tryPin() bool {
 // unpin drops one reference, releasing the snapshot's share of the file
 // mapping when it was the last.
 func (e *Engine) unpin(sn *snapshot) {
-	if sn.refs.Add(-1) == 0 && sn.lease != nil {
+	if sn.refs.Add(-1) == 0 {
 		sn.lease.release()
 	}
 }
@@ -181,28 +182,25 @@ func (e *Engine) buildSnapshot(store storage.Index, gen uint64) *snapshot {
 	cat.Register(alltables.Name, alltables.New(store))
 	sn := &snapshot{gen: gen, store: store, cat: cat, lease: e.lease}
 	sn.nativeViews = []storage.Reader{store}
-	if sh, ok := store.(storage.Sharded); ok {
-		if views := sh.ShardReaders(); len(views) > 1 {
-			sn.shardCats = make([]*minisql.Catalog, len(views))
-			for i, v := range views {
-				c := minisql.NewCatalog()
-				c.Register(alltables.Name, alltables.New(v))
-				sn.shardCats[i] = c
-			}
-			sn.nativeViews = views
+	if views := store.ShardReaders(); len(views) > 1 {
+		sn.shardCats = make([]*minisql.Catalog, len(views))
+		for i, v := range views {
+			c := minisql.NewCatalog()
+			c.Register(alltables.Name, alltables.New(v))
+			sn.shardCats[i] = c
 		}
+		sn.nativeViews = views
 	}
 	sn.refs.Store(1) // the retention list's reference; see publish
-	if sn.lease != nil {
-		sn.lease.acquire()
-	}
+	sn.lease.acquire()
 	return sn
 }
 
 // storeLease shares ownership of a store lineage's closeable backing (the
-// mmap segment file) across the generations derived from it: every snapshot
-// in the lineage holds one reference, and the file closes when the last
-// referencing snapshot is released.
+// mmap segment file; closing a heap-built store is a no-op) across the
+// generations derived from it: every snapshot in the lineage holds one
+// reference, and the file closes when the last referencing snapshot is
+// released.
 type storeLease struct {
 	refs atomic.Int64
 	c    io.Closer
@@ -210,14 +208,9 @@ type storeLease struct {
 	err  error // guarded by once: written inside Do, read after it returns
 }
 
-// newStoreLease wraps a store's closeable backing; nil when the store needs
-// no cleanup.
+// newStoreLease wraps a store's closeable backing.
 func newStoreLease(store storage.Index) *storeLease {
-	c, ok := store.(io.Closer)
-	if !ok {
-		return nil
-	}
-	return &storeLease{c: c}
+	return &storeLease{c: store}
 }
 
 func (l *storeLease) acquire() { l.refs.Add(1) }
@@ -328,10 +321,7 @@ func (e *Engine) Close() error {
 	e.writeMu.Lock()
 	l := e.lease
 	e.writeMu.Unlock()
-	if l != nil {
-		return l.closeErr()
-	}
-	return nil
+	return l.closeErr()
 }
 
 // Snapshot is a pinned generation handle: queries run through it see the

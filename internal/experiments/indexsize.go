@@ -27,7 +27,7 @@ func RunIndexSize(_ context.Context, scale Scale) *Report {
 		cfg := spec.Config
 		cfg.NumTables *= scale.factor()
 		lake := datalake.GenJoinLake(cfg)
-		blendSize := storage.Build(storage.ColumnStore, lake.Tables).SizeBytes()
+		blendSize := storage.Build(lake.Tables, 1).SizeBytes()
 		sota := dataxformer.Build(lake.Tables).SizeBytes() +
 			josie.Build(lake.Tables).SizeBytes() +
 			mate.Build(lake.Tables).SizeBytes() +

@@ -25,7 +25,7 @@ func RunLakes(_ context.Context, scale Scale) *Report {
 			cols += t.NumCols()
 			rows += t.NumRows()
 		}
-		st := storage.Build(storage.ColumnStore, lake.Tables)
+		st := storage.Build(lake.Tables, 1)
 		r.Printf("%-30s %12s %12s %12s | %8d %8d %10d %12d",
 			spec.PaperName,
 			humanCount(spec.PaperTables), humanCount(spec.PaperColumns), humanCount(spec.PaperRows),

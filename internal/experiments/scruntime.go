@@ -10,11 +10,11 @@ import (
 )
 
 // RunSCRuntime regenerates Fig. 5: average single-column join-search
-// runtime for BLEND (row and column layouts) versus JOSIE across query
-// sizes on WDC-, Canada-US-UK-, and Gittables-like lakes. The paper sweeps
-// query sizes up to 100k on billion-row corpora; the scaled sweep keeps
-// the series shape (runtime grows with query size; the column layout beats
-// the row layout; JOSIE sits between them).
+// runtime for BLEND (column layout) versus JOSIE across query sizes on
+// WDC-, Canada-US-UK-, and Gittables-like lakes. The paper sweeps query
+// sizes up to 100k on billion-row corpora; the scaled sweep keeps the
+// series shape (runtime grows with query size). The paper's BLEND(Row)
+// series is not reproduced: the index has only the column layout.
 func RunSCRuntime(ctx context.Context, scale Scale) *Report {
 	r := &Report{ID: "sc_runtime", Title: "Fig. 5: SC seeker runtime vs JOSIE"}
 	lakes := []struct {
@@ -26,27 +26,21 @@ func RunSCRuntime(ctx context.Context, scale Scale) *Report {
 		{"Canada-US-UK", 52, []int{1000, 10000, 20000}},
 		{"Gittables", 53, []int{10, 100, 1000}},
 	}
-	r.Printf("%-14s %8s | %14s %14s %14s", "Lake", "|Q|", "BLEND(Row)", "BLEND(Column)", "JOSIE")
+	r.Printf("%-14s %8s | %14s %14s", "Lake", "|Q|", "BLEND(Column)", "JOSIE")
 	for _, spec := range lakes {
 		lake := datalake.GenJoinLake(datalake.JoinLakeConfig{
 			Name: spec.name, NumTables: 40 * scale.factor(), ColsPerTable: 4,
 			RowsPerTable: 150, VocabSize: 25000, Seed: spec.seed,
 		})
-		dRow := blend.IndexTables(blend.RowStore, lake.Tables)
 		dCol := blend.IndexTables(blend.ColumnStore, lake.Tables)
 		josieIx := josie.Build(lake.Tables)
 		queries := 4 * scale.factor()
 		for _, size := range spec.sizes {
-			var tRow, tCol, tJosie time.Duration
+			var tCol, tJosie time.Duration
 			for q := 0; q < queries; q++ {
 				col := lake.QueryColumn(size)
 				seeker := blend.SC(col, 10)
 				start := time.Now()
-				if _, err := dRow.Seek(ctx, seeker); err != nil {
-					panic(err)
-				}
-				tRow += time.Since(start)
-				start = time.Now()
 				if _, err := dCol.Seek(ctx, seeker); err != nil {
 					panic(err)
 				}
@@ -56,8 +50,8 @@ func RunSCRuntime(ctx context.Context, scale Scale) *Report {
 				tJosie += time.Since(start)
 			}
 			n := time.Duration(queries)
-			r.Printf("%-14s %8d | %14s %14s %14s",
-				spec.name, size, ms(tRow/n), ms(tCol/n), ms(tJosie/n))
+			r.Printf("%-14s %8d | %14s %14s",
+				spec.name, size, ms(tCol/n), ms(tJosie/n))
 		}
 	}
 	return r

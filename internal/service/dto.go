@@ -172,7 +172,6 @@ func validateIngestDirRequest(req *IngestDirRequest) error {
 
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
-	Layout           string  `json:"layout"`
 	Shards           int     `json:"shards"`
 	Tables           int     `json:"tables"`
 	Tombstones       int     `json:"tombstones"`

@@ -245,7 +245,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	cs := s.d.CacheStats()
 	ms := s.d.MaintStats()
 	writeJSON(w, StatsResponse{
-		Layout:           st.Layout.String(),
 		Shards:           st.Shards,
 		Tables:           st.Tables,
 		Tombstones:       st.Tombstones,

@@ -350,7 +350,7 @@ func TestStatsAndTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Tables != 3 || st.Shards != 1 || st.Layout == "" {
+	if st.Tables != 3 || st.Shards != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 

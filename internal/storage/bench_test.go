@@ -24,39 +24,16 @@ func benchTables(n, rows int) []*table.Table {
 	return tables
 }
 
-func BenchmarkBuildColumnStore(b *testing.B) {
+func BenchmarkBuild(b *testing.B) {
 	tables := benchTables(20, 100)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Build(ColumnStore, tables)
+		Build(tables, 1)
 	}
 }
 
-func BenchmarkBuildRowStore(b *testing.B) {
-	tables := benchTables(20, 100)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Build(RowStore, tables)
-	}
-}
-
-// BenchmarkValueAccessColumn vs BenchmarkValueAccessRow isolates the
-// physical layout difference: array reads with a shared dictionary versus
-// packed-record deforming with a value copy per access.
-func BenchmarkValueAccessColumn(b *testing.B) {
-	s := Build(ColumnStore, benchTables(20, 100))
-	n := int32(s.NumEntries())
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += len(s.Value(int32(i) % n))
-	}
-	_ = sink
-}
-
-func BenchmarkValueAccessRow(b *testing.B) {
-	s := Build(RowStore, benchTables(20, 100))
+func BenchmarkValueAccess(b *testing.B) {
+	s := Build(benchTables(20, 100), 1)
 	n := int32(s.NumEntries())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -68,7 +45,7 @@ func BenchmarkValueAccessRow(b *testing.B) {
 }
 
 func BenchmarkPostingsLookup(b *testing.B) {
-	s := Build(ColumnStore, benchTables(20, 100))
+	s := Build(benchTables(20, 100), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -80,7 +57,7 @@ func BenchmarkPostingsLookup(b *testing.B) {
 }
 
 func BenchmarkReconstructRow(b *testing.B) {
-	s := Build(ColumnStore, benchTables(20, 100))
+	s := Build(benchTables(20, 100), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

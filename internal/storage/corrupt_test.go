@@ -3,8 +3,10 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"blend/internal/berr"
@@ -15,7 +17,7 @@ import (
 // silently wrong store) without panicking.
 func TestLoadTruncatedNeverPanics(t *testing.T) {
 	var buf bytes.Buffer
-	orig := Build(ColumnStore, lakeFixture())
+	orig := Build(lakeFixture(), 1)
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestLoadTruncatedNeverPanics(t *testing.T) {
 // e.g. inside a value string).
 func TestLoadBitFlips(t *testing.T) {
 	var buf bytes.Buffer
-	orig := Build(RowStore, lakeFixture())
+	orig := Build(lakeFixture(), 1)
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func writeBytes(t *testing.T, path string, data []byte) {
 // truncation can look complete.
 func TestMapFileTruncatedNeverPanics(t *testing.T) {
 	var buf bytes.Buffer
-	orig := BuildSharded(ColumnStore, widerLake(), 4)
+	orig := Build(widerLake(), 4)
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestMapFileTruncatedNeverPanics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("full file failed to map: %v", err)
 	}
-	idx.(*ShardedStore).Close()
+	idx.Close()
 }
 
 // TestMapFileBadFooter corrupts the structures MapFile validates eagerly —
@@ -124,7 +126,7 @@ func TestMapFileTruncatedNeverPanics(t *testing.T) {
 // with the typed bad-index code.
 func TestMapFileBadFooter(t *testing.T) {
 	var buf bytes.Buffer
-	orig := BuildSharded(ColumnStore, widerLake(), 4)
+	orig := Build(widerLake(), 4)
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestMapFileBadFooter(t *testing.T) {
 // of the poisoned shard — the Reader interface has no error returns, and a
 // CRC mismatch after open means the file changed underneath the mapping.
 func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
-	orig := BuildSharded(ColumnStore, widerLake(), 4)
+	orig := Build(widerLake(), 4)
 	dir := t.TempDir()
 	clean := filepath.Join(dir, "clean.blend")
 	if err := orig.SaveFile(clean); err != nil {
@@ -201,11 +203,10 @@ func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MapFile rejected a file with a valid footer: %v", err)
 	}
-	s := idx.(*ShardedStore)
-	defer s.Close()
+	defer idx.Close()
 	touch := func() (r any) {
 		defer func() { r = recover() }()
-		s.Value(0) // global entry 0 lives in shard 0
+		idx.Value(0) // global entry 0 lives in shard 0
 		return nil
 	}
 	for i := 0; i < 2; i++ { // the panic must repeat, not vanish after once.Do
@@ -216,6 +217,70 @@ func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
 		err, ok := r.(error)
 		if !ok || berr.CodeOf(err) != berr.CodeBadIndex {
 			t.Fatalf("touch %d panicked with %v, want typed CodeBadIndex error", i, r)
+		}
+	}
+}
+
+// TestRetiredFormatsRejected feeds every loader hand-built headers of
+// retired or unknown formats: v1–v3 files, a v4 file written with the row
+// layout, and an unknown version. Each must fail with a typed bad-index
+// error — naming the retired format and how to rebuild, where there is one
+// — and never panic.
+func TestRetiredFormatsRejected(t *testing.T) {
+	header := func(version uint32, rest ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32([]byte(persistMagic), version)
+		b = append(b, rest...)
+		return append(b, make([]byte, 64)...) // body bytes a loader might misparse
+	}
+	v4Header := func(kind byte, layout uint32) []byte {
+		rest := binary.LittleEndian.AppendUint32([]byte{kind}, layout)
+		return header(persistVersionSegmented, binary.LittleEndian.AppendUint32(rest, 1)...)
+	}
+	cases := []struct {
+		name string
+		data []byte
+		want string // substring of the error message
+	}{
+		{"v1", header(1), "index format v1 is no longer supported; rebuild it"},
+		{"v2", header(2), "index format v2 is no longer supported; rebuild it"},
+		{"v3", header(3, persistKindSharded), "index format v3 is no longer supported; rebuild it"},
+		{"v4-row-layout", v4Header(persistKindMonolithic, 1), "layout 1 is no longer supported"},
+		{"unknown-version", header(9), "unsupported index version 9"},
+	}
+	dir := t.TempDir()
+	loaders := []struct {
+		name string
+		open func(path string) (any, error)
+	}{
+		{"Load", func(path string) (any, error) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return nil, err
+			}
+			return Load(bytes.NewReader(data))
+		}},
+		{"LoadFile", func(path string) (any, error) { return LoadFile(path) }},
+		{"MapFile", func(path string) (any, error) { return MapFile(path) }},
+		{"InspectFile", func(path string) (any, error) { return InspectFile(path) }},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(dir, tc.name+".blend")
+		writeBytes(t, path, tc.data)
+		for _, l := range loaders {
+			t.Run(tc.name+"/"+l.name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				_, err := l.open(path)
+				if !errors.Is(err, berr.ErrBadIndex) {
+					t.Fatalf("err = %v, want a bad-index error", err)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %q, want it to mention %q", err, tc.want)
+				}
+			})
 		}
 	}
 }

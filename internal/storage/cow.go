@@ -9,7 +9,7 @@ import (
 // untouched and returns a derived index with the mutation applied, so an
 // engine can publish immutable generation snapshots: readers keep scanning
 // the old index while the writer builds the next one, with no lock between
-// them.
+// them. They are the only exported way to change an index.
 //
 // The clones share structure with their parent wherever sharing is safe:
 //
@@ -19,43 +19,15 @@ import (
 //     form a linear chain: a later generation only ever writes backing
 //     array elements at indices >= the older generation's length, which
 //     old readers never touch (their slice headers end earlier).
-//   - Arrays mutated in place (tombstone bitmaps, postings outer spine,
-//     row offsets) are copied per clone.
+//   - Arrays mutated in place (tombstone bitmaps, postings outer spine)
+//     are copied per clone.
 //   - The value dictionary map layers a per-generation delta over a shared
 //     base (see Store.dictBase/dictDelta), folded back into a fresh base
 //     when the delta grows past a quarter of it.
-//   - Sharded stores copy only the spine: untouched shards are shared,
-//     mutated shards are themselves cowCloned first. Lazy mmap slots are
-//     shared across generations, so a shard materialized through any
-//     generation is resident for all of them.
-
-// CowIndex is implemented by indexes that can apply mutations
-// copy-on-write, returning a derived index instead of mutating in place.
-// Both Store and ShardedStore implement it.
-type CowIndex interface {
-	Index
-	// CloneAddTable derives an index with one table appended and returns
-	// it with the new table's id.
-	CloneAddTable(t *table.Table) (Index, int32)
-	// CloneAddTablesBatch derives an index with a batch of tables appended
-	// and returns it with their ids in input order.
-	CloneAddTablesBatch(tables []*table.Table, workers int) (Index, []int32)
-	// CloneRemoveTable derives an index with one table tombstoned. The
-	// receiver is left untouched on error.
-	CloneRemoveTable(tid int32) (Index, error)
-	// CloneCompact derives a fully rebuilt index without tombstoned tables
-	// and reports how many were reclaimed. With no tombstones it returns
-	// the receiver itself and 0. Unlike Compact it never releases the
-	// parent's file mapping — older generations may still materialize
-	// shards from it; the owner closes the mapping when the last
-	// generation referencing it is released.
-	CloneCompact() (Index, int)
-}
-
-var (
-	_ CowIndex = (*Store)(nil)
-	_ CowIndex = (*ShardedStore)(nil)
-)
+//   - Only the shard spine is copied: untouched shards are shared, mutated
+//     shards are themselves cowCloned first. Lazy mmap slots are shared
+//     across generations, so a shard materialized through any generation
+//     is resident for all of them.
 
 // cowClone returns a structurally shared copy of the store that is safe to
 // mutate (append tables, tombstone) while readers keep using the receiver.
@@ -86,52 +58,10 @@ func (s *Store) cowClone() *Store {
 		cp.dictDelta = delta
 	}
 	// In-place-mutated state gets private copies; everything else is
-	// append-only and shared (see the package comment above).
+	// append-only and shared (see the comment above).
 	cp.dead = append([]bool(nil), s.dead...)
 	cp.postings = append([][]int32(nil), s.postings...)
-	if s.layout == RowStore {
-		// packRows truncates and re-extends rowOff; give the clone its own.
-		cp.rowOff = append([]int64(nil), s.rowOff...)
-	}
 	return &cp
-}
-
-// CloneAddTable implements CowIndex.
-func (s *Store) CloneAddTable(t *table.Table) (Index, int32) {
-	cp := s.cowClone()
-	return cp, cp.AddTable(t)
-}
-
-// CloneAddTablesBatch implements CowIndex.
-func (s *Store) CloneAddTablesBatch(tables []*table.Table, workers int) (Index, []int32) {
-	cp := s.cowClone()
-	return cp, cp.AddTablesBatch(tables, workers)
-}
-
-// CloneRemoveTable implements CowIndex.
-func (s *Store) CloneRemoveTable(tid int32) (Index, error) {
-	if tid < 0 || int(tid) >= len(s.tables) {
-		return nil, berr.New(berr.CodeNotFound, "storage.remove", "no table with id %d", tid)
-	}
-	cp := s.cowClone()
-	if err := cp.RemoveTable(tid); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// CloneCompact implements CowIndex.
-func (s *Store) CloneCompact() (Index, int) {
-	if s.numDead == 0 {
-		return s, 0
-	}
-	live := make([]*table.Table, 0, len(s.tables)-s.numDead)
-	for tid := range s.tables {
-		if !s.dead[tid] {
-			live = append(live, s.reconstructTable(int32(tid)))
-		}
-	}
-	return Build(s.layout, live), s.numDead
 }
 
 // cowClone returns a structurally shared copy of the sharded store: the
@@ -151,14 +81,7 @@ func (s *ShardedStore) ownShard(sh int) {
 	s.shards[sh] = s.shard(sh).cowClone()
 }
 
-// CloneAddTable implements CowIndex.
-func (s *ShardedStore) CloneAddTable(t *table.Table) (Index, int32) {
-	cp := s.cowClone()
-	cp.ownShard(cp.shardFor(t.Name))
-	return cp, cp.AddTable(t)
-}
-
-// CloneAddTablesBatch implements CowIndex.
+// CloneAddTablesBatch implements Index.
 func (s *ShardedStore) CloneAddTablesBatch(tables []*table.Table, workers int) (Index, []int32) {
 	cp := s.cowClone()
 	touched := make(map[int]struct{})
@@ -168,10 +91,10 @@ func (s *ShardedStore) CloneAddTablesBatch(tables []*table.Table, workers int) (
 	for sh := range touched {
 		cp.ownShard(sh)
 	}
-	return cp, cp.AddTablesBatch(tables, workers)
+	return cp, cp.addTablesBatch(tables, workers)
 }
 
-// CloneRemoveTable implements CowIndex.
+// CloneRemoveTable implements Index.
 func (s *ShardedStore) CloneRemoveTable(tid int32) (Index, error) {
 	if tid < 0 || int(tid) >= len(s.refs) {
 		return nil, berr.New(berr.CodeNotFound, "storage.remove", "no table with id %d", tid)
@@ -179,13 +102,15 @@ func (s *ShardedStore) CloneRemoveTable(tid int32) (Index, error) {
 	r := s.refs[tid]
 	cp := s.cowClone()
 	cp.ownShard(int(r.shard))
-	if err := cp.RemoveTable(tid); err != nil {
+	if err := cp.removeTable(tid); err != nil {
 		return nil, err
 	}
 	return cp, nil
 }
 
-// CloneCompact implements CowIndex.
+// CloneCompact implements Index: it rebuilds the lake from its live
+// tables, preserving the shard count and the relative order of global ids
+// (which are reassigned contiguously).
 func (s *ShardedStore) CloneCompact() (Index, int) {
 	removed := s.Tombstones()
 	if removed == 0 {
@@ -198,7 +123,5 @@ func (s *ShardedStore) CloneCompact() (Index, int) {
 			live = append(live, sh.reconstructTable(r.local))
 		}
 	}
-	cp := BuildSharded(s.layout, live, len(s.shards))
-	cp.mono = s.mono
-	return cp, removed
+	return Build(live, len(s.shards)), removed
 }

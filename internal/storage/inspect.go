@@ -24,12 +24,11 @@ type ShardSegInfo struct {
 
 // SegmentInfo is the decoded footer directory of a v4 index file, for
 // operators (blend index -inspect). RawEntryBytes is what the entries
-// would occupy in the uncompressed v1–v3 array encoding, the baseline for
-// the compression ratio.
+// would occupy in a fixed-width array encoding, the baseline for the
+// compression ratio.
 type SegmentInfo struct {
 	FileBytes  int64
 	Kind       string // "monolithic" or "sharded"
-	Layout     Layout
 	Tables     int
 	Entries    int64
 	Tombstones int
@@ -48,15 +47,15 @@ func (si *SegmentInfo) EntryBytes() int64 {
 	return b
 }
 
-// RawEntryBytes is the size of the same entries in the uncompressed
-// legacy array encoding (33 bytes each).
+// RawEntryBytes is the size of the same entries in a fixed-width array
+// encoding (33 bytes each).
 func (si *SegmentInfo) RawEntryBytes() int64 {
 	return si.Entries * rawEntryBytes
 }
 
 // InspectFile reads a v4 index file's footer directory without
-// materializing any shard. Legacy (v1–v3) files report a bad-index error
-// naming their version, since they have no directory to inspect.
+// materializing any shard. Retired (v1–v3) files report a bad-index error
+// naming their version.
 func InspectFile(path string) (*SegmentInfo, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -69,7 +68,6 @@ func InspectFile(path string) (*SegmentInfo, error) {
 	info := &SegmentInfo{
 		FileBytes: int64(len(data)),
 		Kind:      "sharded",
-		Layout:    sf.layout,
 		Tables:    sf.numTables,
 		RefsBytes: sf.refsSec.n,
 	}

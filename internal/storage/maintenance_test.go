@@ -9,9 +9,9 @@ import (
 	"blend/internal/table"
 )
 
-// Tests for the bulk write path and the table lifecycle: AddTablesBatch,
-// RemoveTable tombstones, Compact, and the v3 snapshot that round-trips
-// them (with v1/v2 files still loading).
+// Tests for the copy-on-write write path and the table lifecycle:
+// CloneAddTablesBatch, CloneRemoveTable tombstones, CloneCompact, and the
+// v4 file that round-trips them.
 
 // batchLake generates n small distinct tables for batch-ingest tests.
 func batchLake(prefix string, n int) []*table.Table {
@@ -38,47 +38,57 @@ func storeTuples(r Reader) map[string][]entryTuple {
 	return out
 }
 
+// mustRemove tombstones tid copy-on-write, failing the test on error.
+func mustRemove(t *testing.T, s Index, tid int32) Index {
+	t.Helper()
+	next, err := s.CloneRemoveTable(tid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
 func TestAddTablesBatchMatchesSequential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		for _, layout := range []Layout{ColumnStore, RowStore} {
-			t.Run(fmt.Sprintf("%v/shards=%d", layout, shards), func(t *testing.T) {
-				batch := batchLake("B", 9)
-				seq := BuildSharded(layout, lakeFixture(), shards)
-				bat := BuildSharded(layout, lakeFixture(), shards)
-				var seqIDs []int32
-				for _, tb := range batch {
-					seqIDs = append(seqIDs, seq.AddTable(tb))
-				}
-				batIDs := bat.AddTablesBatch(batch, 4)
-				if !reflect.DeepEqual(seqIDs, batIDs) {
-					t.Fatalf("batch ids %v != sequential ids %v", batIDs, seqIDs)
-				}
-				if seq.NumEntries() != bat.NumEntries() {
-					t.Fatalf("entries: batch %d, sequential %d", bat.NumEntries(), seq.NumEntries())
-				}
-				if !reflect.DeepEqual(storeTuples(seq), storeTuples(bat)) {
-					t.Fatal("batch-built store content differs from sequential")
-				}
-				// Posting lists agree for a shared value.
-				if seq.Frequency("HR") != bat.Frequency("HR") {
-					t.Fatal("frequency mismatch after batch insert")
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("Column/shards=%d", shards), func(t *testing.T) {
+			batch := batchLake("B", 9)
+			var seq Index = Build(lakeFixture(), shards)
+			var seqIDs []int32
+			for _, tb := range batch {
+				var ids []int32
+				seq, ids = seq.CloneAddTablesBatch([]*table.Table{tb}, 1)
+				seqIDs = append(seqIDs, ids...)
+			}
+			bat, batIDs := Build(lakeFixture(), shards).CloneAddTablesBatch(batch, 4)
+			if !reflect.DeepEqual(seqIDs, batIDs) {
+				t.Fatalf("batch ids %v != sequential ids %v", batIDs, seqIDs)
+			}
+			if seq.NumEntries() != bat.NumEntries() {
+				t.Fatalf("entries: batch %d, sequential %d", bat.NumEntries(), seq.NumEntries())
+			}
+			if !reflect.DeepEqual(storeTuples(seq), storeTuples(bat)) {
+				t.Fatal("batch-built store content differs from sequential")
+			}
+			// Posting lists agree for a shared value.
+			if seq.Frequency("HR") != bat.Frequency("HR") {
+				t.Fatal("frequency mismatch after batch insert")
+			}
+		})
 	}
 }
 
 func TestRemoveTableHidesEveryReadSurface(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := BuildSharded(ColumnStore, widerLake(), shards)
-			tid := s.TableIDByName("T2")
+			orig := Build(widerLake(), shards)
+			tid := orig.TableIDByName("T2")
 			if tid < 0 {
 				t.Fatal("fixture table missing")
 			}
-			beforeFreq := s.Frequency("Firenze")
-			if err := s.RemoveTable(tid); err != nil {
-				t.Fatal(err)
+			beforeFreq := orig.Frequency("Firenze")
+			s := mustRemove(t, orig, tid)
+			if !orig.TableAlive(tid) {
+				t.Fatal("removal leaked into the parent index")
 			}
 			if s.TableAlive(tid) {
 				t.Fatal("removed table still alive")
@@ -113,10 +123,10 @@ func TestRemoveTableHidesEveryReadSurface(t *testing.T) {
 				}
 			})
 			// Double removal and out-of-range ids are typed errors.
-			if err := s.RemoveTable(tid); err == nil {
+			if _, err := s.CloneRemoveTable(tid); err == nil {
 				t.Fatal("double remove must fail")
 			}
-			if err := s.RemoveTable(9999); err == nil {
+			if _, err := s.CloneRemoveTable(9999); err == nil {
 				t.Fatal("out-of-range remove must fail")
 			}
 		})
@@ -125,75 +135,64 @@ func TestRemoveTableHidesEveryReadSurface(t *testing.T) {
 
 func TestCompactReclaimsAndRenumbers(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		for _, layout := range []Layout{ColumnStore, RowStore} {
-			t.Run(fmt.Sprintf("%v/shards=%d", layout, shards), func(t *testing.T) {
-				s := BuildSharded(layout, widerLake(), shards)
-				totalBefore := s.NumTables()
-				entriesBefore := s.NumEntries()
-				victim := s.TableIDByName("T1")
-				want := storeTuples(s) // snapshot, then forget the victim
-				victimEntries := len(want["T1"])
-				delete(want, "T1")
-				if err := s.RemoveTable(victim); err != nil {
-					t.Fatal(err)
+		t.Run(fmt.Sprintf("Column/shards=%d", shards), func(t *testing.T) {
+			orig := Build(widerLake(), shards)
+			totalBefore := orig.NumTables()
+			entriesBefore := orig.NumEntries()
+			victim := orig.TableIDByName("T1")
+			want := storeTuples(orig) // snapshot, then forget the victim
+			victimEntries := len(want["T1"])
+			delete(want, "T1")
+			s, removed := mustRemove(t, orig, victim).CloneCompact()
+			if removed != 1 {
+				t.Fatalf("CloneCompact removed %d tables, want 1", removed)
+			}
+			if s.Tombstones() != 0 {
+				t.Fatal("tombstones survive compaction")
+			}
+			if s.NumTables() != totalBefore-1 {
+				t.Fatalf("NumTables = %d after compact", s.NumTables())
+			}
+			if s.NumEntries() != entriesBefore-victimEntries {
+				t.Fatalf("NumEntries = %d after compact, want %d",
+					s.NumEntries(), entriesBefore-victimEntries)
+			}
+			if s.NumShards() != shards {
+				t.Fatal("compaction changed the shard count")
+			}
+			got := storeTuples(s)
+			// Ids were renumbered, so compare per-name content with the
+			// table-id field normalized out.
+			if len(got) != len(want) {
+				t.Fatalf("compacted store holds %d tables, want %d", len(got), len(want))
+			}
+			for name, wtuples := range want {
+				gtuples := got[name]
+				if len(gtuples) != len(wtuples) {
+					t.Fatalf("table %q has %d entries after compact, want %d", name, len(gtuples), len(wtuples))
 				}
-				if removed := s.Compact(); removed != 1 {
-					t.Fatalf("Compact removed %d tables, want 1", removed)
-				}
-				if s.Tombstones() != 0 {
-					t.Fatal("tombstones survive compaction")
-				}
-				if s.NumTables() != totalBefore-1 {
-					t.Fatalf("NumTables = %d after compact", s.NumTables())
-				}
-				if s.NumEntries() != entriesBefore-victimEntries {
-					t.Fatalf("NumEntries = %d after compact, want %d",
-						s.NumEntries(), entriesBefore-victimEntries)
-				}
-				if s.NumShards() != shards {
-					t.Fatal("compaction changed the shard count")
-				}
-				got := storeTuples(s)
-				// Ids were renumbered, so compare per-name content with the
-				// table-id field normalized out.
-				if len(got) != len(want) {
-					t.Fatalf("compacted store holds %d tables, want %d", len(got), len(want))
-				}
-				for name, wtuples := range want {
-					gtuples := got[name]
-					if len(gtuples) != len(wtuples) {
-						t.Fatalf("table %q has %d entries after compact, want %d", name, len(gtuples), len(wtuples))
-					}
-					for i := range wtuples {
-						w, g := wtuples[i], gtuples[i]
-						w.tid, g.tid = 0, 0
-						if w != g {
-							t.Fatalf("table %q entry %d differs after compact: %+v vs %+v", name, i, g, w)
-						}
+				for i := range wtuples {
+					w, g := wtuples[i], gtuples[i]
+					w.tid, g.tid = 0, 0
+					if w != g {
+						t.Fatalf("table %q entry %d differs after compact: %+v vs %+v", name, i, g, w)
 					}
 				}
-				// Compacting a clean store is a no-op.
-				if s.Compact() != 0 {
-					t.Fatal("second compact must remove nothing")
-				}
-			})
-		}
+			}
+			// Compacting a clean store is a no-op that returns the receiver.
+			if again, n := s.CloneCompact(); n != 0 || again != s {
+				t.Fatal("second compact must remove nothing")
+			}
+		})
 	}
 }
 
 func TestPersistRoundTripsTombstones(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var orig Index
-			if shards == 1 {
-				orig = Build(ColumnStore, widerLake())
-			} else {
-				orig = BuildSharded(ColumnStore, widerLake(), shards)
-			}
-			victim := orig.TableIDByName("W3")
-			if err := orig.RemoveTable(victim); err != nil {
-				t.Fatal(err)
-			}
+			base := Build(widerLake(), shards)
+			victim := base.TableIDByName("W3")
+			orig := mustRemove(t, base, victim)
 			var buf bytes.Buffer
 			if err := orig.Save(&buf); err != nil {
 				t.Fatal(err)
@@ -215,85 +214,20 @@ func TestPersistRoundTripsTombstones(t *testing.T) {
 				t.Fatal("live content differs after round trip")
 			}
 			// Compaction after reload fully reclaims.
-			if loaded.Compact() != 1 {
+			compacted, removed := loaded.CloneCompact()
+			if removed != 1 {
 				t.Fatal("post-load compact must reclaim the tombstone")
 			}
-			if loaded.TableIDByName("W2") < 0 {
+			if compacted.TableIDByName("W2") < 0 {
 				t.Fatal("live table lost after post-load compact")
 			}
 		})
 	}
 }
 
-func TestLegacyV1AndV2FilesStillLoad(t *testing.T) {
-	mono := Build(ColumnStore, lakeFixture())
-	var v1 bytes.Buffer
-	if err := mono.SaveLegacy(&v1, 1); err != nil {
-		t.Fatal(err)
-	}
-	loaded1, err := Load(&v1)
-	if err != nil {
-		t.Fatalf("v1 load: %v", err)
-	}
-	if _, ok := loaded1.(*Store); !ok {
-		t.Fatalf("v1 file loaded as %T, want *Store", loaded1)
-	}
-	if loaded1.Tombstones() != 0 {
-		t.Fatal("legacy file must load without tombstones")
-	}
-	if !reflect.DeepEqual(storeTuples(mono), storeTuples(loaded1)) {
-		t.Fatal("v1 content differs")
-	}
-
-	sh := BuildSharded(ColumnStore, widerLake(), 4)
-	var v2 bytes.Buffer
-	if err := sh.SaveLegacy(&v2, 2); err != nil {
-		t.Fatal(err)
-	}
-	loaded2, err := Load(&v2)
-	if err != nil {
-		t.Fatalf("v2 load: %v", err)
-	}
-	if loaded2.NumShards() != 4 {
-		t.Fatalf("v2 file loaded with %d shards", loaded2.NumShards())
-	}
-	if !reflect.DeepEqual(storeTuples(sh), storeTuples(loaded2)) {
-		t.Fatal("v2 content differs")
-	}
-
-	// Legacy writers refuse to drop tombstones silently.
-	if err := sh.RemoveTable(sh.TableIDByName("W1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.SaveLegacy(&bytes.Buffer{}, 2); err == nil {
-		t.Fatal("legacy save with tombstones must fail")
-	}
-}
-
-func TestV3RejectsCorruptTombstoneSection(t *testing.T) {
-	s := Build(ColumnStore, lakeFixture())
-	if err := s.RemoveTable(1); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.SaveLegacy(&buf, 3); err != nil {
-		t.Fatal(err)
-	}
-	// The tombstone list is the last 8 bytes (count u32 + one id u32):
-	// point the dead id out of range.
-	raw := buf.Bytes()
-	copy(raw[len(raw)-4:], []byte{0xee, 0xee, 0xee, 0xee})
-	if _, err := Load(bytes.NewReader(raw)); err == nil {
-		t.Fatal("corrupt tombstone id must be rejected")
-	}
-}
-
 func TestAddAfterRemoveKeepsIdsDisjoint(t *testing.T) {
-	s := BuildSharded(ColumnStore, lakeFixture(), 2)
-	if err := s.RemoveTable(s.TableIDByName("T1")); err != nil {
-		t.Fatal(err)
-	}
-	ids := s.AddTablesBatch(batchLake("N", 3), 2)
+	base := Build(lakeFixture(), 2)
+	s, ids := mustRemove(t, base, base.TableIDByName("T1")).CloneAddTablesBatch(batchLake("N", 3), 2)
 	for _, id := range ids {
 		if !s.TableAlive(id) {
 			t.Fatalf("new table %d not alive", id)

@@ -1,221 +1,47 @@
 package storage
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 
 	"blend/internal/berr"
-	"blend/internal/table"
 )
 
-// Binary persistence for the AllTables index. The format is a simple
-// little-endian stream:
-//
-//	v1 (monolithic, legacy):
-//	magic "BLND" | version=1 | payload
-//
-//	v2 (sharded, legacy):
-//	magic "BLND" | version=2 | layout u32 | numShards u32
-//	numTables u32 | per table: owning shard u32 (global id = position)
-//	per shard: payload
-//
-//	v3 (current, written by Save):
-//	magic "BLND" | version=3 | kind u8 (0 = monolithic, 1 = sharded)
-//	kind 0: payload | tombstones
-//	kind 1: layout u32 | numShards u32
-//	        numTables u32 | per table: owning shard u32 (global id = position)
-//	        per shard: payload | tombstones
-//
-//	payload:
-//	layout u32
-//	numTables u32 | per table: name, numRows u32, numCols u32, per col: name, kind u8
-//	dict: numValues u32 | per value: string
-//	numEntries u32 | arrays: valIdx, tableIDs, columnIDs, rowIDs (i32),
-//	                 superLo, superHi (u64), quadrant (i8)
-//
-//	tombstones:
-//	numDead u32 | per dead table: (shard-)local table id u32
-//
-// In v1–v3, postings and table ranges are rebuilt on load (they are
-// derivable), which keeps the on-disk footprint lean — part of what
-// Table VIII measures. Save now writes v4, the segmented format described
-// in segment.go: per-shard, per-section segments behind a footer
-// directory, varint/delta-compressed, designed so MapFile can memory-map
-// the file and decode shards lazily. Load reads all four versions, so
-// files written before tombstones, sharding, or segments existed keep
-// opening; SaveLegacy regenerates the old formats for compatibility
-// tests and downgrades.
+// Binary persistence for the AllTables index. Save writes the segmented v4
+// format described in segment.go: per-shard, per-section segments behind a
+// footer directory, varint/delta-compressed, designed so MapFile can
+// memory-map the file and decode shards lazily. Load, LoadFile and MapFile
+// read v4 only; files written in the retired v1–v3 formats, or with the
+// retired row layout, fail with a typed bad-index error that says how to
+// rebuild them.
 
 const (
-	persistMagic             = "BLND"
-	persistVersion           = 1
-	persistVersionSharded    = 2
-	persistVersionTombstones = 3
+	persistMagic = "BLND"
 
 	persistKindMonolithic = 0
 	persistKindSharded    = 1
 )
 
-// Save writes the monolithic store to w in the segmented v4 format.
-func (s *Store) Save(w io.Writer) error {
-	return writeSegmented(w, persistKindMonolithic, s.layout, []*Store{s}, nil)
-}
+// rebuildHint is appended to every rejection of a retired file format.
+const rebuildHint = "rebuild it with `blend index -lake DIR -out FILE`"
 
-// Save writes the sharded store to w in the segmented v4 format,
-// round-tripping the shard count, the global table directory, and
-// per-shard tombstones. On a lazily mapped store this first materializes
-// every shard (a full save must serialize every shard anyway); a store
-// opened from a monolithic v4 file is written back as monolithic.
+// Save writes the index to w in the segmented v4 format, round-tripping
+// the shard count, the global table directory, and per-shard tombstones.
+// A one-shard index is written as the monolithic kind, any other as the
+// sharded kind. On a lazily mapped store this first materializes every
+// shard (a full save must serialize every shard anyway).
 func (s *ShardedStore) Save(w io.Writer) error {
 	shards := make([]*Store, len(s.shards))
 	for i := range shards {
 		shards[i] = s.shard(i)
 	}
-	if s.mono && len(shards) == 1 {
-		return writeSegmented(w, persistKindMonolithic, s.layout, shards, nil)
-	}
-	return writeSegmented(w, persistKindSharded, s.layout, shards, s.refs)
+	return writeSegmented(w, shards, s.refs)
 }
 
-// saveV3 writes the monolithic store in the pre-segment v3 format.
-func (s *Store) saveV3(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(persistMagic); err != nil {
-		return err
-	}
-	if err := writeU32(bw, persistVersionTombstones); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(persistKindMonolithic); err != nil {
-		return err
-	}
-	if err := s.savePayload(bw); err != nil {
-		return err
-	}
-	if err := s.saveTombstones(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// saveV3 writes the sharded store in the pre-segment v3 format.
-func (s *ShardedStore) saveV3(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(persistMagic); err != nil {
-		return err
-	}
-	if err := writeU32(bw, persistVersionTombstones); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(persistKindSharded); err != nil {
-		return err
-	}
-	if err := s.saveShardedBody(bw, true); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// saveShardedBody writes the v2/v3 sharded body: directory then per-shard
-// payloads, with tombstone sections when withTombstones is set.
-func (s *ShardedStore) saveShardedBody(bw *bufio.Writer, withTombstones bool) error {
-	if err := writeU32(bw, uint32(s.layout)); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(len(s.shards))); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(len(s.refs))); err != nil {
-		return err
-	}
-	for _, r := range s.refs {
-		if err := writeU32(bw, uint32(r.shard)); err != nil {
-			return err
-		}
-	}
-	for i := range s.shards {
-		sh := s.shard(i)
-		if err := sh.savePayload(bw); err != nil {
-			return err
-		}
-		if withTombstones {
-			if err := sh.saveTombstones(bw); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// SaveLegacy writes the store in an older on-disk format: v1
-// (pre-tombstones) or v3 (pre-segments). It refuses to drop tombstone
-// state silently and exists for compatibility tests, benchmarking old
-// formats against v4, and downgrading an index for an older binary.
-func (s *Store) SaveLegacy(w io.Writer, version uint32) error {
-	switch version {
-	case persistVersion:
-		if s.numDead > 0 {
-			return berr.New(berr.CodeBadRequest, "storage.save", "cannot write v1 format with %d tombstoned tables", s.numDead)
-		}
-		bw := bufio.NewWriter(w)
-		if _, err := bw.WriteString(persistMagic); err != nil {
-			return err
-		}
-		if err := writeU32(bw, persistVersion); err != nil {
-			return err
-		}
-		if err := s.savePayload(bw); err != nil {
-			return err
-		}
-		return bw.Flush()
-	case persistVersionTombstones:
-		return s.saveV3(w)
-	default:
-		return berr.New(berr.CodeBadRequest, "storage.save", "monolithic stores have no legacy version %d", version)
-	}
-}
-
-// SaveLegacy writes the sharded store in an older on-disk format: v2
-// (pre-tombstones) or v3 (pre-segments). See Store.SaveLegacy.
-func (s *ShardedStore) SaveLegacy(w io.Writer, version uint32) error {
-	switch version {
-	case persistVersionSharded:
-		if s.Tombstones() > 0 {
-			return berr.New(berr.CodeBadRequest, "storage.save", "cannot write v2 format with %d tombstoned tables", s.Tombstones())
-		}
-		bw := bufio.NewWriter(w)
-		if _, err := bw.WriteString(persistMagic); err != nil {
-			return err
-		}
-		if err := writeU32(bw, persistVersionSharded); err != nil {
-			return err
-		}
-		if err := s.saveShardedBody(bw, false); err != nil {
-			return err
-		}
-		return bw.Flush()
-	case persistVersionTombstones:
-		return s.saveV3(w)
-	default:
-		return berr.New(berr.CodeBadRequest, "storage.save", "sharded stores have no legacy version %d", version)
-	}
-}
-
-// SaveFile writes the store to a file.
-func (s *Store) SaveFile(path string) error { return saveFile(s, path) }
-
-// SaveFile writes the sharded store to a file.
-func (s *ShardedStore) SaveFile(path string) error { return saveFile(s, path) }
-
-type saver interface {
-	Save(w io.Writer) error
-}
-
-func saveFile(s saver, path string) error {
+// SaveFile writes the index to a file.
+func (s *ShardedStore) SaveFile(path string) error {
 	// Write to a temp file and rename into place. Besides crash safety,
 	// this must never truncate the target in place: path may back the live
 	// mapping of the very store being saved (open-mapped → append → save
@@ -249,421 +75,24 @@ func saveFile(s saver, path string) error {
 	return nil
 }
 
-func writeU32(bw *bufio.Writer, v uint32) error {
-	return binary.Write(bw, binary.LittleEndian, v)
-}
-
-func writeStr(bw *bufio.Writer, v string) error {
-	if err := writeU32(bw, uint32(len(v))); err != nil {
-		return err
-	}
-	_, err := bw.WriteString(v)
-	return err
-}
-
-// savePayload writes one store body (everything after magic and version).
-func (s *Store) savePayload(bw *bufio.Writer) error {
-	if err := writeU32(bw, uint32(s.layout)); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(len(s.tables))); err != nil {
-		return err
-	}
-	for _, m := range s.tables {
-		if err := writeStr(bw, m.Name); err != nil {
-			return err
-		}
-		if err := writeU32(bw, uint32(m.NumRows)); err != nil {
-			return err
-		}
-		if err := writeU32(bw, uint32(len(m.ColNames))); err != nil {
-			return err
-		}
-		for c := range m.ColNames {
-			if err := writeStr(bw, m.ColNames[c]); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(byte(m.ColKinds[c])); err != nil {
-				return err
-			}
-		}
-	}
-	if err := writeU32(bw, uint32(len(s.dict))); err != nil {
-		return err
-	}
-	for _, v := range s.dict {
-		if err := writeStr(bw, v); err != nil {
-			return err
-		}
-	}
-	if err := writeU32(bw, uint32(len(s.valIdx))); err != nil {
-		return err
-	}
-	for _, arr := range [][]int32{s.valIdx, s.tableIDs, s.columnIDs, s.rowIDs} {
-		if err := binary.Write(bw, binary.LittleEndian, arr); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, s.superLo); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, s.superHi); err != nil {
-		return err
-	}
-	return binary.Write(bw, binary.LittleEndian, s.quadrant)
-}
-
-// saveTombstones writes the store's dead-table list (v3 section).
-func (s *Store) saveTombstones(bw *bufio.Writer) error {
-	if err := writeU32(bw, uint32(s.numDead)); err != nil {
-		return err
-	}
-	for tid, d := range s.dead {
-		if !d {
-			continue
-		}
-		if err := writeU32(bw, uint32(tid)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// All length- and count-prefixed reads allocate in bounded chunks:
-// corrupted or truncated files then fail with an I/O error instead of
-// attempting a multi-gigabyte allocation from an untrusted count.
-const loadChunk = 1 << 16
-
-func readU32(br *bufio.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(br, binary.LittleEndian, &v)
-	return v, err
-}
-
-func readStr(br *bufio.Reader) (string, error) {
-	n, err := readU32(br)
-	if err != nil {
-		return "", err
-	}
-	var sb []byte
-	for remaining := int(n); remaining > 0; {
-		c := remaining
-		if c > loadChunk {
-			c = loadChunk
-		}
-		buf := make([]byte, c)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", fmt.Errorf("read string payload: %w", err)
-		}
-		sb = append(sb, buf...)
-		remaining -= c
-	}
-	return string(sb), nil
-}
-
-func readI32s(br *bufio.Reader, n int) ([]int32, error) {
-	var out []int32
-	for remaining := n; remaining > 0; {
-		c := remaining
-		if c > loadChunk {
-			c = loadChunk
-		}
-		part := make([]int32, c)
-		if err := binary.Read(br, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-		remaining -= c
-	}
-	return out, nil
-}
-
-func readU64s(br *bufio.Reader, n int) ([]uint64, error) {
-	var out []uint64
-	for remaining := n; remaining > 0; {
-		c := remaining
-		if c > loadChunk {
-			c = loadChunk
-		}
-		part := make([]uint64, c)
-		if err := binary.Read(br, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-		remaining -= c
-	}
-	return out, nil
-}
-
-func readI8s(br *bufio.Reader, n int) ([]int8, error) {
-	var out []int8
-	for remaining := n; remaining > 0; {
-		c := remaining
-		if c > loadChunk {
-			c = loadChunk
-		}
-		part := make([]int8, c)
-		if err := binary.Read(br, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-		remaining -= c
-	}
-	return out, nil
-}
-
-// Load reads an index previously written by Save — either version — and
-// rebuilds its in-memory indexes. The concrete type of the result matches
-// the file: *Store for v1, *ShardedStore for v2. Unreadable or corrupt
-// inputs report typed bad-index errors.
+// Load reads a v4 index previously written by Save and decodes every shard
+// eagerly. Unreadable, corrupt, or retired-format inputs report typed
+// bad-index errors.
 func Load(r io.Reader) (Index, error) {
-	idx, err := load(bufio.NewReader(r))
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, berr.Wrap(berr.CodeBadIndex, "storage.load", err)
+	}
+	idx, err := loadSegmented(data)
 	if err != nil {
 		return nil, berr.Wrap(berr.CodeBadIndex, "storage.load", err)
 	}
 	return idx, nil
 }
 
-func load(br *bufio.Reader) (Index, error) {
-	magic := make([]byte, len(persistMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("read index magic: %w", err)
-	}
-	if string(magic) != persistMagic {
-		return nil, fmt.Errorf("bad index magic %q", magic)
-	}
-	version, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	switch version {
-	case persistVersion:
-		return loadPayload(br, false)
-	case persistVersionSharded:
-		return loadSharded(br, false)
-	case persistVersionSegmented:
-		// Eager v4: slurp the remainder and decode every shard up front.
-		// MapFile is the lazy entry point.
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, err
-		}
-		data := make([]byte, 0, len(persistMagic)+4+len(rest))
-		data = append(data, persistMagic...)
-		data = appendU32(data, persistVersionSegmented)
-		data = append(data, rest...)
-		return loadSegmented(data)
-	case persistVersionTombstones:
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
-		case persistKindMonolithic:
-			return loadPayload(br, true)
-		case persistKindSharded:
-			return loadSharded(br, true)
-		default:
-			return nil, fmt.Errorf("unknown v3 index kind %d", kind)
-		}
-	default:
-		return nil, fmt.Errorf("unsupported index version %d", version)
-	}
-}
-
-// loadSharded reads the v2/v3 sharded body: shard count, table directory,
-// then one payload (with a tombstone section for v3) per shard.
-func loadSharded(br *bufio.Reader, withTombstones bool) (*ShardedStore, error) {
-	layoutRaw, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	numShards, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if numShards == 0 || numShards > MaxShards {
-		return nil, fmt.Errorf("implausible shard count %d", numShards)
-	}
-	numTables, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	s := &ShardedStore{
-		layout:    Layout(layoutRaw),
-		shards:    make([]*Store, numShards),
-		globalTID: make([][]int32, numShards),
-	}
-	localCount := make([]int32, numShards)
-	for g := 0; g < int(numTables); g++ {
-		sh, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		if sh >= numShards {
-			return nil, fmt.Errorf("table %d assigned to shard %d of %d", g, sh, numShards)
-		}
-		s.refs = append(s.refs, shardRef{shard: int32(sh), local: localCount[sh]})
-		s.globalTID[sh] = append(s.globalTID[sh], int32(g))
-		localCount[sh]++
-	}
-	for i := range s.shards {
-		sub, err := loadPayload(br, withTombstones)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if sub.layout != s.layout {
-			return nil, fmt.Errorf("shard %d layout %v does not match index layout %v", i, sub.layout, s.layout)
-		}
-		if sub.NumTables() != int(localCount[i]) {
-			return nil, fmt.Errorf("shard %d holds %d tables, directory says %d", i, sub.NumTables(), localCount[i])
-		}
-		s.shards[i] = sub
-	}
-	s.recomputeBase()
-	return s, nil
-}
-
-// loadPayload reads one store body (plus the v3 tombstone section when
-// withTombstones is set) and rebuilds its derived indexes.
-func loadPayload(br *bufio.Reader, withTombstones bool) (*Store, error) {
-	layoutRaw, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{layout: Layout(layoutRaw), dictBase: make(map[string]int32)}
-
-	numTables, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	s.tables = make([]TableMeta, 0, minInt(int(numTables), 1<<16))
-	for i := 0; i < int(numTables); i++ {
-		var m TableMeta
-		if m.Name, err = readStr(br); err != nil {
-			return nil, err
-		}
-		nr, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		m.NumRows = int32(nr)
-		nc, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		for c := 0; c < int(nc); c++ {
-			name, err := readStr(br)
-			if err != nil {
-				return nil, err
-			}
-			kb, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			m.ColNames = append(m.ColNames, name)
-			m.ColKinds = append(m.ColKinds, table.Kind(kb))
-		}
-		s.tables = append(s.tables, m)
-	}
-
-	numValues, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	dict := make([]string, 0, minInt(int(numValues), 1<<16))
-	for i := 0; i < int(numValues); i++ {
-		v, err := readStr(br)
-		if err != nil {
-			return nil, err
-		}
-		dict = append(dict, v)
-		s.dictBase[v] = int32(i)
-	}
-	s.dict = dict
-
-	numEntries, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	n := int(numEntries)
-	if s.valIdx, err = readI32s(br, n); err != nil {
-		return nil, err
-	}
-	if s.tableIDs, err = readI32s(br, n); err != nil {
-		return nil, err
-	}
-	if s.columnIDs, err = readI32s(br, n); err != nil {
-		return nil, err
-	}
-	if s.rowIDs, err = readI32s(br, n); err != nil {
-		return nil, err
-	}
-	if s.superLo, err = readU64s(br, n); err != nil {
-		return nil, err
-	}
-	if s.superHi, err = readU64s(br, n); err != nil {
-		return nil, err
-	}
-	if s.quadrant, err = readI8s(br, n); err != nil {
-		return nil, err
-	}
-	// Referential integrity: every entry must point into the dictionary
-	// and a known table; a corrupt file must not produce a store that
-	// panics later.
-	for i := 0; i < n; i++ {
-		if s.valIdx[i] < 0 || int(s.valIdx[i]) >= len(s.dict) {
-			return nil, fmt.Errorf("entry %d references value %d outside dictionary", i, s.valIdx[i])
-		}
-		tid := s.tableIDs[i]
-		if tid < 0 || int(tid) >= len(s.tables) {
-			return nil, fmt.Errorf("entry %d references table %d outside catalog", i, tid)
-		}
-		meta := &s.tables[tid]
-		if s.columnIDs[i] < 0 || int(s.columnIDs[i]) >= len(meta.ColNames) {
-			return nil, fmt.Errorf("entry %d references column %d outside table %q", i, s.columnIDs[i], meta.Name)
-		}
-		if s.rowIDs[i] < 0 || s.rowIDs[i] >= meta.NumRows {
-			return nil, fmt.Errorf("entry %d references row %d outside table %q", i, s.rowIDs[i], meta.Name)
-		}
-	}
-
-	s.dead = make([]bool, len(s.tables))
-	if withTombstones {
-		numDead, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		if int(numDead) > len(s.tables) {
-			return nil, fmt.Errorf("tombstone count %d exceeds %d tables", numDead, len(s.tables))
-		}
-		for i := 0; i < int(numDead); i++ {
-			tid, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			if int(tid) >= len(s.tables) {
-				return nil, fmt.Errorf("tombstone references table %d outside catalog", tid)
-			}
-			if s.dead[tid] {
-				return nil, fmt.Errorf("table %d tombstoned twice", tid)
-			}
-			s.dead[tid] = true
-			s.numDead++
-		}
-	}
-
-	s.rebuildIndexes()
-	if s.layout == RowStore {
-		s.packRows()
-	}
-	return s, nil
-}
-
-// LoadFile reads an index (any version) from a file, decoding everything
-// eagerly. A missing or unreadable file reports a typed bad-index error
-// wrapping the underlying cause, so errors.Is(err, fs.ErrNotExist) still
-// works.
+// LoadFile reads a v4 index from a file, decoding everything eagerly. A
+// missing or unreadable file reports a typed bad-index error wrapping the
+// underlying cause, so errors.Is(err, fs.ErrNotExist) still works.
 func LoadFile(path string) (Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -673,36 +102,15 @@ func LoadFile(path string) (Index, error) {
 	return Load(f)
 }
 
-// MapFile opens an index file for serving. Segmented v4 files are
-// memory-mapped: only the footer directory, the table-to-shard refs, and
-// the tombstone bitmaps are decoded up front, so opening is O(footer)
-// instead of O(index); shards materialize on first touch (see
-// ShardedStore.shard). Pre-v4 files have no section directory, so they
-// fall back to the eager loader — identical results, just without the
-// lazy open. The returned index is a *ShardedStore for every v4 file
-// (monolithic files become a single-shard store that still saves back as
-// monolithic); callers that are done with a mapped index should Close it.
+// MapFile opens a v4 index file for serving. The file is memory-mapped:
+// only the footer directory, the table-to-shard refs, and the tombstone
+// bitmaps are decoded up front, so opening is O(footer) instead of
+// O(index); shards materialize on first touch (see ShardedStore.shard).
+// Callers that are done with a mapped index should Close it.
 func MapFile(path string) (Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, berr.Wrap(berr.CodeBadIndex, "storage.open", err)
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		f.Close()
-		return nil, berr.Wrap(berr.CodeBadIndex, "storage.map", fmt.Errorf("read index header: %w", err))
-	}
-	if string(hdr[:4]) != persistMagic {
-		f.Close()
-		return nil, berr.New(berr.CodeBadIndex, "storage.map", "bad index magic %q", hdr[:4])
-	}
-	if getU32(hdr[4:]) != persistVersionSegmented {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, berr.Wrap(berr.CodeBadIndex, "storage.map", err)
-		}
-		defer f.Close()
-		return Load(f)
 	}
 	fi, err := f.Stat()
 	if err != nil {
@@ -723,55 +131,32 @@ func MapFile(path string) (Index, error) {
 	return sf.lazyIndex(), nil
 }
 
-// rebuildIndexes reconstructs the inverted index and the TableId ranges
-// from the attribute arrays.
-func (s *Store) rebuildIndexes() {
-	s.rebuildPostings()
-	s.rebuildRanges()
-}
-
-// rebuildPostings reconstructs the inverted index from valIdx. The v4
-// loader uses this alone: table ranges are stored in their own section.
-func (s *Store) rebuildPostings() {
-	s.postings = make([][]int32, len(s.dict))
-	counts := make([]int32, len(s.dict))
-	for _, vi := range s.valIdx {
-		counts[vi]++
+// checkHeader validates the fixed header of an index file: magic, format
+// version, kind, and layout word. Files in a retired format — v1–v3, or a
+// v4 file written with the row layout — are rejected with a message that
+// names the format and says how to rebuild.
+func checkHeader(data []byte) error {
+	if len(data) < 8 {
+		return fmt.Errorf("file of %d bytes is too short for an index header", len(data))
 	}
-	for vi, c := range counts {
-		s.postings[vi] = make([]int32, 0, c)
+	if string(data[:4]) != persistMagic {
+		return fmt.Errorf("bad index magic %q", data[:4])
 	}
-	for i, vi := range s.valIdx {
-		s.postings[vi] = append(s.postings[vi], int32(i))
+	switch v := getU32(data[4:]); v {
+	case persistVersionSegmented:
+	case 1, 2, 3:
+		return fmt.Errorf("index format v%d is no longer supported; %s", v, rebuildHint)
+	default:
+		return fmt.Errorf("unsupported index version %d", v)
 	}
-}
-
-// rebuildRanges reconstructs the TableId range index from tableIDs.
-func (s *Store) rebuildRanges() {
-	s.tableRange = make([][2]int32, len(s.tables))
-	for i := range s.tableRange {
-		s.tableRange[i] = [2]int32{int32(len(s.valIdx)), 0}
+	if len(data) < segHeaderSize {
+		return fmt.Errorf("file of %d bytes is too short for a v4 header", len(data))
 	}
-	for i, tid := range s.tableIDs {
-		r := &s.tableRange[tid]
-		if int32(i) < r[0] {
-			r[0] = int32(i)
-		}
-		if int32(i)+1 > r[1] {
-			r[1] = int32(i) + 1
-		}
+	if kind := data[8]; kind != persistKindMonolithic && kind != persistKindSharded {
+		return fmt.Errorf("unknown index kind %d", kind)
 	}
-	// Tables with no entries get an empty range at 0.
-	for i := range s.tableRange {
-		if s.tableRange[i][0] > s.tableRange[i][1] {
-			s.tableRange[i] = [2]int32{0, 0}
-		}
+	if layout := getU32(data[9:]); layout != 0 {
+		return fmt.Errorf("index layout %d is no longer supported (only the column layout is); %s", layout, rebuildHint)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return nil
 }

@@ -9,15 +9,14 @@ import (
 
 // Reader is the read surface of the AllTables index: everything the SQL
 // layer, the seekers, and the optimizer need to scan and reconstruct the
-// unified relation. Both the monolithic Store and the ShardedStore satisfy
-// it, so the engine above is agnostic to physical partitioning.
+// unified relation. The ShardedStore, its per-shard views, and a single
+// Store partition all satisfy it, so the engine above is agnostic to
+// physical partitioning.
 //
 // Entry positions and table ids are global: a sharded implementation maps
 // them onto its partitions internally. Implementations must be safe for
 // concurrent readers once built (the engine scans shards in parallel).
 type Reader interface {
-	// Layout reports the physical layout of the AllTables tuples.
-	Layout() Layout
 	// NumShards reports how many partitions back the index (1 when
 	// monolithic).
 	NumShards() int
@@ -34,7 +33,7 @@ type Reader interface {
 	// TableIDByName returns the id of the named live table, or -1.
 	TableIDByName(name string) int32
 	// TableAlive reports whether a table id is allocated and not
-	// tombstoned by RemoveTable.
+	// tombstoned.
 	TableAlive(tid int32) bool
 	// Tombstones reports the number of removed-but-not-compacted tables.
 	Tombstones() int
@@ -89,45 +88,46 @@ type Reader interface {
 	ComputeStats() Stats
 }
 
-// Index is a Reader that also supports the maintenance surface: appending
-// and removing tables incrementally, compaction, and binary persistence.
-// blend.Discovery holds an Index; the engine's query path needs only the
-// Reader half. None of the mutating methods are safe for use concurrent
-// with readers — the engine serializes them behind its write lock.
+// Index is the whole index: a Reader plus per-shard views, copy-on-write
+// maintenance, and persistence. blend.Discovery holds an Index; the
+// engine's query path needs only the Reader half. *ShardedStore is its one
+// implementation.
+//
+// Every mutation is copy-on-write: the receiver is left untouched and a
+// derived index is returned, so readers of the old index never observe
+// the change. Writers must be serialized (the engine holds its write lock)
+// and must always derive from the newest index.
 type Index interface {
 	Reader
-	// AddTable appends one table to the index, returning its (global)
-	// table id.
-	AddTable(t *table.Table) int32
-	// AddTablesBatch appends a batch of tables in order and returns their
-	// ids. Sharded indexes apply the per-shard inserts concurrently,
-	// bounded by workers (<= 0 means GOMAXPROCS), and refresh derived
-	// global state once per batch.
-	AddTablesBatch(tables []*table.Table, workers int) []int32
-	// RemoveTable tombstones one table: it disappears from every read
-	// surface while its entries stay allocated until Compact.
-	RemoveTable(tid int32) error
-	// Compact physically reclaims tombstoned tables, reassigning table
-	// ids contiguously, and returns how many tables were removed.
-	Compact() int
-	// Save writes the index to w in the current (v4 segmented) format.
+	io.Closer
+	// ShardReaders returns one Reader per shard. Each view reports global
+	// table ids but shard-local entry positions; the engine uses them to
+	// fan a seeker's SQL out across partitions concurrently.
+	ShardReaders() []Reader
+	// CloneAddTablesBatch derives an index with a batch of tables appended
+	// and returns it with their (global) ids in input order. The
+	// per-shard inserts run concurrently, bounded by workers (<= 0 means
+	// GOMAXPROCS).
+	CloneAddTablesBatch(tables []*table.Table, workers int) (Index, []int32)
+	// CloneRemoveTable derives an index with one table tombstoned: it
+	// disappears from every read surface while its entries stay allocated
+	// until CloneCompact. The receiver is left untouched on error.
+	CloneRemoveTable(tid int32) (Index, error)
+	// CloneCompact derives a fully rebuilt index without tombstoned tables,
+	// reassigning table ids contiguously, and reports how many were
+	// reclaimed. With no tombstones it returns the receiver itself and 0.
+	// It never releases the parent's file mapping — older generations may
+	// still materialize shards from it; the owner closes the mapping when
+	// the last generation referencing it is released.
+	CloneCompact() (Index, int)
+	// Save writes the index to w in the v4 segmented format.
 	Save(w io.Writer) error
 	// SaveFile writes the index to a file.
 	SaveFile(path string) error
 }
 
-// Sharded is implemented by indexes that partition tables across shards
-// and can expose each partition as a standalone Reader. The engine uses the
-// per-shard views to fan a seeker's SQL out across partitions concurrently;
-// each view reports global table ids but shard-local entry positions.
-type Sharded interface {
-	// ShardReaders returns one Reader per shard.
-	ShardReaders() []Reader
-}
-
 var (
-	_ Index   = (*Store)(nil)
-	_ Index   = (*ShardedStore)(nil)
-	_ Sharded = (*ShardedStore)(nil)
-	_ Reader  = (*shardView)(nil)
+	_ Index  = (*ShardedStore)(nil)
+	_ Reader = (*Store)(nil)
+	_ Reader = (*shardView)(nil)
 )

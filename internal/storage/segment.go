@@ -9,12 +9,11 @@ import (
 	"io"
 )
 
-// Segmented v4 persistence. Unlike v1–v3, which serialize one contiguous
-// payload that must be decoded front-to-back, v4 writes each shard as six
-// independently decodable sections and closes the file with a footer
-// directory of section offsets:
+// Segmented v4 persistence. Each shard is written as six independently
+// decodable sections, and the file closes with a footer directory of
+// section offsets:
 //
-//	magic "BLND" | version=4 | kind u8 | layout u32 | numShards u32
+//	magic "BLND" | version=4 | kind u8 | layout u32 (always 0) | numShards u32
 //	per shard: catalog | dict | postings | super | ranges | tombstones
 //	refs section (sharded kind only: global table id -> owning shard)
 //	footer | footerOff u64 | trailing magic "BLN4"
@@ -56,8 +55,8 @@ const (
 	// numTables u32) + footer crc u32
 	segFooterFixed = 4 + 24 + 4
 
-	// rawEntryBytes is what one entry costs in the uncompressed v1–v3
-	// array encoding: 4×i32 + 2×u64 + 1×i8. The inspect tooling reports
+	// rawEntryBytes is what one entry costs in a fixed-width array
+	// encoding: 4×i32 + 2×u64 + 1×i8. The inspect tooling reports
 	// compression ratios against this baseline.
 	rawEntryBytes = 33
 )
@@ -228,16 +227,21 @@ func appendU64(b []byte, v uint64) []byte {
 }
 
 // writeSegmented writes a full v4 file: header, per-shard sections, the
-// refs section (sharded kind), footer, and trailer. refs must be nil for
-// the monolithic kind.
-func writeSegmented(w io.Writer, kind byte, layout Layout, shards []*Store, refs []shardRef) error {
+// refs section (sharded kind), footer, and trailer. One shard is written
+// as the monolithic kind, which carries no refs section; more shards as
+// the sharded kind. The header's layout word is always 0 (column).
+func writeSegmented(w io.Writer, shards []*Store, refs []shardRef) error {
 	sw := newSegWriter(w)
+	kind := byte(persistKindSharded)
+	if len(shards) == 1 {
+		kind = persistKindMonolithic
+	}
 
 	var hdr []byte
 	hdr = append(hdr, persistMagic...)
 	hdr = appendU32(hdr, persistVersionSegmented)
 	hdr = append(hdr, kind)
-	hdr = appendU32(hdr, uint32(layout))
+	hdr = appendU32(hdr, 0) // layout word: column
 	hdr = appendU32(hdr, uint32(len(shards)))
 	sw.write(hdr)
 

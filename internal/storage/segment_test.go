@@ -1,10 +1,10 @@
 package storage
 
 // Tests for the segmented v4 persistence format and its memory-mapped
-// lazy-load path: differential lazy-vs-eager coverage across layouts and
-// shard counts, residency accounting, legacy v1/v2/v3 fallback through
-// MapFile, property-based round trips, maintenance ops on mapped stores,
-// the footer-directory inspection API, and the on-disk compression bar.
+// lazy-load path: differential lazy-vs-eager coverage across shard counts,
+// residency accounting, committed v4 files from earlier releases,
+// property-based round trips, maintenance ops on mapped stores, and the
+// footer-directory inspection API.
 
 import (
 	"bytes"
@@ -20,7 +20,7 @@ import (
 )
 
 // saveTemp persists an index to a fresh file under t.TempDir.
-func saveTemp(t *testing.T, s saver, name string) string {
+func saveTemp(t *testing.T, s Index, name string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
 	f, err := os.Create(path)
@@ -69,64 +69,122 @@ func readerProbe(t *testing.T, want, got Reader, label string) {
 
 // TestMapFileMatchesEagerLoad is the core differential: the same v4 file
 // read back eagerly (LoadFile) and lazily (MapFile) must expose identical
-// content through every Reader surface, across layouts and shard counts.
+// content through every Reader surface, across shard counts.
 func TestMapFileMatchesEagerLoad(t *testing.T) {
-	for _, layout := range []Layout{ColumnStore, RowStore} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/shards=%d", layout, shards), func(t *testing.T) {
-				orig := BuildSharded(layout, widerLake(), shards)
-				path := saveTemp(t, orig, "lake.blend")
-				eager, err := LoadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mapped, err := MapFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer mapped.(*ShardedStore).Close()
-				readerProbe(t, orig, eager, "eager")
-				readerProbe(t, eager, mapped, "mapped")
-			})
-		}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("Column/shards=%d", shards), func(t *testing.T) {
+			orig := Build(widerLake(), shards)
+			path := saveTemp(t, orig, "lake.blend")
+			eager, err := LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped, err := MapFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mapped.Close()
+			readerProbe(t, orig, eager, "eager")
+			readerProbe(t, eager, mapped, "mapped")
+		})
 	}
 }
 
-// TestMapFileMonolithicKind round-trips a monolithic store through the
-// mapped path: the kind survives, and a re-save still eagerly loads back
-// as a *Store.
+// TestMapFileMonolithicKind round-trips a one-shard index through the
+// mapped path: it is written as the monolithic kind, and a re-save keeps
+// that kind.
 func TestMapFileMonolithicKind(t *testing.T) {
-	orig := Build(ColumnStore, lakeFixture())
+	orig := Build(lakeFixture(), 1)
 	path := saveTemp(t, orig, "mono.blend")
+	if info, err := InspectFile(path); err != nil || info.Kind != "monolithic" {
+		t.Fatalf("one-shard index saved as %+v (%v), want the monolithic kind", info, err)
+	}
 	mapped, err := MapFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, ok := mapped.(*ShardedStore)
-	if !ok {
-		t.Fatalf("MapFile returned %T, want *ShardedStore wrapper", mapped)
-	}
-	defer sh.Close()
+	defer mapped.Close()
 	readerProbe(t, orig, mapped, "mapped-mono")
 	var buf bytes.Buffer
 	if err := mapped.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if kind := buf.Bytes()[8]; kind != persistKindMonolithic {
+		t.Fatalf("re-saved one-shard index has kind %d, want monolithic", kind)
+	}
 	back, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := back.(*Store); !ok {
-		t.Fatalf("re-saved monolithic mapped store loaded as %T, want *Store", back)
-	}
 	readerProbe(t, orig, back, "resaved")
+}
+
+// fixtureLake is the lake behind the committed v4 files in testdata/:
+// kind0.blend is it saved as one monolithic store; kind1.blend is it
+// saved with 3 shards after tombstoning fixtureVictim. Both files were
+// written by an earlier release, so they pin that files users already
+// have keep opening and answering identically, and that the writer's
+// bytes do not drift.
+func fixtureLake() []*table.Table {
+	return datalake.GenJoinLake(datalake.JoinLakeConfig{
+		Name: "fx", NumTables: 10, ColsPerTable: 3, RowsPerTable: 12,
+		VocabSize: 60, Seed: 22,
+	}).Tables
+}
+
+const fixtureVictim = "fx_t0004"
+
+func TestV4FixturesStillOpen(t *testing.T) {
+	lake := fixtureLake()
+	sharded := Build(lake, 3)
+	withTombstone, err := sharded.CloneRemoveTable(sharded.TableIDByName(fixtureVictim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		file string
+		want Index
+	}{
+		{"kind0.blend", Build(lake, 1)},
+		{"kind1.blend", withTombstone},
+	}
+	for _, tc := range cases {
+		path := filepath.Join("testdata", tc.file)
+		// The writer must still produce exactly these bytes.
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tc.want.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("%s: saving the same index no longer reproduces the file byte for byte", tc.file)
+		}
+		eager, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("%s: LoadFile: %v", tc.file, err)
+		}
+		readerProbe(t, tc.want, eager, tc.file+" eager")
+		mapped, err := MapFile(path)
+		if err != nil {
+			t.Fatalf("%s: MapFile: %v", tc.file, err)
+		}
+		readerProbe(t, tc.want, mapped, tc.file+" mapped")
+		if mapped.NumShards() != tc.want.NumShards() || mapped.Tombstones() != tc.want.Tombstones() {
+			t.Fatalf("%s: shards/tombstones %d/%d, want %d/%d", tc.file,
+				mapped.NumShards(), mapped.Tombstones(), tc.want.NumShards(), tc.want.Tombstones())
+		}
+		mapped.Close()
+	}
 }
 
 // TestMapFileLazyResidency checks the laziness contract: opening touches
 // no shard, a hash-routed name lookup touches exactly one, and a full
 // content scan makes everything resident.
 func TestMapFileLazyResidency(t *testing.T) {
-	orig := BuildSharded(ColumnStore, widerLake(), 4)
+	orig := Build(widerLake(), 4)
 	path := saveTemp(t, orig, "lazy.blend")
 	mapped, err := MapFile(path)
 	if err != nil {
@@ -164,64 +222,8 @@ func TestMapFileLazyResidency(t *testing.T) {
 	}
 }
 
-// TestMapFileLegacyFallback feeds MapFile the three legacy formats; each
-// must load eagerly (no mapping) with content identical to the original.
-func TestMapFileLegacyFallback(t *testing.T) {
-	write := func(t *testing.T, name string, save func(f *os.File) error) string {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := save(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	t.Run("v1-monolithic", func(t *testing.T) {
-		orig := Build(ColumnStore, lakeFixture())
-		path := write(t, "v1.blend", func(f *os.File) error { return orig.SaveLegacy(f, 1) })
-		back, err := MapFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		readerProbe(t, orig, back, "v1")
-	})
-	t.Run("v2-sharded", func(t *testing.T) {
-		orig := BuildSharded(RowStore, widerLake(), 4)
-		path := write(t, "v2.blend", func(f *os.File) error { return orig.SaveLegacy(f, 2) })
-		back, err := MapFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		readerProbe(t, orig, back, "v2")
-		if back.(*ShardedStore).MappedBytes() != 0 {
-			t.Fatal("legacy file reports mapped bytes")
-		}
-	})
-	t.Run("v3-tombstones", func(t *testing.T) {
-		orig := BuildSharded(ColumnStore, widerLake(), 4)
-		if err := orig.RemoveTable(2); err != nil {
-			t.Fatal(err)
-		}
-		path := write(t, "v3.blend", func(f *os.File) error { return orig.SaveLegacy(f, 3) })
-		back, err := MapFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Tombstones() != 1 {
-			t.Fatalf("tombstones = %d, want 1", back.Tombstones())
-		}
-		readerProbe(t, orig, back, "v3")
-	})
-}
-
 // TestSegmentedQuickRoundTrip property-tests the v4 writer/reader pair
-// and the v3 downgrade path against random cell content.
+// against random cell content.
 func TestSegmentedQuickRoundTrip(t *testing.T) {
 	f := func(cells [][2]string) bool {
 		tb := table.New("q", "a", "b")
@@ -229,25 +231,16 @@ func TestSegmentedQuickRoundTrip(t *testing.T) {
 			tb.MustAppendRow(c[0], c[1])
 		}
 		tb.InferKinds()
-		orig := BuildSharded(ColumnStore, []*table.Table{tb}, 2)
-		var v4, v3 bytes.Buffer
+		orig := Build([]*table.Table{tb}, 2)
+		var v4 bytes.Buffer
 		if err := orig.Save(&v4); err != nil {
 			return false
 		}
-		if err := orig.SaveLegacy(&v3, 3); err != nil {
-			return false
-		}
-		back4, err := Load(&v4)
+		back, err := Load(&v4)
 		if err != nil {
 			return false
 		}
-		back3, err := Load(&v3)
-		if err != nil {
-			return false
-		}
-		want := storeTuples(orig)
-		return reflect.DeepEqual(want, storeTuples(back4)) &&
-			reflect.DeepEqual(want, storeTuples(back3))
+		return reflect.DeepEqual(storeTuples(orig), storeTuples(back))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -258,7 +251,7 @@ func TestSegmentedQuickRoundTrip(t *testing.T) {
 // mapped store and an eagerly loaded twin; the stores must stay
 // indistinguishable through add, remove, compact, and a save/reload.
 func TestMaintenanceOnMappedStore(t *testing.T) {
-	orig := BuildSharded(ColumnStore, batchLake("M", 12), 4)
+	orig := Build(batchLake("M", 12), 4)
 	path := saveTemp(t, orig, "maint.blend")
 	eager, err := LoadFile(path)
 	if err != nil {
@@ -268,7 +261,7 @@ func TestMaintenanceOnMappedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mapped.(*ShardedStore).Close()
+	defer mapped.Close()
 
 	check := func(step string) {
 		t.Helper()
@@ -281,26 +274,25 @@ func TestMaintenanceOnMappedStore(t *testing.T) {
 	}
 
 	extra := batchLake("N", 5)
-	eager.AddTablesBatch(extra, 2)
-	mapped.AddTablesBatch(extra, 2)
-	check("AddTablesBatch")
+	eager, _ = eager.CloneAddTablesBatch(extra, 2)
+	mapped, _ = mapped.CloneAddTablesBatch(extra, 2)
+	check("CloneAddTablesBatch")
 
 	victim := mapped.TableIDByName("M03")
 	if victim < 0 {
 		t.Fatal("victim table missing")
 	}
-	if err := eager.RemoveTable(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := mapped.RemoveTable(victim); err != nil {
-		t.Fatal(err)
-	}
-	check("RemoveTable")
+	eager = mustRemove(t, eager, victim)
+	mapped = mustRemove(t, mapped, victim)
+	check("CloneRemoveTable")
 
-	if e, m := eager.Compact(), mapped.Compact(); e != m {
-		t.Fatalf("Compact removed %d vs %d", e, m)
+	var e, m int
+	eager, e = eager.CloneCompact()
+	mapped, m = mapped.CloneCompact()
+	if e != m {
+		t.Fatalf("CloneCompact removed %d vs %d", e, m)
 	}
-	check("Compact")
+	check("CloneCompact")
 
 	var buf bytes.Buffer
 	if err := mapped.Save(&buf); err != nil {
@@ -321,15 +313,14 @@ func TestMaintenanceOnMappedStore(t *testing.T) {
 // (saveFile writes a temp file and renames), and both the live store and
 // a fresh open of the path must see the appended state.
 func TestSaveOverOwnMapping(t *testing.T) {
-	orig := BuildSharded(ColumnStore, batchLake("S", 8), 4)
+	orig := Build(batchLake("S", 8), 4)
 	path := saveTemp(t, orig, "self.blend")
 	idx, err := MapFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := idx.(*ShardedStore)
-	defer s.Close()
-	s.AddTablesBatch(batchLake("T", 4), 2)
+	defer idx.Close()
+	s, _ := idx.CloneAddTablesBatch(batchLake("T", 4), 2)
 	if err := s.SaveFile(path); err != nil { // no shard is resident yet beyond the touched ones
 		t.Fatal(err)
 	}
@@ -340,7 +331,7 @@ func TestSaveOverOwnMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer back.(*ShardedStore).Close()
+	defer back.Close()
 	if !reflect.DeepEqual(storeTuples(s), storeTuples(back)) {
 		t.Fatal("reopened file diverges from the store that saved it")
 	}
@@ -352,10 +343,7 @@ func TestSaveOverOwnMapping(t *testing.T) {
 // TestInspectFile checks the footer-directory inspection API against the
 // store that wrote the file.
 func TestInspectFile(t *testing.T) {
-	orig := BuildSharded(ColumnStore, widerLake(), 4)
-	if err := orig.RemoveTable(1); err != nil {
-		t.Fatal(err)
-	}
+	orig := mustRemove(t, Build(widerLake(), 4), 1)
 	path := saveTemp(t, orig, "inspect.blend")
 	info, err := InspectFile(path)
 	if err != nil {
@@ -391,41 +379,5 @@ func TestInspectFile(t *testing.T) {
 	}
 	if info.EntryBytes() <= 0 || info.EntryBytes() >= info.RawEntryBytes() {
 		t.Fatalf("entry bytes %d not compressed below raw %d", info.EntryBytes(), info.RawEntryBytes())
-	}
-	// Legacy files are rejected with the version named, not misparsed.
-	legacy := filepath.Join(t.TempDir(), "v3.blend")
-	f, err := os.Create(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig2 := BuildSharded(ColumnStore, widerLake(), 2)
-	if err := orig2.SaveLegacy(f, 3); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := InspectFile(legacy); err == nil {
-		t.Fatal("InspectFile accepted a v3 file")
-	}
-}
-
-// TestSegmentedSmallerThanV3 pins the PR's compression bar: on a
-// realistic synthetic lake the segmented varint format must be at least
-// 2x smaller on disk than the fixed-width v3 encoding of the same store.
-func TestSegmentedSmallerThanV3(t *testing.T) {
-	lake := datalake.GenJoinLake(datalake.JoinLakeConfig{
-		Name: "size-bar", NumTables: 32, ColsPerTable: 4, RowsPerTable: 60,
-		VocabSize: 4000, Seed: 7,
-	})
-	s := BuildSharded(ColumnStore, lake.Tables, 4)
-	var v4, v3 bytes.Buffer
-	if err := s.Save(&v4); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveLegacy(&v3, 3); err != nil {
-		t.Fatal(err)
-	}
-	if v3.Len() < 2*v4.Len() {
-		t.Fatalf("v4 not 2x smaller: v3=%d bytes, v4=%d bytes (ratio %.2f)",
-			v3.Len(), v4.Len(), float64(v3.Len())/float64(v4.Len()))
 	}
 }

@@ -9,6 +9,12 @@ import (
 	"blend/internal/table"
 )
 
+// getU32 and getU64 read the fixed-width little-endian fields of the v4
+// header, footer and trailer.
+func getU32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
+
+func getU64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
+
 // segDecoder reads varint-encoded values from one section's byte range.
 // All reads are bounds-checked: a decoder never panics on truncated or
 // hand-crafted input, it returns errors that the caller surfaces as
@@ -88,7 +94,6 @@ type segFile struct {
 	unmap func() error
 
 	kind      byte
-	layout    Layout
 	shards    []segShard
 	refsSec   segSection
 	numTables int
@@ -133,20 +138,14 @@ func (sf *segFile) checkSection(shard, idx int) error {
 // global sections (refs, per-shard tombstones) that every operation needs
 // before any shard is materialized. It does not touch the shard bodies.
 func parseSegFile(data []byte) (*segFile, error) {
+	if err := checkHeader(data); err != nil {
+		return nil, err
+	}
 	if len(data) < segHeaderSize+segFooterFixed+segTrailerSize {
 		return nil, fmt.Errorf("file of %d bytes is too small for a v4 index", len(data))
 	}
-	if string(data[:4]) != persistMagic {
-		return nil, fmt.Errorf("bad index magic %q", data[:4])
-	}
-	if v := getU32(data[4:]); v != persistVersionSegmented {
-		return nil, fmt.Errorf("not a v4 segmented index (version %d)", v)
-	}
 	kind := data[8]
-	if kind != persistKindMonolithic && kind != persistKindSharded {
-		return nil, fmt.Errorf("unknown index kind %d", kind)
-	}
-	sf := &segFile{data: data, kind: kind, layout: Layout(getU32(data[9:]))}
+	sf := &segFile{data: data, kind: kind}
 	numShards := int(getU32(data[13:]))
 	if numShards == 0 || numShards > MaxShards {
 		return nil, fmt.Errorf("implausible shard count %d", numShards)
@@ -242,7 +241,7 @@ func (sf *segFile) decodeRefs() error {
 	if n != sf.numTables {
 		return fmt.Errorf("refs section holds %d tables, footer says %d", n, sf.numTables)
 	}
-	sf.refs = make([]shardRef, 0, minInt(n, 1<<16))
+	sf.refs = make([]shardRef, 0, min(n, 1<<16))
 	sf.globalTID = make([][]int32, ns)
 	localCount := make([]int32, ns)
 	for g := 0; g < n; g++ {
@@ -305,8 +304,8 @@ func (sf *segFile) decodeTombstones() error {
 }
 
 // materializeShard fully decodes one shard into a heap-resident Store,
-// verifying section CRCs and referential integrity first — the same
-// guarantees the eager v1–v3 loaders give.
+// verifying section CRCs and referential integrity first, so a corrupt
+// file never yields a store that panics later.
 func (sf *segFile) materializeShard(i int) (*Store, error) {
 	for _, idx := range []int{secCatalog, secDict, secPostings, secSuper, secRanges} {
 		if err := sf.checkSection(i, idx); err != nil {
@@ -314,7 +313,7 @@ func (sf *segFile) materializeShard(i int) (*Store, error) {
 		}
 	}
 	info := &sf.shards[i]
-	s := &Store{layout: sf.layout, dictBase: make(map[string]int32)}
+	s := newStore()
 
 	d := &segDecoder{b: sf.section(info.secs[secCatalog])}
 	numTables, err := d.count("table")
@@ -324,7 +323,7 @@ func (sf *segFile) materializeShard(i int) (*Store, error) {
 	if numTables != info.tables {
 		return nil, fmt.Errorf("catalog holds %d tables, footer says %d", numTables, info.tables)
 	}
-	s.tables = make([]TableMeta, 0, minInt(numTables, 1<<16))
+	s.tables = make([]TableMeta, 0, min(numTables, 1<<16))
 	for t := 0; t < numTables; t++ {
 		var m TableMeta
 		if m.Name, err = d.str(); err != nil {
@@ -362,7 +361,7 @@ func (sf *segFile) materializeShard(i int) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.dict = make([]string, 0, minInt(numValues, 1<<16))
+	s.dict = make([]string, 0, min(numValues, 1<<16))
 	for v := 0; v < numValues; v++ {
 		val, err := d.str()
 		if err != nil {
@@ -384,7 +383,7 @@ func (sf *segFile) materializeShard(i int) (*Store, error) {
 		return nil, fmt.Errorf("postings hold %d entries, footer says %d", n, info.entries)
 	}
 	readI32Col := func(what string) ([]int32, error) {
-		out := make([]int32, 0, minInt(n, 1<<20))
+		out := make([]int32, 0, min(n, 1<<20))
 		for k := 0; k < n; k++ {
 			v, err := d.count(what)
 			if err != nil {
@@ -397,7 +396,7 @@ func (sf *segFile) materializeShard(i int) (*Store, error) {
 	if s.valIdx, err = readI32Col("value id"); err != nil {
 		return nil, err
 	}
-	s.tableIDs = make([]int32, 0, minInt(n, 1<<20))
+	s.tableIDs = make([]int32, 0, min(n, 1<<20))
 	prev := int32(0)
 	for k := 0; k < n; k++ {
 		delta, err := d.count("table id delta")
@@ -421,8 +420,8 @@ func (sf *segFile) materializeShard(i int) (*Store, error) {
 	}
 
 	d = &segDecoder{b: sf.section(info.secs[secSuper])}
-	s.superLo = make([]uint64, 0, minInt(n, 1<<20))
-	s.superHi = make([]uint64, 0, minInt(n, 1<<20))
+	s.superLo = make([]uint64, 0, min(n, 1<<20))
+	s.superHi = make([]uint64, 0, min(n, 1<<20))
 	var prevLo, prevHi uint64
 	for k := 0; k < n; k++ {
 		lo, err := d.uvarint()
@@ -438,7 +437,7 @@ func (sf *segFile) materializeShard(i int) (*Store, error) {
 		s.superLo = append(s.superLo, prevLo)
 		s.superHi = append(s.superHi, prevHi)
 	}
-	s.quadrant = make([]int8, 0, minInt(n, 1<<20))
+	s.quadrant = make([]int8, 0, min(n, 1<<20))
 	for k := 0; k < n; k++ {
 		b, err := d.byte()
 		if err != nil {
@@ -450,8 +449,8 @@ func (sf *segFile) materializeShard(i int) (*Store, error) {
 		return nil, fmt.Errorf("super: %w", err)
 	}
 
-	// Referential integrity, mirroring loadPayload: a corrupt-but-
-	// checksummed file must not produce a store that panics later.
+	// Referential integrity: a corrupt-but-checksummed file must not
+	// produce a store that panics later.
 	for k := 0; k < n; k++ {
 		if int(s.valIdx[k]) >= len(s.dict) {
 			return nil, fmt.Errorf("entry %d references value %d outside dictionary", k, s.valIdx[k])
@@ -477,7 +476,7 @@ func (sf *segFile) materializeShard(i int) (*Store, error) {
 	if nr != numTables {
 		return nil, fmt.Errorf("ranges section holds %d tables, catalog %d", nr, numTables)
 	}
-	s.tableRange = make([][2]int32, 0, minInt(nr, 1<<16))
+	s.tableRange = make([][2]int32, 0, min(nr, 1<<16))
 	for t := 0; t < nr; t++ {
 		start, err := d.count("range start")
 		if err != nil {
@@ -501,64 +500,62 @@ func (sf *segFile) materializeShard(i int) (*Store, error) {
 	s.numDead = info.numDead
 
 	s.rebuildPostings()
-	if s.layout == RowStore {
-		s.packRows()
-	}
 	return s, nil
 }
 
-// eagerIndex fully decodes every shard, matching the concrete-type
-// contract of the legacy loaders: *Store for monolithic files,
-// *ShardedStore for sharded ones.
-func (sf *segFile) eagerIndex() (Index, error) {
-	shards := make([]*Store, len(sf.shards))
-	for i := range shards {
-		sh, err := sf.materializeShard(i)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		shards[i] = sh
+// rebuildPostings reconstructs the inverted index from valIdx; postings
+// are derivable, so the file does not store them.
+func (s *Store) rebuildPostings() {
+	s.postings = make([][]int32, len(s.dict))
+	counts := make([]int32, len(s.dict))
+	for _, vi := range s.valIdx {
+		counts[vi]++
 	}
-	if sf.kind == persistKindMonolithic {
-		return shards[0], nil
+	for vi, c := range counts {
+		s.postings[vi] = make([]int32, 0, c)
 	}
-	s := &ShardedStore{
-		layout:    sf.layout,
-		shards:    shards,
-		refs:      sf.refs,
-		globalTID: sf.globalTID,
+	for i, vi := range s.valIdx {
+		s.postings[vi] = append(s.postings[vi], int32(i))
 	}
-	s.recomputeBase()
-	return s, nil
 }
 
 // lazyIndex wraps the mapped file in a ShardedStore whose shards decode on
-// first touch. Monolithic files become a single-shard store that remembers
-// its kind, so Save round-trips it back as monolithic.
+// first touch. A monolithic-kind file becomes a one-shard store.
 func (sf *segFile) lazyIndex() *ShardedStore {
 	slots := make([]*shardSlot, len(sf.shards))
 	for i := range slots {
 		slots[i] = new(shardSlot)
 	}
 	s := &ShardedStore{
-		layout:    sf.layout,
 		shards:    make([]*Store, len(sf.shards)),
 		refs:      sf.refs,
 		globalTID: sf.globalTID,
 		seg:       sf,
 		slots:     slots,
-		mono:      sf.kind == persistKindMonolithic,
 	}
 	s.recomputeBase()
 	return s
 }
 
-// loadSegmented is the eager v4 path used by Load/LoadFile: decode
-// everything up front from an in-memory copy of the file.
-func loadSegmented(data []byte) (Index, error) {
+// loadSegmented is the eager v4 path used by Load/LoadFile: decode every
+// shard up front from an in-memory copy of the file.
+func loadSegmented(data []byte) (*ShardedStore, error) {
 	sf, err := parseSegFile(data)
 	if err != nil {
 		return nil, err
 	}
-	return sf.eagerIndex()
+	s := &ShardedStore{
+		shards:    make([]*Store, len(sf.shards)),
+		refs:      sf.refs,
+		globalTID: sf.globalTID,
+	}
+	for i := range s.shards {
+		sh, err := sf.materializeShard(i)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		s.shards[i] = sh
+	}
+	s.recomputeBase()
+	return s, nil
 }

@@ -14,19 +14,18 @@ import (
 )
 
 // ShardedStore hash-partitions the AllTables relation across N shards, one
-// monolithic Store per shard, each with its own dictionary, inverted index,
-// and table-range index. Tables are assigned whole to a shard by a hash of
+// Store per shard, each with its own dictionary, inverted index, and
+// table-range index; it is the one implementation of Index, and N = 1 is
+// the monolithic case. Tables are assigned whole to a shard by a hash of
 // their name, so every per-table aggregate the seekers' SQL computes
 // (GROUP BY TableId, joins on TableId/RowId) is shard-local and the engine
 // can execute a seeker against every shard concurrently and merge top-k.
 //
 // The ShardedStore itself presents the unified global view: entry positions
 // are globally contiguous (shard s occupies [base[s], base[s+1])) and table
-// ids are assigned in insertion order across the whole lake, exactly like a
-// monolithic Store, so raw SQL and every Reader consumer behave
-// identically regardless of partitioning.
+// ids are assigned in insertion order across the whole lake, so raw SQL and
+// every Reader consumer behave identically regardless of partitioning.
 type ShardedStore struct {
-	layout Layout
 	shards []*Store
 
 	// refs maps global table id -> owning shard and shard-local table id.
@@ -43,12 +42,9 @@ type ShardedStore struct {
 	// pointers and shared across copy-on-write clones (see cow.go), so a
 	// shard materialized through any generation becomes resident for all
 	// of them; a clone that mutates shard i overrides it by setting
-	// shards[i], which always wins over the slot. mono records that the
-	// file was written as monolithic, so Save preserves the kind. See
-	// shard().
+	// shards[i], which always wins over the slot. See shard().
 	seg   *segFile
 	slots []*shardSlot
-	mono  bool
 }
 
 // shardSlot guards one shard's lazy materialization.
@@ -151,38 +147,28 @@ type shardRef struct {
 	local int32
 }
 
-// MaxShards caps the partition count, so every index BuildSharded can
-// produce is also one Load accepts (the loader rejects counts above this
-// as corruption).
+// MaxShards caps the partition count, so every index Build can produce is
+// also one Load accepts (the loader rejects counts above this as
+// corruption).
 const MaxShards = 1 << 12
 
-// BuildSharded indexes the tables into n hash-partitioned shards. n is
-// clamped to [1, MaxShards]; a single shard still goes through the sharded
-// code path (useful for tests) — use Build for a plain monolithic store.
-func BuildSharded(layout Layout, tables []*table.Table, n int) *ShardedStore {
-	if n < 1 {
-		n = 1
-	}
-	if n > MaxShards {
-		n = MaxShards
-	}
+// Build indexes the tables into n hash-partitioned shards (the offline
+// phase, Fig. 2e). n is clamped to [1, MaxShards]; n = 1 is the
+// monolithic index.
+func Build(tables []*table.Table, n int) *ShardedStore {
+	n = max(1, min(n, MaxShards))
 	s := &ShardedStore{
-		layout:    layout,
 		shards:    make([]*Store, n),
 		globalTID: make([][]int32, n),
 	}
-	builders := make([]*Builder, n)
-	for i := range builders {
-		builders[i] = NewBuilder(layout)
+	for i := range s.shards {
+		s.shards[i] = newStore()
 	}
 	for _, t := range tables {
 		sh := s.shardFor(t.Name)
-		local := builders[sh].Add(t)
+		local := s.shards[sh].addTable(t)
 		s.refs = append(s.refs, shardRef{shard: int32(sh), local: local})
 		s.globalTID[sh] = append(s.globalTID[sh], int32(len(s.refs)-1))
-	}
-	for i, b := range builders {
-		s.shards[i] = b.Finish()
 	}
 	s.recomputeBase()
 	return s
@@ -211,9 +197,6 @@ func (s *ShardedStore) locate(i int32) (int, int32) {
 	sh := sort.Search(len(s.shards), func(k int) bool { return s.base[k+1] > i })
 	return sh, i - s.base[sh]
 }
-
-// Layout reports the physical layout shared by every shard.
-func (s *ShardedStore) Layout() Layout { return s.layout }
 
 // NumShards reports the partition count.
 func (s *ShardedStore) NumShards() int { return len(s.shards) }
@@ -332,10 +315,10 @@ func (s *ShardedStore) Quadrant(i int32) int8 {
 }
 
 // Postings returns the global entry positions whose CellValue equals v,
-// merged across shards in ascending position order. Unlike Store.Postings
-// the slice is freshly allocated per call (per-shard postings cannot be
-// shared globally); Frequency avoids the allocation when only the count is
-// needed.
+// merged across shards in ascending position order. With more than one
+// shard the slice is freshly allocated per call (per-shard postings cannot
+// be shared globally); Frequency avoids the allocation when only the count
+// is needed.
 func (s *ShardedStore) Postings(v string) []int32 {
 	if len(s.shards) == 1 {
 		return s.shard(0).Postings(v)
@@ -451,7 +434,6 @@ func (s *ShardedStore) SizeBytes() int64 {
 // MappedBytes make the coverage explicit.
 func (s *ShardedStore) ComputeStats() Stats {
 	st := Stats{
-		Layout:         s.layout,
 		Shards:         len(s.shards),
 		Tables:         s.NumTables() - s.Tombstones(),
 		Tombstones:     s.Tombstones(),
@@ -507,28 +489,16 @@ func (s *ShardedStore) ComputeStats() Stats {
 	return st
 }
 
-// AddTable appends one table, routing it to its hash shard. The returned
-// table id is global and insertion-ordered, exactly like Store.AddTable.
-// Not safe for use concurrent with readers.
-func (s *ShardedStore) AddTable(t *table.Table) int32 {
-	sh := s.shardFor(t.Name)
-	local := s.shard(sh).AddTable(t)
-	g := int32(len(s.refs))
-	s.refs = append(s.refs, shardRef{shard: int32(sh), local: local})
-	s.globalTID[sh] = append(s.globalTID[sh], g)
-	s.recomputeBase()
-	return g
-}
-
-// AddTablesBatch appends a batch of tables, assigning global ids in input
-// order, and applies the per-shard inserts concurrently — the write-path
-// counterpart of the per-shard read fan-out. Tables are grouped by their
-// hash shard first; each shard's group is then appended by one goroutine
-// (dictionaries and postings are shard-local, so the appends share no
-// state), bounded by workers (<= 0 means GOMAXPROCS). The global directory
-// and entry offsets are refreshed once for the whole batch. Not safe for
-// use concurrent with readers.
-func (s *ShardedStore) AddTablesBatch(tables []*table.Table, workers int) []int32 {
+// addTablesBatch appends a batch of tables in place, assigning global ids
+// in input order, and applies the per-shard inserts concurrently — the
+// write-path counterpart of the per-shard read fan-out. Tables are grouped
+// by their hash shard first; each shard's group is then appended by one
+// goroutine (dictionaries and postings are shard-local, so the appends
+// share no state), bounded by workers (<= 0 means GOMAXPROCS). The global
+// directory and entry offsets are refreshed once for the whole batch. Not
+// safe for use concurrent with readers: CloneAddTablesBatch is the public
+// path.
+func (s *ShardedStore) addTablesBatch(tables []*table.Table, workers int) []int32 {
 	if len(tables) == 0 {
 		return nil
 	}
@@ -557,7 +527,7 @@ func (s *ShardedStore) AddTablesBatch(tables []*table.Table, workers int) []int3
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			s.shard(sh).AddTablesBatch(group, 1)
+			s.shard(sh).addTablesBatch(group)
 		}(sh, group)
 	}
 	wg.Wait()
@@ -565,46 +535,19 @@ func (s *ShardedStore) AddTablesBatch(tables []*table.Table, workers int) []int3
 	return ids
 }
 
-// RemoveTable tombstones one global table id; see Store.RemoveTable for
-// the semantics. Not safe for use concurrent with readers.
-func (s *ShardedStore) RemoveTable(tid int32) error {
+// removeTable tombstones one global table id in place; see
+// Store.removeTable for the semantics. Not safe for use concurrent with
+// readers: CloneRemoveTable is the public path.
+func (s *ShardedStore) removeTable(tid int32) error {
 	if tid < 0 || int(tid) >= len(s.refs) {
 		return berr.New(berr.CodeNotFound, "storage.remove", "no table with id %d", tid)
 	}
 	r := s.refs[tid]
-	return s.shard(int(r.shard)).RemoveTable(r.local)
+	return s.shard(int(r.shard)).removeTable(r.local)
 }
 
-// Compact physically reclaims tombstoned tables by rebuilding the lake
-// from its live tables, preserving the shard count and the relative order
-// of global ids (which are reassigned contiguously). Returns how many
-// tables were removed; a lake without tombstones is left untouched. Not
-// safe for use concurrent with readers.
-func (s *ShardedStore) Compact() int {
-	removed := s.Tombstones()
-	if removed == 0 {
-		return 0
-	}
-	live := make([]*table.Table, 0, len(s.refs)-removed)
-	for g := range s.refs {
-		r := s.refs[g]
-		if sh := s.shard(int(r.shard)); sh.TableAlive(r.local) {
-			live = append(live, sh.reconstructTable(r.local))
-		}
-	}
-	old := s.seg
-	*s = *BuildSharded(s.layout, live, len(s.shards))
-	if old != nil {
-		// The rebuilt lake is fully heap-resident (reconstruction copies
-		// every cell), so the mapping can be released.
-		old.close()
-	}
-	return removed
-}
-
-// ShardReaders implements Sharded: one per-shard view exposing global table
-// ids over shard-local entry positions, for the engine's concurrent SQL
-// fan-out.
+// ShardReaders returns one per-shard view exposing global table ids over
+// shard-local entry positions, for the engine's concurrent SQL fan-out.
 func (s *ShardedStore) ShardReaders() []Reader {
 	out := make([]Reader, len(s.shards))
 	for i := range s.shards {
@@ -626,9 +569,6 @@ type shardView struct {
 }
 
 func (v *shardView) store() *Store { return v.parent.shard(v.shard) }
-
-// Layout reports the shard's physical layout.
-func (v *shardView) Layout() Layout { return v.parent.layout }
 
 // NumShards reports 1: a view is a single partition.
 func (v *shardView) NumShards() int { return 1 }

@@ -54,81 +54,96 @@ func tableTuples(r Reader, tid int32) []entryTuple {
 	return out
 }
 
+// buildStore indexes tables into a single Store partition directly — the
+// unpartitioned reference the sharded index must match.
+func buildStore(tables []*table.Table) *Store {
+	s := newStore()
+	s.addTablesBatch(tables)
+	return s
+}
+
+// TestShardedMatchesMonolithic checks a 4-shard index against a single
+// Store built straight from the same tables: global table ids, names,
+// per-table entries, reconstruction, frequencies and postings must agree,
+// even though global entry positions differ.
 func TestShardedMatchesMonolithic(t *testing.T) {
 	tables := widerLake()
-	for _, layout := range []Layout{ColumnStore, RowStore} {
-		mono := Build(layout, tables)
-		shard := BuildSharded(layout, tables, 4)
-		if shard.NumShards() != 4 {
-			t.Fatalf("NumShards = %d", shard.NumShards())
+	mono := buildStore(tables)
+	shard := Build(tables, 4)
+	if shard.NumShards() != 4 {
+		t.Fatalf("NumShards = %d", shard.NumShards())
+	}
+	if shard.NumEntries() != mono.NumEntries() {
+		t.Fatalf("entries %d != %d", shard.NumEntries(), mono.NumEntries())
+	}
+	if shard.NumTables() != mono.NumTables() {
+		t.Fatal("tables differ")
+	}
+	if shard.NumDistinctValues() != mono.NumDistinctValues() {
+		t.Fatalf("distinct values %d != %d", shard.NumDistinctValues(), mono.NumDistinctValues())
+	}
+	for tid := int32(0); tid < int32(mono.NumTables()); tid++ {
+		if shard.TableName(tid) != mono.TableName(tid) {
+			t.Fatalf("table %d name %q != %q", tid, shard.TableName(tid), mono.TableName(tid))
 		}
-		if shard.NumEntries() != mono.NumEntries() {
-			t.Fatalf("layout %v: entries %d != %d", layout, shard.NumEntries(), mono.NumEntries())
+		if !reflect.DeepEqual(tableTuples(shard, tid), tableTuples(mono, tid)) {
+			t.Fatalf("table %d entries differ", tid)
 		}
-		if shard.NumTables() != mono.NumTables() {
-			t.Fatalf("layout %v: tables differ", layout)
+		mt := mono.ReconstructTable(tid)
+		st := shard.ReconstructTable(tid)
+		if !reflect.DeepEqual(mt.Rows, st.Rows) {
+			t.Fatalf("table %d reconstruction differs", tid)
 		}
-		if shard.NumDistinctValues() != mono.NumDistinctValues() {
-			t.Fatalf("layout %v: distinct values %d != %d",
-				layout, shard.NumDistinctValues(), mono.NumDistinctValues())
+	}
+	for _, name := range []string{"T1", "W3", "nope"} {
+		if shard.TableIDByName(name) != mono.TableIDByName(name) {
+			t.Fatalf("TableIDByName(%q) differs", name)
 		}
-		for tid := int32(0); tid < int32(mono.NumTables()); tid++ {
-			if shard.TableName(tid) != mono.TableName(tid) {
-				t.Fatalf("layout %v: table %d name %q != %q",
-					layout, tid, shard.TableName(tid), mono.TableName(tid))
-			}
-			if !reflect.DeepEqual(tableTuples(shard, tid), tableTuples(mono, tid)) {
-				t.Fatalf("layout %v: table %d entries differ", layout, tid)
-			}
-			mt := mono.ReconstructTable(tid)
-			st := shard.ReconstructTable(tid)
-			if !reflect.DeepEqual(mt.Rows, st.Rows) {
-				t.Fatalf("layout %v: table %d reconstruction differs", layout, tid)
-			}
+	}
+	for _, v := range []string{"HR", "Firenze", "Unit3", "missing"} {
+		if shard.Frequency(v) != mono.Frequency(v) {
+			t.Fatalf("Frequency(%q) %d != %d", v, shard.Frequency(v), mono.Frequency(v))
 		}
-		for _, name := range []string{"T1", "W3", "nope"} {
-			if shard.TableIDByName(name) != mono.TableIDByName(name) {
-				t.Fatalf("layout %v: TableIDByName(%q) differs", layout, name)
-			}
-		}
-		for _, v := range []string{"HR", "Firenze", "Unit3", "missing"} {
-			if shard.Frequency(v) != mono.Frequency(v) {
-				t.Fatalf("layout %v: Frequency(%q) %d != %d",
-					layout, v, shard.Frequency(v), mono.Frequency(v))
-			}
-			// Postings positions differ (global layouts differ) but must
-			// decode to the same cell locations.
-			decode := func(r Reader, ps []int32) []entryTuple {
-				out := make([]entryTuple, 0, len(ps))
-				for _, p := range ps {
-					out = append(out, entryTuple{
-						val: r.Value(p), tid: r.TableID(p),
-						cid: r.ColumnID(p), rid: r.RowID(p),
-					})
-				}
-				sort.Slice(out, func(a, b int) bool {
-					if out[a].tid != out[b].tid {
-						return out[a].tid < out[b].tid
-					}
-					if out[a].rid != out[b].rid {
-						return out[a].rid < out[b].rid
-					}
-					return out[a].cid < out[b].cid
+		// Postings positions differ (global layouts differ) but must
+		// decode to the same cell locations.
+		decode := func(r Reader, ps []int32) []entryTuple {
+			out := make([]entryTuple, 0, len(ps))
+			for _, p := range ps {
+				out = append(out, entryTuple{
+					val: r.Value(p), tid: r.TableID(p),
+					cid: r.ColumnID(p), rid: r.RowID(p),
 				})
-				return out
 			}
-			if !reflect.DeepEqual(decode(shard, shard.Postings(v)), decode(mono, mono.Postings(v))) {
-				t.Fatalf("layout %v: Postings(%q) decode differently", layout, v)
-			}
+			sort.Slice(out, func(a, b int) bool {
+				if out[a].tid != out[b].tid {
+					return out[a].tid < out[b].tid
+				}
+				if out[a].rid != out[b].rid {
+					return out[a].rid < out[b].rid
+				}
+				return out[a].cid < out[b].cid
+			})
+			return out
 		}
-		if got, want := shard.AvgFrequency([]string{"HR", "Firenze"}), mono.AvgFrequency([]string{"HR", "Firenze"}); got != want {
-			t.Fatalf("layout %v: AvgFrequency %v != %v", layout, got, want)
+		if !reflect.DeepEqual(decode(shard, shard.Postings(v)), decode(mono, mono.Postings(v))) {
+			t.Fatalf("Postings(%q) decode differently", v)
+		}
+	}
+	if got, want := shard.AvgFrequency([]string{"HR", "Firenze"}), mono.AvgFrequency([]string{"HR", "Firenze"}); got != want {
+		t.Fatalf("AvgFrequency %v != %v", got, want)
+	}
+	// One shard is the monolithic case: same global entry positions.
+	one := Build(tables, 1)
+	for i := int32(0); i < int32(mono.NumEntries()); i++ {
+		if one.Value(i) != mono.Value(i) || one.TableID(i) != mono.TableID(i) ||
+			one.RowID(i) != mono.RowID(i) || one.SuperKey(i) != mono.SuperKey(i) {
+			t.Fatalf("one-shard index diverges from the Store at entry %d", i)
 		}
 	}
 }
 
 func TestShardedGlobalPositionsConsistent(t *testing.T) {
-	s := BuildSharded(ColumnStore, widerLake(), 4)
+	s := Build(widerLake(), 4)
 	// Every global position must belong to exactly the table whose range
 	// contains it, and postings must be sorted ascending.
 	for tid := int32(0); tid < int32(s.NumTables()); tid++ {
@@ -146,7 +161,7 @@ func TestShardedGlobalPositionsConsistent(t *testing.T) {
 }
 
 func TestShardReaderViews(t *testing.T) {
-	s := BuildSharded(ColumnStore, widerLake(), 4)
+	s := Build(widerLake(), 4)
 	views := s.ShardReaders()
 	if len(views) != 4 {
 		t.Fatalf("views = %d", len(views))
@@ -188,86 +203,46 @@ func TestShardReaderViews(t *testing.T) {
 }
 
 func TestShardedPersistRoundTrip(t *testing.T) {
-	for _, layout := range []Layout{ColumnStore, RowStore} {
-		orig := BuildSharded(layout, widerLake(), 3)
-		var buf bytes.Buffer
-		if err := orig.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, ok := loaded.(*ShardedStore)
-		if !ok {
-			t.Fatalf("v2 file loaded as %T", loaded)
-		}
-		if back.NumShards() != 3 {
-			t.Fatalf("shard count = %d after round trip", back.NumShards())
-		}
-		if back.Layout() != layout || back.NumEntries() != orig.NumEntries() {
-			t.Fatal("shape lost on round trip")
-		}
-		for tid := int32(0); tid < int32(orig.NumTables()); tid++ {
-			if !reflect.DeepEqual(tableTuples(back, tid), tableTuples(orig, tid)) {
-				t.Fatalf("layout %v: table %d differs after round trip", layout, tid)
-			}
-		}
-		// Incremental maintenance after load: same hash routing, same
-		// global ids.
-		nt := table.New("postload", "A", "B")
-		nt.MustAppendRow("zz-postload", "1")
-		nt.InferKinds()
-		id1 := orig.AddTable(nt)
-		id2 := back.AddTable(nt)
-		if id1 != id2 {
-			t.Fatalf("AddTable after load assigned id %d, fresh store %d", id2, id1)
-		}
-		if back.Frequency("zz-postload") != 1 {
-			t.Fatal("value added after load not indexed")
-		}
-		if !reflect.DeepEqual(tableTuples(back, id2), tableTuples(orig, id1)) {
-			t.Fatal("post-load AddTable produced different entries")
-		}
-	}
-}
-
-func TestV1FilesStillLoadAsMonolithic(t *testing.T) {
-	orig := Build(ColumnStore, lakeFixture())
+	orig := Build(widerLake(), 3)
 	var buf bytes.Buffer
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	back, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := loaded.(*Store); !ok {
-		t.Fatalf("v1 file loaded as %T, want *Store", loaded)
+	if back.NumShards() != 3 {
+		t.Fatalf("shard count = %d after round trip", back.NumShards())
 	}
-	if loaded.NumShards() != 1 {
-		t.Fatal("monolithic store must report one shard")
+	if back.NumEntries() != orig.NumEntries() {
+		t.Fatal("shape lost on round trip")
 	}
-}
-
-func TestLoadShardedRejectsBadDirectory(t *testing.T) {
-	orig := BuildSharded(ColumnStore, lakeFixture(), 2)
-	var buf bytes.Buffer
-	if err := orig.SaveLegacy(&buf, 3); err != nil {
-		t.Fatal(err)
+	for tid := int32(0); tid < int32(orig.NumTables()); tid++ {
+		if !reflect.DeepEqual(tableTuples(back, tid), tableTuples(orig, tid)) {
+			t.Fatalf("table %d differs after round trip", tid)
+		}
 	}
-	raw := buf.Bytes()
-	// v3 byte layout: magic(4) version(4) kind(1) layout(4) shards(4)
-	// tables(4) then the first table's shard assignment — point it out of
-	// range.
-	raw[21] = 0xee
-	if _, err := Load(bytes.NewReader(raw)); err == nil {
-		t.Fatal("corrupt shard directory must be rejected")
+	// Incremental maintenance after load: same hash routing, same global
+	// ids.
+	nt := table.New("postload", "A", "B")
+	nt.MustAppendRow("zz-postload", "1")
+	nt.InferKinds()
+	origNext, ids1 := orig.CloneAddTablesBatch([]*table.Table{nt}, 1)
+	backNext, ids2 := back.CloneAddTablesBatch([]*table.Table{nt}, 1)
+	if ids1[0] != ids2[0] {
+		t.Fatalf("add after load assigned id %d, fresh store %d", ids2[0], ids1[0])
+	}
+	if backNext.Frequency("zz-postload") != 1 {
+		t.Fatal("value added after load not indexed")
+	}
+	if !reflect.DeepEqual(tableTuples(backNext, ids2[0]), tableTuples(origNext, ids1[0])) {
+		t.Fatal("post-load add produced different entries")
 	}
 }
 
 func TestShardedComputeStats(t *testing.T) {
-	s := BuildSharded(ColumnStore, widerLake(), 4)
+	s := Build(widerLake(), 4)
 	st := s.ComputeStats()
 	if st.Shards != 4 {
 		t.Fatalf("stats shards = %d", st.Shards)
@@ -281,7 +256,7 @@ func TestShardedComputeStats(t *testing.T) {
 	if st.NumericCells == 0 || st.AvgPostingLength <= 0 {
 		t.Fatalf("stats content: %+v", st)
 	}
-	mono := Build(ColumnStore, widerLake()).ComputeStats()
+	mono := buildStore(widerLake()).ComputeStats()
 	if st.NumericCells != mono.NumericCells {
 		t.Fatal("numeric cell count must not depend on partitioning")
 	}
@@ -291,9 +266,9 @@ func TestShardedComputeStats(t *testing.T) {
 }
 
 // TestBuildShardedClampsShardCount guards the Save/Load agreement: any
-// shard count BuildSharded accepts must survive a round trip.
+// shard count Build accepts must survive a round trip.
 func TestBuildShardedClampsShardCount(t *testing.T) {
-	s := BuildSharded(ColumnStore, lakeFixture(), MaxShards+100)
+	s := Build(lakeFixture(), MaxShards+100)
 	if s.NumShards() != MaxShards {
 		t.Fatalf("NumShards = %d, want clamp to %d", s.NumShards(), MaxShards)
 	}

@@ -4,7 +4,6 @@ package storage
 // the shape of the lake, dictionary compression, posting-list skew (the
 // quantity seeker runtimes scale with), and quadrant coverage.
 type Stats struct {
-	Layout           Layout
 	Shards           int // partitions backing the index (1 when monolithic)
 	Tables           int // live tables (tombstoned ones excluded)
 	Tombstones       int // removed-but-not-compacted tables still holding space
@@ -30,7 +29,6 @@ type Stats struct {
 // ComputeStats scans the index once and returns its summary.
 func (s *Store) ComputeStats() Stats {
 	st := Stats{
-		Layout:         s.layout,
 		Shards:         1,
 		Tables:         s.NumTables() - s.numDead,
 		Tombstones:     s.numDead,

@@ -5,18 +5,17 @@
 // CellValue and a clustered range index on TableId), value-frequency
 // statistics for the cost model, and binary persistence.
 //
-// The paper deploys AllTables on PostgreSQL (row store) and on a commercial
-// column store and compares the two; this package therefore implements both
-// physical layouts behind one API. The column layout stores each attribute
-// in a dense parallel array (scans touch only the attributes they need);
-// the row layout stores one struct per index entry (scans drag the whole
-// tuple through the cache), reproducing the row-vs-column runtime gap the
-// paper's figures report.
+// AllTables is stored column-wise: each attribute lives in a dense
+// parallel array, so scans touch only the attributes they need (the
+// paper's column-store deployment). The index is a ShardedStore of one or
+// more Store partitions; a single-shard ShardedStore is the monolithic
+// case.
 package storage
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"blend/internal/berr"
 	"blend/internal/qcr"
@@ -24,46 +23,8 @@ import (
 	"blend/internal/xash"
 )
 
-// Layout selects the physical representation of the AllTables relation.
-type Layout int
-
-const (
-	// ColumnStore stores AllTables as parallel per-attribute arrays.
-	ColumnStore Layout = iota
-	// RowStore stores AllTables as a slice of entry structs.
-	RowStore
-)
-
-// String returns the layout name as used in the paper's figures.
-func (l Layout) String() string {
-	switch l {
-	case ColumnStore:
-		return "Column"
-	case RowStore:
-		return "Row"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}
-
 // QuadrantNull marks a non-numeric cell in the Quadrant attribute.
 const QuadrantNull int8 = -1
-
-// Row-layout record framing: each AllTables tuple is one variable-length
-// packed record (heap-tuple style): fixed header then the inline cell
-// value bytes. Reading any attribute decodes the record, and reading the
-// value copies its bytes out — the per-tuple deforming cost that makes row
-// stores slower on scan-heavy discovery queries, which the paper's
-// row-vs-column figures measure.
-const (
-	rowOffTableID  = 0
-	rowOffColumnID = 4
-	rowOffRowID    = 8
-	rowOffSuperLo  = 12
-	rowOffSuperHi  = 20
-	rowOffQuadrant = 28
-	rowHeaderSize  = 29
-)
 
 // TableMeta records per-table catalog information kept alongside the index.
 type TableMeta struct {
@@ -73,23 +34,22 @@ type TableMeta struct {
 	NumRows  int32
 }
 
-// Store is the AllTables relation plus its indexes and catalog. Build one
-// with a Builder (offline phase, Fig. 2e) or Load one from disk.
+// Store is one partition of the AllTables relation plus its indexes and
+// catalog: the per-shard unit a ShardedStore is built from. Entry
+// positions and table ids are local to the partition.
 type Store struct {
-	layout Layout
-
 	// Dictionary-encoded cell values. The value -> id map is split in two
 	// layers so copy-on-write clones (see cow.go) can share the bulk of it
 	// across generations: dictBase is shared read-only once a clone exists
 	// and must never be written after that point; dictDelta holds this
 	// generation's new values and is always owned by exactly one store. A
-	// store built from scratch (builder, loader) has a nil delta and writes
+	// store built from scratch (Build, loader) has a nil delta and writes
 	// its base directly. Values never appear in both layers.
 	dict      []string
 	dictBase  map[string]int32
 	dictDelta map[string]int32
 
-	// Column layout: parallel arrays, sorted by (TableID, RowID, ColumnID).
+	// Attribute arrays, parallel and sorted by (TableID, RowID, ColumnID).
 	valIdx    []int32
 	tableIDs  []int32
 	columnIDs []int32
@@ -98,70 +58,28 @@ type Store struct {
 	superHi   []uint64
 	quadrant  []int8
 
-	// Row layout (populated only when layout == RowStore): packed
-	// variable-length records and their start offsets.
-	rowData []byte
-	rowOff  []int64
-
 	// In-DB index on CellValue: dictionary id -> sorted entry positions.
 	postings [][]int32
 	// In-DB index on TableId: table id -> [start, end) entry positions.
 	tableRange [][2]int32
 
 	tables []TableMeta
-	// dead marks tombstoned tables (RemoveTable): their catalog slot and
-	// entries stay allocated until Compact, but every read surface skips
+	// dead marks tombstoned tables (removeTable): their catalog slot and
+	// entries stay allocated until compaction, but every read surface skips
 	// them. len(dead) == len(tables) at all times.
 	dead    []bool
 	numDead int
 }
 
-// NewBuilder starts an offline indexing run producing a store with the given
-// layout.
-func NewBuilder(layout Layout) *Builder {
-	return &Builder{
-		store: &Store{
-			layout:   layout,
-			dictBase: make(map[string]int32),
-		},
-	}
+func newStore() *Store {
+	return &Store{dictBase: make(map[string]int32)}
 }
 
-// Builder accumulates tables into a Store. Not safe for concurrent use.
-type Builder struct {
-	store *Store
-}
-
-// Add indexes one table, assigning it the next table id, and returns that
-// id. It computes, per row, the XASH super key over all cells and, per
-// numeric cell, the quadrant bit against the column mean — the three
-// unified structures of §V.
-func (b *Builder) Add(t *table.Table) int32 {
-	return b.store.addTable(t)
-}
-
-// AddTable appends one table to an already-finished store — the
-// incremental index maintenance that a single unified relation makes
-// cheap (§I contrasts this with maintaining an ensemble of incompatible
-// index structures). The new table is immediately visible to queries.
-// Not safe for use concurrent with readers.
-func (s *Store) AddTable(t *table.Table) int32 {
-	tid := s.addTable(t)
-	if s.layout == RowStore {
-		s.packRows()
-	}
-	return tid
-}
-
-// AddTablesBatch appends a batch of tables in order and returns their ids.
-// Unlike a loop over AddTable, the attribute arrays are grown once for the
-// whole batch (the cell count is known up front) and the row layout is
-// re-packed once at the end. The workers argument exists for interface
-// symmetry with the sharded store; a monolithic store shares one
-// dictionary, so the batch is applied sequentially. Not safe for use
-// concurrent with readers.
-func (s *Store) AddTablesBatch(tables []*table.Table, workers int) []int32 {
-	_ = workers
+// addTablesBatch appends a batch of tables in order and returns their
+// ids. Unlike a loop over addTable, the attribute arrays are grown once
+// for the whole batch (the cell count is known up front). Not safe for
+// use concurrent with readers.
+func (s *Store) addTablesBatch(tables []*table.Table) []int32 {
 	cells := 0
 	for _, t := range tables {
 		cells += len(t.Rows) * len(t.Columns) // upper bound: nulls are skipped
@@ -170,9 +88,6 @@ func (s *Store) AddTablesBatch(tables []*table.Table, workers int) []int32 {
 	ids := make([]int32, len(tables))
 	for i, t := range tables {
 		ids[i] = s.addTable(t)
-	}
-	if s.layout == RowStore {
-		s.packRows()
 	}
 	return ids
 }
@@ -209,12 +124,12 @@ func (s *Store) reserve(extra int) {
 	s.quadrant = q
 }
 
-// RemoveTable tombstones one table: its id stays allocated (ids are never
-// reused before Compact) but the table disappears from every read surface —
-// name lookups, posting scans, table ranges, reconstruction. The entries
-// remain physically present until Compact reclaims them. Not safe for use
-// concurrent with readers.
-func (s *Store) RemoveTable(tid int32) error {
+// removeTable tombstones one table: its id stays allocated (ids are never
+// reused before compaction) but the table disappears from every read
+// surface — name lookups, posting scans, table ranges, reconstruction. The
+// entries remain physically present until compaction reclaims them. Not
+// safe for use concurrent with readers.
+func (s *Store) removeTable(tid int32) error {
 	if tid < 0 || int(tid) >= len(s.tables) {
 		return berr.New(berr.CodeNotFound, "storage.remove", "no table with id %d", tid)
 	}
@@ -234,27 +149,10 @@ func (s *Store) TableAlive(tid int32) bool {
 // Tombstones reports the number of removed-but-not-compacted tables.
 func (s *Store) Tombstones() int { return s.numDead }
 
-// Compact physically reclaims tombstoned tables by rebuilding the store
-// from its live tables, and returns how many tables were removed. Table
-// ids are reassigned contiguously in their original relative order, so any
-// externally held id is invalidated (the engine bumps its generation and
-// purges caches around compaction). A store without tombstones is left
-// untouched. Not safe for use concurrent with readers.
-func (s *Store) Compact() int {
-	if s.numDead == 0 {
-		return 0
-	}
-	live := make([]*table.Table, 0, len(s.tables)-s.numDead)
-	for tid := range s.tables {
-		if !s.dead[tid] {
-			live = append(live, s.reconstructTable(int32(tid)))
-		}
-	}
-	removed := s.numDead
-	*s = *Build(s.layout, live)
-	return removed
-}
-
+// addTable indexes one table, assigning it the next table id, and returns
+// that id. It computes, per row, the XASH super key over all cells and,
+// per numeric cell, the quadrant bit against the column mean — the three
+// unified structures of §V. Not safe for use concurrent with readers.
 func (s *Store) addTable(t *table.Table) int32 {
 	tid := int32(len(s.tables))
 	meta := TableMeta{Name: t.Name, NumRows: int32(len(t.Rows))}
@@ -346,78 +244,14 @@ func (s *Store) appendEntry(v string, tid, cid, rid int32, key xash.Key, q int8)
 	s.postings[vi] = append(s.postings[vi], pos)
 }
 
-// Finish completes the offline phase and returns the immutable store.
-func (b *Builder) Finish() *Store {
-	s := b.store
-	if s.layout == RowStore {
-		s.packRows()
-	}
-	return s
-}
-
-// packRows materializes the row layout: one packed record per tuple. It is
-// incremental — already-packed records are kept and only new entries are
-// appended, so AddTable pays for its own tuples only.
-func (s *Store) packRows() {
-	n := len(s.valIdx)
-	packed := 0
-	if len(s.rowOff) > 0 {
-		packed = len(s.rowOff) - 1
-	}
-	if packed == n {
-		return
-	}
-	extra := 0
-	for i := packed; i < n; i++ {
-		extra += rowHeaderSize + len(s.dict[s.valIdx[i]])
-	}
-	off := int64(0)
-	if packed > 0 {
-		off = s.rowOff[packed]
-		s.rowOff = s.rowOff[:packed]
-	} else {
-		s.rowOff = make([]int64, 0, n+1)
-	}
-	grown := make([]byte, int(off)+extra)
-	copy(grown, s.rowData[:off])
-	s.rowData = grown
-	for i := packed; i < n; i++ {
-		s.rowOff = append(s.rowOff, off)
-		rec := s.rowData[off:]
-		putU32(rec[rowOffTableID:], uint32(s.tableIDs[i]))
-		putU32(rec[rowOffColumnID:], uint32(s.columnIDs[i]))
-		putU32(rec[rowOffRowID:], uint32(s.rowIDs[i]))
-		putU64(rec[rowOffSuperLo:], s.superLo[i])
-		putU64(rec[rowOffSuperHi:], s.superHi[i])
-		rec[rowOffQuadrant] = byte(s.quadrant[i])
-		v := s.dict[s.valIdx[i]]
-		copy(rec[rowHeaderSize:], v)
-		off += int64(rowHeaderSize + len(v))
-	}
-	s.rowOff = append(s.rowOff, off)
-}
-
-// Build indexes all tables in order and returns the finished store.
-func Build(layout Layout, tables []*table.Table) *Store {
-	b := NewBuilder(layout)
-	for _, t := range tables {
-		b.Add(t)
-	}
-	return b.Finish()
-}
-
+// parseFloat parses a cell as a float, tolerating surrounding whitespace,
+// mirroring table.Table.NumericColumnValues.
 func parseFloat(s string) (float64, bool) {
-	// Inline fast path: strconv via package table semantics.
-	var f float64
-	var err error
-	f, err = strconvParseFloat(s)
+	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 	return f, err == nil
 }
 
-// Layout reports the store's physical layout.
-func (s *Store) Layout() Layout { return s.layout }
-
-// NumShards reports 1: a monolithic store is a single partition.
+// NumShards reports 1: a store is a single partition.
 func (s *Store) NumShards() int { return 1 }
 
 // NumEntries reports the number of AllTables tuples.
@@ -451,67 +285,31 @@ func (s *Store) TableIDByName(name string) int32 {
 	return -1
 }
 
-// record returns the packed row-layout record of entry i.
-func (s *Store) record(i int32) []byte {
-	return s.rowData[s.rowOff[i]:s.rowOff[i+1]]
-}
-
-// Value returns the CellValue of entry i, honouring the physical layout.
-// In the row layout this copies the value bytes out of the packed record,
-// as a row store must when projecting a tuple attribute.
-func (s *Store) Value(i int32) string {
-	if s.layout == RowStore {
-		return string(s.record(i)[rowHeaderSize:])
-	}
-	return s.dict[s.valIdx[i]]
-}
+// Value returns the CellValue of entry i.
+func (s *Store) Value(i int32) string { return s.dict[s.valIdx[i]] }
 
 // TableID returns the TableId of entry i.
-func (s *Store) TableID(i int32) int32 {
-	if s.layout == RowStore {
-		return int32(getU32(s.record(i)[rowOffTableID:]))
-	}
-	return s.tableIDs[i]
-}
+func (s *Store) TableID(i int32) int32 { return s.tableIDs[i] }
 
 // ColumnID returns the ColumnId of entry i.
-func (s *Store) ColumnID(i int32) int32 {
-	if s.layout == RowStore {
-		return int32(getU32(s.record(i)[rowOffColumnID:]))
-	}
-	return s.columnIDs[i]
-}
+func (s *Store) ColumnID(i int32) int32 { return s.columnIDs[i] }
 
 // RowID returns the RowId of entry i.
-func (s *Store) RowID(i int32) int32 {
-	if s.layout == RowStore {
-		return int32(getU32(s.record(i)[rowOffRowID:]))
-	}
-	return s.rowIDs[i]
-}
+func (s *Store) RowID(i int32) int32 { return s.rowIDs[i] }
 
 // SuperKey returns the XASH super key of entry i's row.
 func (s *Store) SuperKey(i int32) xash.Key {
-	if s.layout == RowStore {
-		rec := s.record(i)
-		return xash.Key{Lo: getU64(rec[rowOffSuperLo:]), Hi: getU64(rec[rowOffSuperHi:])}
-	}
 	return xash.Key{Lo: s.superLo[i], Hi: s.superHi[i]}
 }
 
 // Quadrant returns the quadrant bit of entry i, or QuadrantNull for
 // non-numeric cells.
-func (s *Store) Quadrant(i int32) int8 {
-	if s.layout == RowStore {
-		return int8(s.record(i)[rowOffQuadrant])
-	}
-	return s.quadrant[i]
-}
+func (s *Store) Quadrant(i int32) int8 { return s.quadrant[i] }
 
 // Postings returns the sorted entry positions whose CellValue equals v
 // (the in-DB inverted index lookup), restricted to live tables. Without
 // tombstones the shared index slice is returned directly (callers must not
-// modify it); with tombstones a filtered copy is allocated — Compact
+// modify it); with tombstones a filtered copy is allocated — compaction
 // restores the zero-copy path.
 func (s *Store) Postings(v string) []int32 {
 	vi, ok := s.lookupValue(v)
@@ -523,7 +321,7 @@ func (s *Store) Postings(v string) []int32 {
 	}
 	out := make([]int32, 0, len(s.postings[vi]))
 	for _, p := range s.postings[vi] {
-		if !s.dead[s.TableID(p)] {
+		if !s.dead[s.tableIDs[p]] {
 			out = append(out, p)
 		}
 	}
@@ -541,7 +339,7 @@ func (s *Store) Frequency(v string) int {
 	}
 	n := 0
 	for _, p := range s.postings[vi] {
-		if !s.dead[s.TableID(p)] {
+		if !s.dead[s.tableIDs[p]] {
 			n++
 		}
 	}
@@ -551,25 +349,10 @@ func (s *Store) Frequency(v string) int {
 // ScanPostings streams the (TableId, ColumnId, RowId) attributes of every
 // entry holding value v, in ascending entry-position order — the native
 // posting-list access path the engine's fast seeker executor scans instead
-// of interpreting SQL. The column layout reads the attribute arrays
-// directly; the row layout decodes each packed record, paying the same
-// per-tuple deforming cost its SQL scans do.
+// of interpreting SQL.
 func (s *Store) ScanPostings(v string, fn func(tid, cid, rid int32)) {
 	vi, ok := s.lookupValue(v)
 	if !ok {
-		return
-	}
-	if s.layout == RowStore {
-		for _, p := range s.postings[vi] {
-			rec := s.record(p)
-			tid := int32(getU32(rec[rowOffTableID:]))
-			if s.numDead > 0 && s.dead[tid] {
-				continue
-			}
-			fn(tid,
-				int32(getU32(rec[rowOffColumnID:])),
-				int32(getU32(rec[rowOffRowID:])))
-		}
 		return
 	}
 	for _, p := range s.postings[vi] {
@@ -582,27 +365,10 @@ func (s *Store) ScanPostings(v string, fn func(tid, cid, rid int32)) {
 
 // ScanPostingsSuper streams, for every entry holding value v, its
 // (TableId, ColumnId, RowId) attributes plus the XASH super key of its row
-// — the candidate stream of the native multi-column executor. The column
-// layout reads the dedicated super-key arrays; the row layout decodes the
-// packed record it already touched for the ids, so the key costs no extra
-// cache line.
+// — the candidate stream of the native multi-column executor.
 func (s *Store) ScanPostingsSuper(v string, fn func(tid, cid, rid int32, super xash.Key)) {
 	vi, ok := s.lookupValue(v)
 	if !ok {
-		return
-	}
-	if s.layout == RowStore {
-		for _, p := range s.postings[vi] {
-			rec := s.record(p)
-			tid := int32(getU32(rec[rowOffTableID:]))
-			if s.numDead > 0 && s.dead[tid] {
-				continue
-			}
-			fn(tid,
-				int32(getU32(rec[rowOffColumnID:])),
-				int32(getU32(rec[rowOffRowID:])),
-				xash.Key{Lo: getU64(rec[rowOffSuperLo:]), Hi: getU64(rec[rowOffSuperHi:])})
-		}
 		return
 	}
 	for _, p := range s.postings[vi] {
@@ -620,26 +386,9 @@ func (s *Store) ScanPostingsSuper(v string, fn func(tid, cid, rid int32, super x
 // against key-column posting hits. Entries within a table are sorted by
 // (RowId, ColumnId), so the first entry at or past maxRow ends the scan.
 // A tombstoned table streams nothing (TableEntries yields the empty
-// range). The column layout touches only the three attribute arrays it
-// needs; the row layout decodes each packed record, paying the per-tuple
-// deforming cost its SQL scans do.
+// range).
 func (s *Store) ScanTableNumeric(tid, maxRow int32, fn func(cid, rid int32, q int8)) {
 	start, end := s.TableEntries(tid)
-	if s.layout == RowStore {
-		for i := start; i < end; i++ {
-			rec := s.record(i)
-			rid := int32(getU32(rec[rowOffRowID:]))
-			if rid >= maxRow {
-				return
-			}
-			q := int8(rec[rowOffQuadrant])
-			if q == QuadrantNull {
-				continue
-			}
-			fn(int32(getU32(rec[rowOffColumnID:])), rid, q)
-		}
-		return
-	}
 	for i := start; i < end; i++ {
 		rid := s.rowIDs[i]
 		if rid >= maxRow {
@@ -687,10 +436,10 @@ func (s *Store) ReconstructRow(tid, rid int32) []string {
 	// Entries are sorted by (TableID, RowID, ColumnID): binary search the
 	// row's first entry.
 	lo := start + int32(sort.Search(int(end-start), func(k int) bool {
-		return s.RowID(start+int32(k)) >= rid
+		return s.rowIDs[start+int32(k)] >= rid
 	}))
-	for i := lo; i < end && s.RowID(i) == rid; i++ {
-		row[s.ColumnID(i)] = s.Value(i)
+	for i := lo; i < end && s.rowIDs[i] == rid; i++ {
+		row[s.columnIDs[i]] = s.Value(i)
 	}
 	return row
 }
@@ -718,7 +467,7 @@ func (s *Store) reconstructTable(tid int32) *table.Table {
 	}
 	r := s.tableRange[tid]
 	for i := r[0]; i < r[1]; i++ {
-		t.Rows[s.RowID(i)][s.ColumnID(i)] = s.Value(i)
+		t.Rows[s.rowIDs[i]][s.columnIDs[i]] = s.Value(i)
 	}
 	return t
 }
@@ -737,8 +486,5 @@ func (s *Store) SizeBytes() int64 {
 		b += int64(len(p)) * 4
 	}
 	b += int64(len(s.tableRange)) * 8
-	if s.layout == RowStore {
-		b += int64(len(s.rowData)) + int64(len(s.rowOff))*8
-	}
 	return b
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -39,7 +38,7 @@ func lakeFixture() []*table.Table {
 }
 
 func TestBuildBasics(t *testing.T) {
-	s := Build(ColumnStore, lakeFixture())
+	s := Build(lakeFixture(), 1)
 	if s.NumTables() != 4 {
 		t.Fatalf("NumTables = %d", s.NumTables())
 	}
@@ -59,7 +58,7 @@ func TestBuildBasics(t *testing.T) {
 }
 
 func TestPostings(t *testing.T) {
-	s := Build(ColumnStore, lakeFixture())
+	s := Build(lakeFixture(), 1)
 	p := s.Postings("Firenze")
 	if len(p) != 3 { // S, T2, T3
 		t.Fatalf("Firenze postings = %d, want 3", len(p))
@@ -80,7 +79,7 @@ func TestPostings(t *testing.T) {
 }
 
 func TestAvgFrequency(t *testing.T) {
-	s := Build(ColumnStore, lakeFixture())
+	s := Build(lakeFixture(), 1)
 	if got := s.AvgFrequency(nil); got != 0 {
 		t.Fatal("empty input should be 0")
 	}
@@ -91,7 +90,7 @@ func TestAvgFrequency(t *testing.T) {
 }
 
 func TestQuadrantBits(t *testing.T) {
-	s := Build(ColumnStore, lakeFixture())
+	s := Build(lakeFixture(), 1)
 	// T1.Size: 31,28,33,92 → mean 46; only 92 is ≥ mean.
 	start, end := s.TableEntries(1)
 	ones, zeros, nulls := 0, 0, 0
@@ -112,7 +111,7 @@ func TestQuadrantBits(t *testing.T) {
 }
 
 func TestSuperKeyContainsCellHash(t *testing.T) {
-	s := Build(ColumnStore, lakeFixture())
+	s := Build(lakeFixture(), 1)
 	for i := int32(0); i < int32(s.NumEntries()); i++ {
 		tid, rid := s.TableID(i), s.RowID(i)
 		row := s.ReconstructRow(tid, rid)
@@ -130,7 +129,7 @@ func TestSuperKeyContainsCellHash(t *testing.T) {
 
 func TestReconstructRow(t *testing.T) {
 	tables := lakeFixture()
-	s := Build(ColumnStore, tables)
+	s := Build(tables, 1)
 	got := s.ReconstructRow(2, 0)
 	want := []string{"Tom Riddle", "2022", "IT"}
 	if !reflect.DeepEqual(got, want) {
@@ -146,7 +145,7 @@ func TestReconstructRow(t *testing.T) {
 
 func TestReconstructTable(t *testing.T) {
 	tables := lakeFixture()
-	s := Build(ColumnStore, tables)
+	s := Build(tables, 1)
 	for tid, orig := range tables {
 		got := s.ReconstructTable(int32(tid))
 		if got.Name != orig.Name {
@@ -158,58 +157,34 @@ func TestReconstructTable(t *testing.T) {
 	}
 }
 
-func TestLayoutsAgree(t *testing.T) {
-	tables := lakeFixture()
-	col := Build(ColumnStore, tables)
-	row := Build(RowStore, tables)
-	if col.NumEntries() != row.NumEntries() {
-		t.Fatal("entry counts differ")
-	}
-	for i := int32(0); i < int32(col.NumEntries()); i++ {
-		if col.Value(i) != row.Value(i) ||
-			col.TableID(i) != row.TableID(i) ||
-			col.ColumnID(i) != row.ColumnID(i) ||
-			col.RowID(i) != row.RowID(i) ||
-			col.SuperKey(i) != row.SuperKey(i) ||
-			col.Quadrant(i) != row.Quadrant(i) {
-			t.Fatalf("layouts disagree at entry %d", i)
-		}
-	}
-}
-
 func TestPersistRoundTrip(t *testing.T) {
-	for _, layout := range []Layout{ColumnStore, RowStore} {
-		orig := Build(layout, lakeFixture())
-		var buf bytes.Buffer
-		if err := orig.Save(&buf); err != nil {
-			t.Fatal(err)
+	orig := Build(lakeFixture(), 1)
+	var buf bytes.Buffer
+	if err := orig.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.NumEntries() != orig.NumEntries() || back.NumTables() != orig.NumTables() {
+		t.Fatal("counts differ after round trip")
+	}
+	for i := int32(0); i < int32(orig.NumEntries()); i++ {
+		if back.Value(i) != orig.Value(i) || back.Quadrant(i) != orig.Quadrant(i) ||
+			back.SuperKey(i) != orig.SuperKey(i) || back.TableID(i) != orig.TableID(i) {
+			t.Fatalf("entry %d differs after round trip", i)
 		}
-		back, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Layout() != layout {
-			t.Fatalf("layout = %v, want %v", back.Layout(), layout)
-		}
-		if back.NumEntries() != orig.NumEntries() || back.NumTables() != orig.NumTables() {
-			t.Fatal("counts differ after round trip")
-		}
-		for i := int32(0); i < int32(orig.NumEntries()); i++ {
-			if back.Value(i) != orig.Value(i) || back.Quadrant(i) != orig.Quadrant(i) ||
-				back.SuperKey(i) != orig.SuperKey(i) || back.TableID(i) != orig.TableID(i) {
-				t.Fatalf("entry %d differs after round trip", i)
-			}
-		}
-		// Derived indexes must be rebuilt identically.
-		if len(back.Postings("Firenze")) != len(orig.Postings("Firenze")) {
-			t.Fatal("postings differ after round trip")
-		}
-		for tid := int32(0); tid < int32(orig.NumTables()); tid++ {
-			s1, e1 := orig.TableEntries(tid)
-			s2, e2 := back.TableEntries(tid)
-			if s1 != s2 || e1 != e2 {
-				t.Fatalf("table range %d differs", tid)
-			}
+	}
+	// Derived indexes must be rebuilt identically.
+	if len(back.Postings("Firenze")) != len(orig.Postings("Firenze")) {
+		t.Fatal("postings differ after round trip")
+	}
+	for tid := int32(0); tid < int32(orig.NumTables()); tid++ {
+		s1, e1 := orig.TableEntries(tid)
+		s2, e2 := back.TableEntries(tid)
+		if s1 != s2 || e1 != e2 {
+			t.Fatalf("table range %d differs", tid)
 		}
 	}
 }
@@ -217,7 +192,7 @@ func TestPersistRoundTrip(t *testing.T) {
 func TestPersistFiles(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/idx.blend"
-	orig := Build(ColumnStore, lakeFixture())
+	orig := Build(lakeFixture(), 1)
 	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -240,13 +215,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestSizeBytesPositive(t *testing.T) {
-	s := Build(ColumnStore, lakeFixture())
+	s := Build(lakeFixture(), 1)
 	if s.SizeBytes() <= 0 {
 		t.Fatal("SizeBytes must be positive")
-	}
-	r := Build(RowStore, lakeFixture())
-	if r.SizeBytes() <= s.SizeBytes() {
-		t.Fatal("row layout must account for extra materialization")
 	}
 }
 
@@ -258,7 +229,7 @@ func TestPersistQuickRoundTrip(t *testing.T) {
 			tb.MustAppendRow(c[0], c[1])
 		}
 		tb.InferKinds()
-		orig := Build(ColumnStore, []*table.Table{tb})
+		orig := Build([]*table.Table{tb}, 1)
 		var buf bytes.Buffer
 		if err := orig.Save(&buf); err != nil {
 			return false
@@ -283,54 +254,52 @@ func TestPersistQuickRoundTrip(t *testing.T) {
 }
 
 func TestAddTableIncremental(t *testing.T) {
-	for _, layout := range []Layout{ColumnStore, RowStore} {
-		s := Build(layout, lakeFixture())
-		before := s.NumTables()
-		nt := table.New("T4", "Team", "Budget")
-		nt.MustAppendRow("Legal", "12")
-		nt.MustAppendRow("HR", "44")
-		nt.InferKinds()
-		tid := s.AddTable(nt)
-		if int(tid) != before {
-			t.Fatalf("layout %v: new table id = %d, want %d", layout, tid, before)
+	orig := Build(lakeFixture(), 1)
+	before := orig.NumTables()
+	nt := table.New("T4", "Team", "Budget")
+	nt.MustAppendRow("Legal", "12")
+	nt.MustAppendRow("HR", "44")
+	nt.InferKinds()
+	s, ids := orig.CloneAddTablesBatch([]*table.Table{nt}, 1)
+	tid := ids[0]
+	if int(tid) != before {
+		t.Fatalf("new table id = %d, want %d", tid, before)
+	}
+	if s.NumTables() != before+1 || orig.NumTables() != before {
+		t.Fatalf("table counts: derived %d, parent %d", s.NumTables(), orig.NumTables())
+	}
+	// New value visible through the derived index's inverted index only.
+	if len(s.Postings("Legal")) != 1 || orig.Frequency("Legal") != 0 {
+		t.Fatalf("Legal postings = %d, parent frequency %d", len(s.Postings("Legal")), orig.Frequency("Legal"))
+	}
+	// Existing value frequency grew.
+	if s.Frequency("HR") != 5 {
+		t.Fatalf("HR frequency = %d, want 5", s.Frequency("HR"))
+	}
+	// Reconstruction works for old and new tables.
+	if got := s.ReconstructRow(tid, 0); got[0] != "Legal" || got[1] != "12" {
+		t.Fatalf("new row = %v", got)
+	}
+	if got := s.ReconstructRow(2, 0); got[0] != "Tom Riddle" {
+		t.Fatalf("old row corrupted: %v", got)
+	}
+	// Quadrant bits computed for the numeric column (mean 28: only 44 is above).
+	start, end := s.TableEntries(tid)
+	ones := 0
+	for i := start; i < end; i++ {
+		if s.Quadrant(i) == 1 {
+			ones++
 		}
-		if s.NumTables() != before+1 {
-			t.Fatalf("layout %v: table count wrong", layout)
-		}
-		// New value visible through the inverted index.
-		if len(s.Postings("Legal")) != 1 {
-			t.Fatalf("layout %v: Legal postings = %d", layout, len(s.Postings("Legal")))
-		}
-		// Existing value frequency grew.
-		if s.Frequency("HR") != 5 {
-			t.Fatalf("layout %v: HR frequency = %d, want 5", layout, s.Frequency("HR"))
-		}
-		// Reconstruction works for old and new tables.
-		if got := s.ReconstructRow(tid, 0); got[0] != "Legal" || got[1] != "12" {
-			t.Fatalf("layout %v: new row = %v", layout, got)
-		}
-		if got := s.ReconstructRow(2, 0); got[0] != "Tom Riddle" {
-			t.Fatalf("layout %v: old row corrupted: %v", layout, got)
-		}
-		// Quadrant bits computed for the numeric column (mean 28: only 44 is above).
-		start, end := s.TableEntries(tid)
-		ones := 0
-		for i := start; i < end; i++ {
-			if s.Quadrant(i) == 1 {
-				ones++
-			}
-		}
-		if ones != 1 {
-			t.Fatalf("layout %v: quadrant ones = %d, want 1", layout, ones)
-		}
+	}
+	if ones != 1 {
+		t.Fatalf("quadrant ones = %d, want 1", ones)
 	}
 }
 
 func TestAddTableThenPersist(t *testing.T) {
-	s := Build(RowStore, lakeFixture())
 	nt := table.New("T4", "A")
 	nt.MustAppendRow("zz-new-value")
-	s.AddTable(nt)
+	s, _ := Build(lakeFixture(), 1).CloneAddTablesBatch([]*table.Table{nt}, 1)
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -344,26 +313,8 @@ func TestAddTableThenPersist(t *testing.T) {
 	}
 }
 
-func TestAddTableRepeatedRowStorePackIsIncremental(t *testing.T) {
-	s := Build(RowStore, lakeFixture())
-	for i := 0; i < 5; i++ {
-		nt := table.New(fmt.Sprintf("extra%d", i), "V")
-		nt.MustAppendRow(fmt.Sprintf("val%d", i))
-		s.AddTable(nt)
-	}
-	// All entries readable and consistent between layout accessors.
-	for i := int32(0); i < int32(s.NumEntries()); i++ {
-		if s.Value(i) == "" {
-			t.Fatalf("entry %d lost its value", i)
-		}
-	}
-	if s.NumTables() != 9 {
-		t.Fatalf("tables = %d", s.NumTables())
-	}
-}
-
 func TestComputeStats(t *testing.T) {
-	s := Build(ColumnStore, lakeFixture())
+	s := Build(lakeFixture(), 1)
 	st := s.ComputeStats()
 	if st.Tables != 4 || st.Entries != 24 {
 		t.Fatalf("stats shape: %+v", st)

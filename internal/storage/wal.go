@@ -242,7 +242,7 @@ func decodeWALTables(b []byte) ([]*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tables := make([]*table.Table, 0, minInt(numTables, 1<<16))
+	tables := make([]*table.Table, 0, min(numTables, 1<<16))
 	for i := 0; i < numTables; i++ {
 		name, err := d.str()
 		if err != nil {
@@ -268,7 +268,7 @@ func decodeWALTables(b []byte) ([]*table.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = make([][]string, 0, minInt(numRows, 1<<20))
+		t.Rows = make([][]string, 0, min(numRows, 1<<20))
 		for r := 0; r < numRows; r++ {
 			row := make([]string, numCols)
 			for c := range row {

@@ -10,8 +10,8 @@
 # (minisql_columnar_speedup, from BenchmarkMinisql{Columnar,RowAtATime} —
 # the headline there is the allocs ratio), the bulk-ingest speedup of the batched
 # write path over the sequential AddTable loop, the cold-open speedup of
-# the v4 mmap path over an eager v3 load (open_speedup), the on-disk
-# size of the same lake in both formats (index_bytes_on_disk), and the
+# the v4 mmap path over an eager v4 load (open_speedup), the on-disk
+# size of that file (index_bytes_on_disk), and the
 # snapshot-isolation headline (read_under_ingest_speedup): seek latency
 # on a quiescent index vs the same seeks while a writer continuously
 # publishes generations — held near 1.0 by MVCC reads never taking the
@@ -128,16 +128,13 @@ END {
         printf ",\n  \"bulk_ingest_speedup\": {\"sequential_ns_per_op\": %s, \"batch_ns_per_op\": %s, \"speedup\": %.2f, \"bytes_sequential\": %s, \"bytes_batch\": %s, \"workers\": %s, \"cpu_cores\": %s}", \
             ns[seqn], ns[batn], ns[seqn] / ns[batn], bytes[seqn], bytes[batn], workers, cores >> out
     }
-    v3o = "BenchmarkOpenIndexCold/V3Eager"
+    v4e = "BenchmarkOpenIndexCold/V4Eager"
     v4o = "BenchmarkOpenIndexCold/V4Mmap"
-    if ((v3o in ns) && (v4o in ns) && ns[v4o] > 0) {
-        # Cold time-to-queryable: eager v3 decode vs v4 mmap + footer parse.
-        printf ",\n  \"open_speedup\": {\"v3_eager_ns_per_op\": %s, \"v4_mmap_ns_per_op\": %s, \"speedup\": %.2f", \
-            ns[v3o], ns[v4o], ns[v3o] / ns[v4o] >> out
-        v4e = "BenchmarkOpenIndexCold/V4Eager"
-        if ((v4e in ns) && ns[v4e] > 0)
-            printf ", \"v4_eager_ns_per_op\": %s", ns[v4e] >> out
-        printf "}" >> out
+    if ((v4e in ns) && (v4o in ns) && ns[v4o] > 0) {
+        # Cold time-to-queryable: eager decode of every shard vs mmap +
+        # footer parse, on the same v4 file.
+        printf ",\n  \"open_speedup\": {\"v4_eager_ns_per_op\": %s, \"v4_mmap_ns_per_op\": %s, \"speedup\": %.2f}", \
+            ns[v4e], ns[v4o], ns[v4e] / ns[v4o] >> out
     }
     rdq = "BenchmarkReadQuiescent"
     rdi = "BenchmarkConcurrentReadDuringIngest"
@@ -150,13 +147,10 @@ END {
         printf ",\n  \"read_under_ingest_speedup\": {\"quiescent_ns_per_op\": %s, \"under_ingest_ns_per_op\": %s, \"speedup\": %.2f, \"allocs_quiescent\": %s, \"allocs_under_ingest\": %s}", \
             ns[rdq], ns[rdi], ns[rdq] / ns[rdi], allocs[rdq], allocs[rdi] >> out
     }
-    v3b = m[v3o "|disk_bytes"]
     v4b = m[v4o "|disk_bytes"]
-    if (v3b > 0 && v4b > 0) {
-        # The same lake persisted in both formats; ratio is v3/v4, so
-        # > 1 means the segmented varint format is smaller on disk.
-        printf ",\n  \"index_bytes_on_disk\": {\"v3_bytes\": %s, \"v4_bytes\": %s, \"ratio\": %.2f}", \
-            v3b, v4b, v3b / v4b >> out
+    if (v4b > 0) {
+        # On-disk size of the cold-open lake in the v4 format.
+        printf ",\n  \"index_bytes_on_disk\": {\"v4_bytes\": %s}", v4b >> out
     }
     printf "\n}\n" >> out
 }' "$RAW"

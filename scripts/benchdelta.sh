@@ -61,13 +61,12 @@ jq -rn --slurpfile o "$old" --slurpfile n "$new" '
         + x($o[0].minisql_columnar_speedup.allocs_ratio) + " → new allocs ratio "
         + x($n[0].minisql_columnar_speedup.allocs_ratio) + " (wall-clock "
         + x($n[0].minisql_columnar_speedup.speedup) + ")",
-    "Cold open (v4 mmap vs v3 eager): old speedup "
+    "Cold open (v4 mmap vs v4 eager): old speedup "
         + x($o[0].open_speedup.speedup) + " → new speedup "
         + x($n[0].open_speedup.speedup),
-    "On-disk size (v3/v4 ratio): old "
-        + x($o[0].index_bytes_on_disk.ratio) + " → new "
-        + x($n[0].index_bytes_on_disk.ratio) + " ("
-        + fmt($n[0].index_bytes_on_disk.v4_bytes) + " bytes v4)",
+    "On-disk size (v4 bytes): old "
+        + fmt($o[0].index_bytes_on_disk.v4_bytes) + " → new "
+        + fmt($n[0].index_bytes_on_disk.v4_bytes),
     "Read under ingest (quiescent/under-ingest, 1.0 = no reader stall): old "
         + x($o[0].read_under_ingest_speedup.speedup) + " → new "
         + x($n[0].read_under_ingest_speedup.speedup) + " ("

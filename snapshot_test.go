@@ -152,7 +152,7 @@ func TestSnapshotPinnedUnderConcurrentIngest(t *testing.T) {
 
 // TestWithAsOfMatchesLiveResults is the time-travel property test:
 // results under WithAsOf(g) are bit-identical to results captured live
-// while g was the current generation, across layouts × shard counts ×
+// while g was the current generation, across shard counts ×
 // seeker kinds, on both the Seek path and the SnapshotAt handle.
 func TestWithAsOfMatchesLiveResults(t *testing.T) {
 	ctx := context.Background()
@@ -163,13 +163,10 @@ func TestWithAsOfMatchesLiveResults(t *testing.T) {
 	}
 	configs := []struct {
 		name   string
-		layout Layout
 		shards int
 	}{
-		{"column", ColumnStore, 1},
-		{"row", RowStore, 1},
-		{"column-sharded", ColumnStore, 3},
-		{"row-sharded", RowStore, 3},
+		{"column", 1},
+		{"column-sharded", 3},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -177,7 +174,7 @@ func TestWithAsOfMatchesLiveResults(t *testing.T) {
 			if cfg.shards > 1 {
 				opts = append(opts, WithShards(cfg.shards))
 			}
-			d := IndexTables(cfg.layout, fig1Tables(), opts...)
+			d := IndexTables(ColumnStore, fig1Tables(), opts...)
 			d.SetRetention(16)
 
 			live := make(map[uint64]map[string]Hits)
