@@ -217,7 +217,7 @@ func IndexTables(_ Layout, tables []*Table, opts ...IndexOption) *Discovery {
 // engine — the one place IndexTables and OpenIndex share, so an engine
 // option added to one construction path cannot silently be a no-op on the
 // other. (Build-time options like WithShards act before this point.)
-func newDiscovery(idx storage.Index, cfg indexConfig) *Discovery {
+func newDiscovery(idx *storage.ShardedStore, cfg indexConfig) *Discovery {
 	e := core.NewEngine(idx)
 	e.NoNativeExec = cfg.noNative
 	if cfg.cacheSize > 0 {
@@ -250,7 +250,7 @@ func OpenIndex(path string, opts ...IndexOption) (*Discovery, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var s storage.Index
+	var s *storage.ShardedStore
 	var err error
 	if cfg.eager {
 		s, err = storage.LoadFile(path)

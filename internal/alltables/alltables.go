@@ -1,8 +1,9 @@
 // Package alltables bridges the storage engine and the SQL engine: it
-// exposes a storage.Reader as the AllTables relation of Fig. 3 so that the
-// seekers' generated SQL (Listings 1–3 of the paper) can run against it,
-// with the inverted index on CellValue and the range index on TableId
-// served as minisql index access paths.
+// presents a storage.Reader (the whole sharded store, or one shard view) as
+// the AllTables relation of Fig. 3 so that the seekers' generated SQL
+// (Listings 1–3 of the paper) can run against it, with the inverted index
+// on CellValue (read through the reader's posting cursor) and the range
+// index on TableId served as minisql index access paths.
 package alltables
 
 import (
@@ -94,12 +95,16 @@ func (r *Relation) LookupIn(col int, vals []minisql.Value) ([]int, bool) {
 	switch col {
 	case ColCellValue:
 		var out []int
+		var blk storage.PostingBlock
 		for _, v := range vals {
 			if v.K != minisql.KStr {
 				v = minisql.Str(v.String())
 			}
-			for _, p := range r.store.Postings(v.S) {
-				out = append(out, int(p))
+			cur := r.store.Postings(v.S)
+			for cur.Next(&blk, false) {
+				for _, p := range blk.Pos[:blk.N] {
+					out = append(out, int(p))
+				}
 			}
 		}
 		return dedupPositions(out), true

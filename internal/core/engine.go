@@ -89,7 +89,7 @@ type Engine struct {
 
 // NewEngine wraps an AllTables index for plan execution and publishes it as
 // generation 1.
-func NewEngine(store storage.Index) *Engine {
+func NewEngine(store *storage.ShardedStore) *Engine {
 	e := &Engine{SampleH: DefaultSampleH, retention: DefaultRetainedGenerations}
 	e.lease = newStoreLease(store)
 	if store.NumShards() > 1 {
@@ -107,7 +107,7 @@ func NewEngine(store storage.Index) *Engine {
 // touching it, but holding it does not pin the generation — the backing
 // file mapping may be released once the generation leaves the retention
 // window. Prefer the Engine accessors or a Snapshot handle.
-func (e *Engine) Store() storage.Index { return e.snap.Load().store }
+func (e *Engine) Store() *storage.ShardedStore { return e.snap.Load().store }
 
 // Catalog returns the current generation's unified SQL catalog (exposed
 // for tests and advanced embedding). For sharded indexes it serves the

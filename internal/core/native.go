@@ -31,9 +31,9 @@ const (
 //
 // (single-column joinability, keyword/multi-column overlap, and the
 // union-compatibility probes built from them) directly over the sharded
-// store: one dictionary lookup per query value, an int32 posting-list scan
-// with per-table counters, a bounded k-size selection per shard, and a
-// deterministic merge across shards. No SQL string is built, nothing is
+// store: one dictionary lookup per query value, a block-at-a-time posting
+// cursor feeding per-table counters, a bounded k-size selection per shard,
+// and a deterministic merge across shards. No SQL string is built, nothing is
 // parsed, and the per-row work is integer comparisons against pooled
 // counter buffers — the JOSIE/MATE-style merge execution the paper's SQL
 // formulation abstracts over.
@@ -82,12 +82,14 @@ type scGroup struct {
 // arrays are indexed by global table id; touched records which ids were
 // written so release() resets in O(touched) instead of O(tables). groups
 // carries the per-(table, column) cells of the SC shape; clear() keeps its
-// buckets allocated across scans.
+// buckets allocated across scans. blk is the posting block every cursor
+// of the scan fills.
 type overlapScratch struct {
 	count   []int32
 	mark    []uint32
 	touched []int32
 	groups  map[uint64]scGroup
+	blk     storage.PostingBlock
 }
 
 var overlapPool = sync.Pool{New: func() any {
@@ -234,37 +236,36 @@ func dedupeValues(values []string) []string {
 // aggregation groups that passed the minOverlap threshold (the rows the
 // equivalent SQL would have produced on this shard).
 func scanShardOverlap(ctx context.Context, r storage.Reader, values []string,
-	k, minOverlap int, perColumn bool, f *tableFilter, numTables int) (Hits, int, error) {
+	k, minOverlap int, perColumn bool, f *tableFilter, numTables int) (Hits, scanCounts, error) {
 
 	sc := grabScratch(numTables)
 	defer sc.release()
 
+	blk := &sc.blk
 	for vi, v := range values {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, scanCounts{}, err
 		}
 		epoch := uint32(vi + 1)
-		if perColumn {
-			r.ScanPostings(v, func(tid, cid, rid int32) {
+		cur := r.Postings(v)
+		for cur.Next(blk, false) {
+			for i, tid := range blk.TID[:blk.N] {
 				if !f.admit(tid) {
-					return
+					continue
 				}
-				key := uint64(uint32(tid))<<32 | uint64(uint32(cid))
+				if !perColumn {
+					sc.bump(tid, epoch)
+					continue
+				}
+				key := uint64(uint32(tid))<<32 | uint64(uint32(blk.CID[i]))
 				g := sc.groups[key]
 				if g.mark == epoch {
-					return
+					continue
 				}
 				g.mark = epoch
 				g.count++
 				sc.groups[key] = g
-			})
-		} else {
-			r.ScanPostings(v, func(tid, cid, rid int32) {
-				if !f.admit(tid) {
-					return
-				}
-				sc.bump(tid, epoch)
-			})
+			}
 		}
 	}
 
@@ -305,62 +306,58 @@ func scanShardOverlap(ctx context.Context, r storage.Reader, values []string,
 		// count so RunStats.SQLRows matches what that SQL would return.
 		groups = k
 	}
-	return heap.sorted(), groups, nil
+	return heap.sorted(), scanCounts{sqlRows: groups}, nil
 }
 
 // runNativeOverlap executes the SC (perColumn) / KW seeker shape on the
-// native fast path: every shard is scanned concurrently (bounded by the
-// engine's shard semaphore), each producing a bounded top-k, and the
-// partials are merged with the same (score desc, TableId asc) order the
-// SQL path's topK applies — so both paths return identical results. The
-// returned group count approximates RunStats.SQLRows: the rows the
-// generated SQL would have returned.
+// native fast path. The returned sqlRows count approximates
+// RunStats.SQLRows: the rows the generated SQL would have returned.
 func (v *view) runNativeOverlap(ctx context.Context, values []string,
-	k, minOverlap int, perColumn bool, rw Rewrite) (Hits, int, error) {
+	k, minOverlap int, perColumn bool, rw Rewrite) (Hits, scanCounts, error) {
 
 	values = dedupeValues(values)
 	f := compileFilter(rw)
 	numTables := v.sn.store.NumTables()
+	return v.runShards(ctx, k, func(ctx context.Context, r storage.Reader) (Hits, scanCounts, error) {
+		return scanShardOverlap(ctx, r, values, k, minOverlap, perColumn, &f, numTables)
+	})
+}
 
-	if len(v.sn.nativeViews) == 1 {
-		hits, groups, err := scanShardOverlap(ctx, v.sn.nativeViews[0], values, k, minOverlap, perColumn, &f, numTables)
+// scanCounts is the work a native shard scan reports, summed across
+// shards: the rows the equivalent SQL would return (RunStats.SQLRows) and,
+// for MC, the validation funnel behind them — the rows surviving the XASH
+// filter and the rows surviving exact validation.
+type scanCounts struct {
+	sqlRows, candidates, validated int
+}
+
+// runShards is the one shard fan-out of the native executors: it runs scan
+// (one seeker shape against one shard reader, returning that shard's
+// top-k, best first) on every native shard view of the pinned snapshot,
+// then merges the partials with the (score desc, TableId asc) order the
+// SQL path's topK applies and sums their counts, so both paths return
+// identical results. Tables never span shards, so the per-shard counts
+// partition exactly. A single view runs inline. Otherwise every shard runs
+// on its own goroutine holding a slot of the engine's shard semaphore (or
+// giving up if ctx is canceled while waiting), and any shard error —
+// cancellation included — fails the whole run.
+func (v *view) runShards(ctx context.Context, k int,
+	scan func(ctx context.Context, r storage.Reader) (Hits, scanCounts, error)) (Hits, scanCounts, error) {
+
+	shards := v.sn.nativeViews
+	if len(shards) == 1 {
+		hits, c, err := scan(ctx, shards[0])
 		if err != nil {
-			return nil, 0, err
+			return nil, c, err
 		}
 		if hits == nil {
 			hits = Hits{} // match the SQL path's empty-but-non-nil result
 		}
-		return topK(hits, k), groups, nil
+		return topK(hits, k), c, nil
 	}
 
-	partials, counts, err := fanOutShards(ctx, v, func(ctx context.Context, r storage.Reader) (Hits, int, error) {
-		return scanShardOverlap(ctx, r, values, k, minOverlap, perColumn, &f, numTables)
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	merged := Hits{}
-	groups := 0
-	for i, p := range partials {
-		merged = append(merged, p...)
-		groups += counts[i]
-	}
-	return topK(merged, k), groups, nil
-}
-
-// fanOutShards runs scan against every native shard view concurrently,
-// each goroutine acquiring a slot of the engine's shard semaphore (or
-// aborting if the context is canceled while waiting), and returns the
-// per-shard partial hits and counters. Any shard error — cancellation
-// included — fails the whole fan-out. Both native executors (overlap and
-// MC) share this scaffolding so the semaphore/cancellation protocol lives
-// in exactly one place.
-func fanOutShards[C any](ctx context.Context, v *view,
-	scan func(ctx context.Context, r storage.Reader) (Hits, C, error)) ([]Hits, []C, error) {
-
-	shards := v.sn.nativeViews
 	partials := make([]Hits, len(shards))
-	counts := make([]C, len(shards))
+	counts := make([]scanCounts, len(shards))
 	errs := make([]error, len(shards))
 	panics := make([]any, len(shards))
 	var wg sync.WaitGroup
@@ -383,12 +380,20 @@ func fanOutShards[C any](ctx context.Context, v *view,
 	}
 	wg.Wait()
 	repanic(panics)
+	var c scanCounts
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, c, err
 		}
 	}
-	return partials, counts, nil
+	merged := Hits{}
+	for i, p := range partials {
+		merged = append(merged, p...)
+		c.sqlRows += counts[i].sqlRows
+		c.candidates += counts[i].candidates
+		c.validated += counts[i].validated
+	}
+	return topK(merged, k), c, nil
 }
 
 // repanic re-raises the first panic captured on a worker goroutine.

@@ -41,11 +41,12 @@ type corrGroup struct {
 }
 
 // corrScratch is the pooled per-shard scan state: the key-hit buffer
-// (sorted once per scan, reused across scans) and the per-table group
-// map (cleared between tables, buckets kept allocated).
+// (sorted once per scan, reused across scans), the per-table group map
+// (cleared between tables, buckets kept allocated), and the posting block.
 type corrScratch struct {
 	hits   []corrHit
 	groups map[uint64]corrGroup
+	blk    storage.PostingBlock
 }
 
 var corrPool = sync.Pool{New: func() any {
@@ -66,7 +67,7 @@ func (sc *corrScratch) release() {
 // and returns its top-k hits (best first) plus the number of aggregation
 // groups — the rows Listing 3 would have produced on this shard.
 func scanShardCorr(ctx context.Context, r storage.Reader, vals []string,
-	masks []uint8, h int32, k int, f *tableFilter) (Hits, int, error) {
+	masks []uint8, h int32, k int, f *tableFilter) (Hits, scanCounts, error) {
 
 	sc := grabCorrScratch()
 	defer sc.release()
@@ -74,20 +75,23 @@ func scanShardCorr(ctx context.Context, r storage.Reader, vals []string,
 	// Phase 1: one posting scan per distinct key value collects the
 	// key-side entries of the sampled prefix, rewrite-filtered exactly
 	// like the keys subquery of the generated SQL.
+	blk := &sc.blk
 	for vi, v := range vals {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, scanCounts{}, err
 		}
 		mask := masks[vi]
-		r.ScanPostings(v, func(tid, cid, rid int32) {
-			if rid >= h || !f.admit(tid) {
-				return
+		cur := r.Postings(v)
+		for cur.Next(blk, false) {
+			for i, rid := range blk.RID[:blk.N] {
+				if tid := blk.TID[i]; rid < h && f.admit(tid) {
+					sc.hits = append(sc.hits, corrHit{tid: tid, rid: rid, kcol: blk.CID[i], mask: mask})
+				}
 			}
-			sc.hits = append(sc.hits, corrHit{tid: tid, rid: rid, kcol: cid, mask: mask})
-		})
+		}
 	}
 	if len(sc.hits) == 0 {
-		return nil, 0, nil
+		return nil, scanCounts{}, nil
 	}
 
 	// Phase 2: group the hits by table, rows ascending within each table,
@@ -114,7 +118,7 @@ func scanShardCorr(ctx context.Context, r storage.Reader, vals []string,
 			hi++
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, scanCounts{}, err
 		}
 		p := lo
 		r.ScanTableNumeric(tid, h, func(ncol, rid int32, q int8) {
@@ -152,21 +156,15 @@ func scanShardCorr(ctx context.Context, r storage.Reader, vals []string,
 		}
 		lo = hi
 	}
-	return heap.sorted(), groups, nil
+	return heap.sorted(), scanCounts{sqlRows: groups}, nil
 }
 
 // runNativeCorrelation executes the correlation seeker on the native fast
-// path: every shard is scanned concurrently (bounded by the engine's shard
-// semaphore), each producing a bounded top-k plus its group count, and the
-// partials merge with the deterministic (score desc, TableId asc) order of
-// the SQL path. Tables never span shards, so per-shard groups — and the
-// summed SQLRows — partition exactly.
-//
-// k0 and k1 are the seeker's quadrant-partitioned key lists (split());
-// they fold into one distinct value list with a per-value partition
-// bitmask so each posting list is scanned exactly once.
+// path. k0 and k1 are the seeker's quadrant-partitioned key lists
+// (split()); they fold into one distinct value list with a per-value
+// partition bitmask so each posting list is scanned exactly once.
 func (v *view) runNativeCorrelation(ctx context.Context, k0, k1 []string,
-	k int, h int32, rw Rewrite) (Hits, int, error) {
+	k int, h int32, rw Rewrite) (Hits, scanCounts, error) {
 
 	vals := make([]string, 0, len(k0)+len(k1))
 	masks := make([]uint8, 0, len(k0)+len(k1))
@@ -186,29 +184,7 @@ func (v *view) runNativeCorrelation(ctx context.Context, k0, k1 []string,
 		masks = append(masks, 2)
 	}
 	f := compileFilter(rw)
-
-	if len(v.sn.nativeViews) == 1 {
-		hits, groups, err := scanShardCorr(ctx, v.sn.nativeViews[0], vals, masks, h, k, &f)
-		if err != nil {
-			return nil, 0, err
-		}
-		if hits == nil {
-			hits = Hits{} // match the SQL path's empty-but-non-nil result
-		}
-		return topK(hits, k), groups, nil
-	}
-
-	partials, counts, err := fanOutShards(ctx, v, func(ctx context.Context, r storage.Reader) (Hits, int, error) {
+	return v.runShards(ctx, k, func(ctx context.Context, r storage.Reader) (Hits, scanCounts, error) {
 		return scanShardCorr(ctx, r, vals, masks, h, k, &f)
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	merged := Hits{}
-	groups := 0
-	for i, p := range partials {
-		merged = append(merged, p...)
-		groups += counts[i]
-	}
-	return topK(merged, k), groups, nil
 }

@@ -33,13 +33,15 @@ type mcCand struct {
 }
 
 // mcScratch is the pooled per-shard scan state: the candidate map, the
-// cell set reused across row validations, and the contained-tuple index
-// buffer. clear() keeps the map buckets allocated across scans, the same
-// amortization the overlap scratch applies to its group map.
+// cell set reused across row validations, the contained-tuple index
+// buffer, and the posting block. clear() keeps the map buckets allocated
+// across scans, the same amortization the overlap scratch applies to its
+// group map.
 type mcScratch struct {
 	cands  map[uint64]mcCand
 	cells  map[string]struct{}
 	tupIdx []int
+	blk    storage.PostingBlock
 }
 
 var mcPool = sync.Pool{New: func() any {
@@ -62,22 +64,16 @@ func (sc *mcScratch) release() {
 	mcPool.Put(sc)
 }
 
-// mcCounters is the MC validation funnel both execution paths report
-// identically: the rows Listing 2's join would return, the rows surviving
-// the XASH filter, and the rows surviving exact validation.
-type mcCounters struct {
-	sqlRows    int
-	candidates int
-	validated  int
-}
-
 // rowKey64 packs a (TableId, RowId) pair into one map key.
 func rowKey64(tid, rid int32) uint64 {
 	return uint64(uint32(tid))<<32 | uint64(uint32(rid))
 }
 
 // scanShardMC executes the MC pipeline against one shard reader and
-// returns its top-k hits (best first) plus the funnel counters.
+// returns its top-k hits (best first) plus the validation funnel both
+// execution paths report identically: the rows Listing 2's join would
+// return, the rows surviving the XASH filter, and the rows surviving exact
+// validation.
 //
 // Column 0 seeds the candidate set (the optimizer's rewrite predicate
 // lands here, exactly like the first subquery of the generated SQL bounds
@@ -86,56 +82,63 @@ func rowKey64(tid, rid int32) uint64 {
 // into the join-row multiplicity, so sqlRows equals the row count of the
 // SQL join without materializing it.
 func scanShardMC(ctx context.Context, r storage.Reader, cols [][]string,
-	tuples [][]string, tupleKeys []xash.Key, k int, f *tableFilter) (Hits, mcCounters, error) {
+	tuples [][]string, tupleKeys []xash.Key, k int, f *tableFilter) (Hits, scanCounts, error) {
 
-	var c mcCounters
+	var c scanCounts
 	sc := grabMCScratch()
 	defer sc.release()
 
+	blk := &sc.blk
 	for _, v := range cols[0] {
 		if err := ctx.Err(); err != nil {
 			return nil, c, err
 		}
-		r.ScanPostingsSuper(v, func(tid, cid, rid int32, super xash.Key) {
-			if !f.admit(tid) {
-				return
+		cur := r.Postings(v)
+		for cur.Next(blk, true) {
+			for i, tid := range blk.TID[:blk.N] {
+				if !f.admit(tid) {
+					continue
+				}
+				key := rowKey64(tid, blk.RID[i])
+				cand, ok := sc.cands[key]
+				if !ok {
+					sc.cands[key] = mcCand{super: blk.Super[i], prod: 1, cnt: 1}
+					continue
+				}
+				if cand.col == 0 {
+					cand.cnt++
+					sc.cands[key] = cand
+				}
 			}
-			key := rowKey64(tid, rid)
-			cand, ok := sc.cands[key]
-			if !ok {
-				sc.cands[key] = mcCand{super: super, prod: 1, cnt: 1}
-				return
-			}
-			if cand.col == 0 {
-				cand.cnt++
-				sc.cands[key] = cand
-			}
-		})
+		}
 	}
-	for i := 1; i < len(cols); i++ {
-		epoch := int32(i)
-		for _, v := range cols[i] {
+	for ci := 1; ci < len(cols); ci++ {
+		epoch := int32(ci)
+		for _, v := range cols[ci] {
 			if err := ctx.Err(); err != nil {
 				return nil, c, err
 			}
-			r.ScanPostings(v, func(tid, cid, rid int32) {
-				key := rowKey64(tid, rid)
-				cand, ok := sc.cands[key]
-				if !ok {
-					return
+			cur := r.Postings(v)
+			for cur.Next(blk, false) {
+				for i, tid := range blk.TID[:blk.N] {
+					key := rowKey64(tid, blk.RID[i])
+					cand, ok := sc.cands[key]
+					if !ok {
+						continue
+					}
+					switch cand.col {
+					case epoch - 1:
+						cand.prod *= int64(cand.cnt)
+						cand.col = epoch
+						cand.cnt = 1
+					case epoch:
+						cand.cnt++
+					default:
+						continue
+					}
+					sc.cands[key] = cand
 				}
-				switch cand.col {
-				case epoch - 1:
-					cand.prod *= int64(cand.cnt)
-					cand.col = epoch
-					cand.cnt = 1
-				case epoch:
-					cand.cnt++
-				default:
-					return
-				}
-				sc.cands[key] = cand
-			})
+			}
 		}
 	}
 
@@ -208,13 +211,8 @@ func scanShardMC(ctx context.Context, r storage.Reader, cols [][]string,
 	return heap.sorted(), c, nil
 }
 
-// runNativeMC executes the MC seeker on the native fast path: every shard
-// is scanned concurrently (bounded by the engine's shard semaphore), each
-// producing a bounded top-k and its slice of the validation funnel, and
-// the partials merge with the deterministic (score desc, TableId asc)
-// order of the SQL path. Tables never span shards, so per-shard candidate
-// rows — and therefore the summed counters — partition exactly.
-func (v *view) runNativeMC(ctx context.Context, s *MCSeeker, rw Rewrite) (Hits, mcCounters, error) {
+// runNativeMC executes the MC seeker on the native fast path.
+func (v *view) runNativeMC(ctx context.Context, s *MCSeeker, rw Rewrite) (Hits, scanCounts, error) {
 	x := s.width()
 	cols := make([][]string, x)
 	for i := range cols {
@@ -222,7 +220,7 @@ func (v *view) runNativeMC(ctx context.Context, s *MCSeeker, rw Rewrite) (Hits, 
 		if len(cols[i]) == 0 {
 			// A column with no non-empty values renders as `IN ()`, which
 			// matches nothing: the join is empty on both paths.
-			return Hits{}, mcCounters{}, nil
+			return Hits{}, scanCounts{}, nil
 		}
 	}
 	tupleKeys := make([]xash.Key, len(s.Tuples))
@@ -230,31 +228,7 @@ func (v *view) runNativeMC(ctx context.Context, s *MCSeeker, rw Rewrite) (Hits, 
 		tupleKeys[i] = xash.HashRow(t)
 	}
 	f := compileFilter(rw)
-
-	if len(v.sn.nativeViews) == 1 {
-		hits, c, err := scanShardMC(ctx, v.sn.nativeViews[0], cols, s.Tuples, tupleKeys, s.K, &f)
-		if err != nil {
-			return nil, c, err
-		}
-		if hits == nil {
-			hits = Hits{} // match the SQL path's empty-but-non-nil result
-		}
-		return topK(hits, s.K), c, nil
-	}
-
-	partials, counts, err := fanOutShards(ctx, v, func(ctx context.Context, r storage.Reader) (Hits, mcCounters, error) {
+	return v.runShards(ctx, s.K, func(ctx context.Context, r storage.Reader) (Hits, scanCounts, error) {
 		return scanShardMC(ctx, r, cols, s.Tuples, tupleKeys, s.K, &f)
 	})
-	var c mcCounters
-	if err != nil {
-		return nil, c, err
-	}
-	merged := Hits{}
-	for i, p := range partials {
-		merged = append(merged, p...)
-		c.sqlRows += counts[i].sqlRows
-		c.candidates += counts[i].candidates
-		c.validated += counts[i].validated
-	}
-	return topK(merged, s.K), c, nil
 }

@@ -206,13 +206,13 @@ func (s *SCSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats
 	}
 	if v.nativeServes(SC) {
 		start := time.Now()
-		hits, groups, err := v.runNativeOverlap(ctx, s.Values, s.K, s.MinOverlap, true, rw)
+		hits, c, err := v.runNativeOverlap(ctx, s.Values, s.K, s.MinOverlap, true, rw)
 		if err != nil {
 			return nil, stats, err
 		}
 		stats.Path = PathNative
 		stats.Duration = time.Since(start)
-		stats.SQLRows = groups
+		stats.SQLRows = c.sqlRows
 		return hits, stats, nil
 	}
 	res, dur, err := v.execSQL(ctx, s.SQL(rw))
@@ -282,13 +282,13 @@ func (s *KWSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats
 	}
 	if v.nativeServes(KW) {
 		start := time.Now()
-		hits, groups, err := v.runNativeOverlap(ctx, s.Keywords, s.K, s.MinOverlap, false, rw)
+		hits, c, err := v.runNativeOverlap(ctx, s.Keywords, s.K, s.MinOverlap, false, rw)
 		if err != nil {
 			return nil, stats, err
 		}
 		stats.Path = PathNative
 		stats.Duration = time.Since(start)
-		stats.SQLRows = groups
+		stats.SQLRows = c.sqlRows
 		return hits, stats, nil
 	}
 	res, dur, err := v.execSQL(ctx, s.SQL(rw))
@@ -603,13 +603,13 @@ func (s *CorrelationSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits,
 		k0, k1 := s.split()
 		if len(k0)+len(k1) > 0 {
 			start := time.Now()
-			hits, groups, err := v.runNativeCorrelation(ctx, k0, k1, s.K, int32(h), rw)
+			hits, c, err := v.runNativeCorrelation(ctx, k0, k1, s.K, int32(h), rw)
 			if err != nil {
 				return nil, stats, err
 			}
 			stats.Path = PathNative
 			stats.Duration = time.Since(start)
-			stats.SQLRows = groups
+			stats.SQLRows = c.sqlRows
 			return hits, stats, nil
 		}
 		// Every key is empty: fall through so both paths degenerate

@@ -141,18 +141,22 @@ func (v *view) semanticSupport(values []string, cand map[int32]float64) map[int3
 		return support
 	}
 	seen := make(map[int32]struct{}, len(cand))
+	var blk storage.PostingBlock
 	for _, val := range distinct(values) {
 		clear(seen)
-		v.sn.store.ScanPostings(val, func(tid, _, _ int32) {
-			if _, ok := cand[tid]; !ok {
-				return
+		cur := v.sn.store.Postings(val)
+		for cur.Next(&blk, false) {
+			for _, tid := range blk.TID[:blk.N] {
+				if _, ok := cand[tid]; !ok {
+					continue
+				}
+				if _, dup := seen[tid]; dup {
+					continue
+				}
+				seen[tid] = struct{}{}
+				support[tid]++
 			}
-			if _, dup := seen[tid]; dup {
-				return
-			}
-			seen[tid] = struct{}{}
-			support[tid]++
-		})
+		}
 	}
 	return support
 }

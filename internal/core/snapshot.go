@@ -15,7 +15,7 @@ import (
 )
 
 // MVCC generation snapshots. Every index mutation builds a new immutable
-// store view copy-on-write (the storage.Index Clone* methods) and
+// store view copy-on-write (the storage.ShardedStore Clone* methods) and
 // publishes it atomically:
 // the engine holds a single atomic pointer to the current snapshot, and a
 // query resolves that pointer exactly once at start. From then on the query
@@ -37,7 +37,7 @@ const DefaultRetainedGenerations = 4
 // views, the lazily built semantic ANN side-index).
 type snapshot struct {
 	gen   uint64
-	store storage.Index
+	store *storage.ShardedStore
 	cat   *minisql.Catalog // serves this generation's store view
 	// shardCats / nativeViews mirror the sharded fan-out state that used to
 	// live on the engine (nil / single-element for monolithic stores).
@@ -177,7 +177,7 @@ func (e *Engine) releaseEvicted(evicted []*snapshot, oldest uint64) {
 // sharded, and a reference on the lineage's file-mapping lease.
 //
 // lockguard: caller holds writeMu
-func (e *Engine) buildSnapshot(store storage.Index, gen uint64) *snapshot {
+func (e *Engine) buildSnapshot(store *storage.ShardedStore, gen uint64) *snapshot {
 	cat := minisql.NewCatalog()
 	cat.Register(alltables.Name, alltables.New(store))
 	sn := &snapshot{gen: gen, store: store, cat: cat, lease: e.lease}
@@ -209,7 +209,7 @@ type storeLease struct {
 }
 
 // newStoreLease wraps a store's closeable backing.
-func newStoreLease(store storage.Index) *storeLease {
+func newStoreLease(store *storage.ShardedStore) *storeLease {
 	return &storeLease{c: store}
 }
 

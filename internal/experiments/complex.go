@@ -32,12 +32,42 @@ const (
 	locBaseMulti      = 46
 )
 
-// taskResult aggregates one Table III column triple.
+// taskResult aggregates one Table III column triple. The timings go into
+// the report; the exact work counts of the optimized (blendWork) and
+// unoptimized (bnoWork) runs are what the rewrite claim is checked on,
+// because they do not depend on the machine.
 type taskResult struct {
-	blend, bno, base  time.Duration
-	locBlend, locBase int
-	systems           int
-	indexes           string
+	blend, bno, base   time.Duration
+	blendWork, bnoWork planWork
+	locBlend, locBase  int
+	systems            int
+	indexes            string
+}
+
+// planWork is the exact work of plan runs, read off their seeker stats:
+// the rows the seekers' (actual or equivalent) SQL produced, and how many
+// seekers ran with an optimizer rewrite.
+type planWork struct {
+	rows, rewritten int
+}
+
+func (w *planWork) add(res *blend.Result) {
+	for _, st := range res.Stats {
+		w.rows += st.SQLRows
+		if st.Rewritten {
+			w.rewritten++
+		}
+	}
+}
+
+// runBoth runs plan with and without the optimizer (BLEND and B-NO),
+// adding both timings and both work counts to res.
+func (res *taskResult) runBoth(ctx context.Context, d *blend.Discovery, plan *blend.Plan) {
+	var opt, bno *blend.Result
+	res.blend += timeIt(func() { opt = mustRun(d.Run(ctx, plan)) })
+	res.bno += timeIt(func() { bno = mustRun(d.Run(ctx, plan, blend.WithoutOptimizer())) })
+	res.blendWork.add(opt)
+	res.bnoWork.add(bno)
 }
 
 // RunComplexTasks regenerates Table III: the four complex discovery tasks,
@@ -95,8 +125,7 @@ func runNegativeTask(ctx context.Context, scale Scale, queries int) taskResult {
 			continue
 		}
 		plan := blend.NegativeExamplesPlan(pos, neg, 10)
-		res.blend += timeIt(func() { mustRun(d.Run(ctx, plan)) })
-		res.bno += timeIt(func() { mustRun(d.Run(ctx, plan, blend.WithoutOptimizer())) })
+		res.runBoth(ctx, d, plan)
 		res.base += timeIt(func() { baselineNegative(mateIx, db, pos, neg, 10) })
 	}
 	return res
@@ -163,8 +192,7 @@ func runImputationTask(ctx context.Context, scale Scale, queries int) taskResult
 		}
 		queriesCol := lake.QueryColumn(12)
 		plan := blend.ImputationPlan(examples, queriesCol, 10)
-		res.blend += timeIt(func() { mustRun(d.Run(ctx, plan)) })
-		res.bno += timeIt(func() { mustRun(d.Run(ctx, plan, blend.WithoutOptimizer())) })
+		res.runBoth(ctx, d, plan)
 		res.base += timeIt(func() { baselineImputation(mateIx, josieIx, db, examples, queriesCol, 10) })
 	}
 	return res
@@ -221,8 +249,7 @@ func runFeatureTask(ctx context.Context, scale Scale, queries int) taskResult {
 			joinTuples = append(joinTuples, []string{q.Keys[i]})
 		}
 		plan := blend.FeatureDiscoveryPlan(q.Keys, q.Targets, [][]float64{feature}, joinTuples, 10)
-		res.blend += timeIt(func() { mustRun(d.Run(ctx, plan)) })
-		res.bno += timeIt(func() { mustRun(d.Run(ctx, plan, blend.WithoutOptimizer())) })
+		res.runBoth(ctx, d, plan)
 		res.base += timeIt(func() {
 			baselineFeature(sketchIx, mateIx, db, q.Keys, q.Targets, [][]float64{feature}, joinTuples, 10)
 		})
@@ -279,8 +306,7 @@ func runMultiTask(ctx context.Context, scale Scale, queries int) taskResult {
 		if err != nil {
 			panic(err)
 		}
-		res.blend += timeIt(func() { mustRun(d.Run(ctx, plan)) })
-		res.bno += timeIt(func() { mustRun(d.Run(ctx, plan, blend.WithoutOptimizer())) })
+		res.runBoth(ctx, d, plan)
 		res.base += timeIt(func() {
 			baselineMulti(josieIx, starmieIx, sketchIx, db, keywords, query, 10)
 		})

@@ -60,18 +60,28 @@ func TestComplexTasksShape(t *testing.T) {
 	imp := runImputationTask(context.Background(), Small, 4)
 	multi := runMultiTask(context.Background(), Small, 2)
 
-	// Query rewriting helps the rewritable tasks: BLEND ≤ B-NO with slack
-	// for timer noise.
-	if float64(neg.blend) > 1.4*float64(neg.bno) {
-		t.Errorf("negative: BLEND %v should not exceed B-NO %v", neg.blend, neg.bno)
+	// Query rewriting helps the rewritable tasks: the optimizer rewrites at
+	// least one seeker, and the rewritten plan does no more work than B-NO.
+	// The work is the exact row count of the seekers' SQL (the timings stay
+	// in the report only — they depend on the machine).
+	for _, task := range []struct {
+		name string
+		res  taskResult
+	}{{"negative", neg}, {"imputation", imp}} {
+		w, bno := task.res.blendWork, task.res.bnoWork
+		if w.rewritten == 0 || bno.rewritten != 0 {
+			t.Errorf("%s: %d seekers rewritten with the optimizer, %d without; want > 0 and 0",
+				task.name, w.rewritten, bno.rewritten)
+		}
+		if w.rows > bno.rows {
+			t.Errorf("%s: BLEND produced %d SQL rows, more than B-NO's %d", task.name, w.rows, bno.rows)
+		}
 	}
-	if float64(imp.blend) > 1.2*float64(imp.bno) {
-		t.Errorf("imputation: BLEND %v should be under B-NO %v", imp.blend, imp.bno)
-	}
-	// Union-combined sub-plans gain nothing (paper: equal runtimes).
-	ratio := float64(multi.blend) / float64(multi.bno)
-	if ratio < 0.5 || ratio > 2.0 {
-		t.Errorf("multi-objective: BLEND %v vs B-NO %v should be comparable", multi.blend, multi.bno)
+	// Union-combined sub-plans gain nothing (paper: equal runtimes): no
+	// seeker is rewritten and the work is identical.
+	if multi.blendWork != multi.bnoWork || multi.blendWork.rewritten != 0 {
+		t.Errorf("multi-objective: BLEND work %+v vs B-NO %+v, want equal with no rewrite",
+			multi.blendWork, multi.bnoWork)
 	}
 	// LOC and system counts match the paper's table.
 	if neg.locBlend != 5 || imp.locBlend != 5 {

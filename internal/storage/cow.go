@@ -81,8 +81,9 @@ func (s *ShardedStore) ownShard(sh int) {
 	s.shards[sh] = s.shard(sh).cowClone()
 }
 
-// CloneAddTablesBatch implements Index.
-func (s *ShardedStore) CloneAddTablesBatch(tables []*table.Table, workers int) (Index, []int32) {
+// CloneAddTablesBatch derives an index with tables appended and returns
+// their global ids in input order; see addTablesBatch.
+func (s *ShardedStore) CloneAddTablesBatch(tables []*table.Table, workers int) (*ShardedStore, []int32) {
 	cp := s.cowClone()
 	touched := make(map[int]struct{})
 	for _, t := range tables {
@@ -94,8 +95,9 @@ func (s *ShardedStore) CloneAddTablesBatch(tables []*table.Table, workers int) (
 	return cp, cp.addTablesBatch(tables, workers)
 }
 
-// CloneRemoveTable implements Index.
-func (s *ShardedStore) CloneRemoveTable(tid int32) (Index, error) {
+// CloneRemoveTable derives an index with one table tombstoned; see
+// Store.removeTable.
+func (s *ShardedStore) CloneRemoveTable(tid int32) (*ShardedStore, error) {
 	if tid < 0 || int(tid) >= len(s.refs) {
 		return nil, berr.New(berr.CodeNotFound, "storage.remove", "no table with id %d", tid)
 	}
@@ -108,10 +110,12 @@ func (s *ShardedStore) CloneRemoveTable(tid int32) (Index, error) {
 	return cp, nil
 }
 
-// CloneCompact implements Index: it rebuilds the lake from its live
-// tables, preserving the shard count and the relative order of global ids
-// (which are reassigned contiguously).
-func (s *ShardedStore) CloneCompact() (Index, int) {
+// CloneCompact derives an index rebuilt without tombstoned tables, keeping
+// the shard count and the relative order of the (contiguously reassigned)
+// global ids, and reports how many it reclaimed; with none it returns the
+// receiver and 0. It never closes the parent's file mapping, which older
+// generations may still read.
+func (s *ShardedStore) CloneCompact() (*ShardedStore, int) {
 	removed := s.Tombstones()
 	if removed == 0 {
 		return s, 0

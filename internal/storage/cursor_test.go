@@ -1,0 +1,158 @@
+package storage
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"blend/internal/table"
+	"blend/internal/xash"
+)
+
+// cursorEntry is one posting as a cursor reports it.
+type cursorEntry struct {
+	pos, tid, cid, rid int32
+	super              xash.Key
+}
+
+// drain collects every entry of a cursor, with super keys when super is
+// set, checking the block contract on the way.
+func drain(t *testing.T, c PostingCursor, super bool) []cursorEntry {
+	t.Helper()
+	var blk PostingBlock
+	var out []cursorEntry
+	for c.Next(&blk, super) {
+		if blk.N <= 0 || blk.N > BlockSize {
+			t.Fatalf("block of %d entries", blk.N)
+		}
+		for i := range blk.N {
+			e := cursorEntry{pos: blk.Pos[i], tid: blk.TID[i], cid: blk.CID[i], rid: blk.RID[i]}
+			if super {
+				e.super = blk.Super[i]
+			}
+			out = append(out, e)
+		}
+	}
+	if blk.N != 0 || c.Next(&blk, super) {
+		t.Fatal("an exhausted cursor yielded again")
+	}
+	return out
+}
+
+// positions lists the entry positions a Reader's cursor yields for v.
+func positions(t *testing.T, r Reader, v string) []int32 {
+	t.Helper()
+	var out []int32
+	for _, e := range drain(t, r.Postings(v), false) {
+		out = append(out, e.pos)
+	}
+	return out
+}
+
+// bruteForcePostings scans every entry of r through the per-entry
+// accessors: the live entries holding v, in position order.
+func bruteForcePostings(r Reader, v string, super bool) []cursorEntry {
+	var out []cursorEntry
+	for i := int32(0); i < int32(r.NumEntries()); i++ {
+		if r.Value(i) != v || !r.TableAlive(r.TableID(i)) {
+			continue
+		}
+		e := cursorEntry{pos: i, tid: r.TableID(i), cid: r.ColumnID(i), rid: r.RowID(i)}
+		if super {
+			e.super = r.SuperKey(i)
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// cursorLake holds a value longer than one block ("many", 705 postings
+// over 11 tables), one exactly one block long inside one table ("exact",
+// 256), short ones, and one ("onlyDead") whose only table is the one the
+// tombstoned cases remove.
+func cursorLake() []*table.Table {
+	var tables []*table.Table
+	for ti := 0; ti < 10; ti++ {
+		tb := table.New(fmt.Sprintf("L%d", ti), "Team", "Code", "Num")
+		for r := 0; r < 70; r++ {
+			tb.MustAppendRow("many", fmt.Sprintf("c%d", (r+ti)%7), fmt.Sprint(r*ti))
+		}
+		tables = append(tables, tb)
+	}
+	e := table.New("E", "x")
+	for r := 0; r < BlockSize; r++ {
+		e.MustAppendRow("exact")
+	}
+	d := table.New("D", "Team", "Tag")
+	for r := 0; r < 5; r++ {
+		d.MustAppendRow("many", "onlyDead")
+	}
+	tables = append(tables, e, d)
+	for _, tb := range tables {
+		tb.InferKinds()
+	}
+	return tables
+}
+
+// TestPostingCursorMatchesBruteForce checks the cursor against a scan over
+// the per-entry accessors for every dictionary value and a missing one,
+// across shard counts, heap-built / eagerly loaded / mapped stores, with
+// and without a tombstone, on the global store and on every shard view.
+func TestPostingCursorMatchesBruteForce(t *testing.T) {
+	lake := cursorLake()
+	for _, shards := range []int{1, 3, 4} {
+		for _, dead := range []bool{false, true} {
+			heap := Build(lake, shards)
+			if dead {
+				var err error
+				if heap, err = heap.CloneRemoveTable(heap.TableIDByName("D")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			path := saveTemp(t, heap, "cursor.blend")
+			eager, err := LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped, err := MapFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range []struct {
+				name string
+				s    *ShardedStore
+			}{{"heap", heap}, {"loadfile", eager}, {"mapfile", mapped}} {
+				t.Run(fmt.Sprintf("shards=%d/dead=%v/%s", shards, dead, src.name), func(t *testing.T) {
+					values := map[string]bool{"no-such-value": true}
+					for i := int32(0); i < int32(src.s.NumEntries()); i++ {
+						values[src.s.Value(i)] = true
+					}
+					readers := []Reader{src.s}
+					readers = append(readers, src.s.ShardReaders()...)
+					for ri, r := range readers {
+						for v := range values {
+							for _, super := range []bool{false, true} {
+								got := drain(t, r.Postings(v), super)
+								want := bruteForcePostings(r, v, super)
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("reader %d, value %q, super %v: cursor %d entries, brute force %d",
+										ri, v, super, len(got), len(want))
+								}
+							}
+						}
+					}
+					if n := len(positions(t, src.s, "many")); n <= BlockSize || (dead && n != 700) {
+						t.Fatalf("many: %d postings", n)
+					}
+					if n := len(positions(t, src.s, "exact")); n != BlockSize {
+						t.Fatalf("exact: %d postings, want one full block", n)
+					}
+					if n := len(positions(t, src.s, "onlyDead")); (n == 0) != dead {
+						t.Fatalf("onlyDead: %d postings with dead=%v", n, dead)
+					}
+				})
+			}
+			mapped.Close()
+		}
+	}
+}

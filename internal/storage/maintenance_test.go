@@ -26,8 +26,8 @@ func batchLake(prefix string, n int) []*table.Table {
 	return out
 }
 
-// storeTuples snapshots every live table's content through a Reader.
-func storeTuples(r Reader) map[string][]entryTuple {
+// storeTuples snapshots every live table's content.
+func storeTuples(r *ShardedStore) map[string][]entryTuple {
 	out := make(map[string][]entryTuple)
 	for tid := 0; tid < r.NumTables(); tid++ {
 		if !r.TableAlive(int32(tid)) {
@@ -39,7 +39,7 @@ func storeTuples(r Reader) map[string][]entryTuple {
 }
 
 // mustRemove tombstones tid copy-on-write, failing the test on error.
-func mustRemove(t *testing.T, s Index, tid int32) Index {
+func mustRemove(t *testing.T, s *ShardedStore, tid int32) *ShardedStore {
 	t.Helper()
 	next, err := s.CloneRemoveTable(tid)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestAddTablesBatchMatchesSequential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("Column/shards=%d", shards), func(t *testing.T) {
 			batch := batchLake("B", 9)
-			var seq Index = Build(lakeFixture(), shards)
+			seq := Build(lakeFixture(), shards)
 			var seqIDs []int32
 			for _, tb := range batch {
 				var ids []int32
@@ -112,16 +112,22 @@ func TestRemoveTableHidesEveryReadSurface(t *testing.T) {
 			if got := s.Frequency("Firenze"); got != beforeFreq-1 {
 				t.Fatalf("Frequency after remove = %d, want %d", got, beforeFreq-1)
 			}
-			for _, p := range s.Postings("Firenze") {
-				if s.TableID(p) == tid {
+			entries := drain(t, s.Postings("Firenze"), false)
+			if len(entries) != beforeFreq-1 {
+				t.Fatalf("cursor yields %d entries after remove, want %d", len(entries), beforeFreq-1)
+			}
+			for _, e := range entries {
+				if e.tid == tid || s.TableID(e.pos) == tid {
 					t.Fatal("postings still reference the removed table")
 				}
 			}
-			s.ScanPostings("Firenze", func(stid, cid, rid int32) {
-				if stid == tid {
-					t.Fatal("scan still streams the removed table")
+			for _, v := range s.ShardReaders() {
+				for _, e := range drain(t, v.Postings("Firenze"), false) {
+					if e.tid == tid {
+						t.Fatal("a shard view still streams the removed table")
+					}
 				}
-			})
+			}
 			// Double removal and out-of-range ids are typed errors.
 			if _, err := s.CloneRemoveTable(tid); err == nil {
 				t.Fatal("double remove must fail")

@@ -25,3 +25,17 @@ func mmapFile(f *os.File, size int64) (data []byte, release func() error, err er
 	}
 	return d, func() error { return syscall.Munmap(d) }, nil
 }
+
+// syncDir fsyncs a directory, making the entries created or renamed in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -40,45 +40,55 @@ func (s *ShardedStore) Save(w io.Writer) error {
 	return writeSegmented(w, shards, s.refs)
 }
 
-// SaveFile writes the index to a file.
+// SaveFile writes the index to a file durably: once it returns, a power
+// loss leaves either the old file or the complete new one at path.
 func (s *ShardedStore) SaveFile(path string) error {
-	// Write to a temp file and rename into place. Besides crash safety,
-	// this must never truncate the target in place: path may back the live
-	// mapping of the very store being saved (open-mapped → append → save
-	// flows), and an in-place os.Create would tear the pages out from
-	// under the save's own lazy shard reads mid-write.
+	// Never truncate the target in place: path may back the live mapping
+	// of the very store being saved (open-mapped → append → save flows),
+	// and an in-place os.Create would tear the pages out from under the
+	// save's own lazy shard reads mid-write.
+	f, err := replaceFile(path, func(f *os.File) error { return s.Save(f) })
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// replaceFile durably replaces the file at path with what write puts in a
+// temp file beside it: the temp file is synced and renamed over path, and
+// the directory synced so the rename itself survives a crash. It returns
+// the renamed file, still open and positioned after the written bytes,
+// whenever the rename happened (even if the directory sync then failed).
+func replaceFile(path string, write func(*os.File) error) (*os.File, error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
+	err = write(f)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp defaults to 0600
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
 		f.Close()
-		os.Remove(tmp)
-		return err
+		os.Remove(f.Name())
+		return nil, err
 	}
-	if err := s.Save(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Chmod(0o644); err != nil { // CreateTemp defaults to 0600
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return f, syncDir(dir)
 }
 
 // Load reads a v4 index previously written by Save and decodes every shard
 // eagerly. Unreadable, corrupt, or retired-format inputs report typed
 // bad-index errors.
-func Load(r io.Reader) (Index, error) {
+func Load(r io.Reader) (*ShardedStore, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, berr.Wrap(berr.CodeBadIndex, "storage.load", err)
@@ -93,7 +103,7 @@ func Load(r io.Reader) (Index, error) {
 // LoadFile reads a v4 index from a file, decoding everything eagerly. A
 // missing or unreadable file reports a typed bad-index error wrapping the
 // underlying cause, so errors.Is(err, fs.ErrNotExist) still works.
-func LoadFile(path string) (Index, error) {
+func LoadFile(path string) (*ShardedStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, berr.Wrap(berr.CodeBadIndex, "storage.open", err)
@@ -107,7 +117,7 @@ func LoadFile(path string) (Index, error) {
 // bitmaps are decoded up front, so opening is O(footer) instead of
 // O(index); shards materialize on first touch (see ShardedStore.shard).
 // Callers that are done with a mapped index should Close it.
-func MapFile(path string) (Index, error) {
+func MapFile(path string) (*ShardedStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, berr.Wrap(berr.CodeBadIndex, "storage.open", err)

@@ -15,8 +15,9 @@ import (
 
 // ShardedStore hash-partitions the AllTables relation across N shards, one
 // Store per shard, each with its own dictionary, inverted index, and
-// table-range index; it is the one implementation of Index, and N = 1 is
-// the monolithic case. Tables are assigned whole to a shard by a hash of
+// table-range index; N = 1 is the monolithic case. It is the whole index:
+// the Reader, the per-shard views (ShardReaders), copy-on-write
+// maintenance (cow.go) and persistence (persist.go). Tables are assigned whole to a shard by a hash of
 // their name, so every per-table aggregate the seekers' SQL computes
 // (GROUP BY TableId, joins on TableId/RowId) is shard-local and the engine
 // can execute a seeker against every shard concurrently and merge top-k.
@@ -210,14 +211,23 @@ func (s *ShardedStore) NumTables() int { return len(s.refs) }
 // NumDistinctValues reports the number of distinct cell values across the
 // whole lake. Dictionaries are per-shard, so this deduplicates across them;
 // it is an O(dictionary) scan meant for stats, not hot paths.
-func (s *ShardedStore) NumDistinctValues() int {
+func (s *ShardedStore) NumDistinctValues() int { return s.distinctValues(s.shard) }
+
+// distinctValues counts the distinct values across the dictionaries of the
+// shards get returns, skipping shards it returns nil for.
+func (s *ShardedStore) distinctValues(get func(int) *Store) int {
 	if len(s.shards) == 1 {
-		return s.shard(0).NumDistinctValues()
+		if sh := get(0); sh != nil {
+			return len(sh.dict)
+		}
+		return 0
 	}
 	seen := make(map[string]struct{})
 	for i := range s.shards {
-		for _, v := range s.shard(i).dict {
-			seen[v] = struct{}{}
+		if sh := get(i); sh != nil {
+			for _, v := range sh.dict {
+				seen[v] = struct{}{}
+			}
 		}
 	}
 	return len(seen)
@@ -314,45 +324,22 @@ func (s *ShardedStore) Quadrant(i int32) int8 {
 	return s.shard(sh).Quadrant(l)
 }
 
-// Postings returns the global entry positions whose CellValue equals v,
-// merged across shards in ascending position order. With more than one
-// shard the slice is freshly allocated per call (per-shard postings cannot
-// be shared globally); Frequency avoids the allocation when only the count
-// is needed.
-func (s *ShardedStore) Postings(v string) []int32 {
-	if len(s.shards) == 1 {
-		return s.shard(0).Postings(v)
-	}
-	n := s.Frequency(v)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int32, 0, n)
-	for si := range s.shards {
-		for _, p := range s.shard(si).Postings(v) {
-			out = append(out, p+s.base[si])
-		}
-	}
-	return out
+// Postings returns a cursor over the live entries holding value v across
+// every shard in shard order, with global positions and table ids.
+func (s *ShardedStore) Postings(v string) PostingCursor {
+	return PostingCursor{s: s, value: v, end: len(s.shards), global: true}
 }
 
-// ScanPostings streams the entries holding value v across all shards in
-// shard order, reporting global table ids.
+// ScanPostings streams the (TableId, ColumnId, RowId) attributes of every
+// live entry holding value v, in ascending global position order: a loop
+// over Postings for callers that want one callback per entry.
 func (s *ShardedStore) ScanPostings(v string, fn func(tid, cid, rid int32)) {
-	for si := range s.shards {
-		g := s.globalTID[si]
-		s.shard(si).ScanPostings(v, func(tid, cid, rid int32) { fn(g[tid], cid, rid) })
-	}
-}
-
-// ScanPostingsSuper streams the entries holding value v, with their row
-// super keys, across all shards in shard order, reporting global table ids.
-func (s *ShardedStore) ScanPostingsSuper(v string, fn func(tid, cid, rid int32, super xash.Key)) {
-	for si := range s.shards {
-		g := s.globalTID[si]
-		s.shard(si).ScanPostingsSuper(v, func(tid, cid, rid int32, super xash.Key) {
-			fn(g[tid], cid, rid, super)
-		})
+	var blk PostingBlock
+	cur := s.Postings(v)
+	for cur.Next(&blk, false) {
+		for i := range blk.N {
+			fn(blk.TID[i], blk.CID[i], blk.RID[i])
+		}
 	}
 }
 
@@ -378,14 +365,7 @@ func (s *ShardedStore) Frequency(v string) int {
 
 // AvgFrequency returns the mean index frequency of the given values.
 func (s *ShardedStore) AvgFrequency(values []string) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	total := 0
-	for _, v := range values {
-		total += s.Frequency(v)
-	}
-	return float64(total) / float64(len(values))
+	return avgFrequency(values, s.Frequency)
 }
 
 // TableEntries returns the global [start, end) entry range of a table id.
@@ -441,19 +421,7 @@ func (s *ShardedStore) ComputeStats() Stats {
 		EstimatedBytes: s.SizeBytes(),
 		ResidentShards: s.ResidentShards(),
 		MappedBytes:    s.MappedBytes(),
-	}
-	if st.ResidentShards == len(s.shards) {
-		st.DistinctValues = s.NumDistinctValues()
-	} else {
-		seen := make(map[string]struct{})
-		for i := range s.shards {
-			if sh := s.residentShard(i); sh != nil {
-				for _, v := range sh.dict {
-					seen[v] = struct{}{}
-				}
-			}
-		}
-		st.DistinctValues = len(seen)
+		DistinctValues: s.distinctValues(s.residentShard),
 	}
 	totalPost, dictEntries := 0, 0
 	var cols, rows, liveTables int
@@ -570,27 +538,12 @@ type shardView struct {
 
 func (v *shardView) store() *Store { return v.parent.shard(v.shard) }
 
-// NumShards reports 1: a view is a single partition.
-func (v *shardView) NumShards() int { return 1 }
-
 // NumEntries reports the shard-local tuple count.
 func (v *shardView) NumEntries() int { return v.store().NumEntries() }
 
 // NumTables reports the global table count, so global table ids stay in
 // range for bounds checks at the SQL layer.
 func (v *shardView) NumTables() int { return v.parent.NumTables() }
-
-// NumDistinctValues reports the shard's dictionary size.
-func (v *shardView) NumDistinctValues() int { return v.store().NumDistinctValues() }
-
-// TableMeta delegates to the global catalog.
-func (v *shardView) TableMeta(tid int32) TableMeta { return v.parent.TableMeta(tid) }
-
-// TableName delegates to the global catalog.
-func (v *shardView) TableName(tid int32) string { return v.parent.TableName(tid) }
-
-// TableIDByName delegates to the global catalog.
-func (v *shardView) TableIDByName(name string) int32 { return v.parent.TableIDByName(name) }
 
 // TableAlive delegates to the global catalog.
 func (v *shardView) TableAlive(tid int32) bool { return v.parent.TableAlive(tid) }
@@ -618,23 +571,11 @@ func (v *shardView) SuperKey(i int32) xash.Key { return v.store().SuperKey(i) }
 // Quadrant returns the quadrant bit of shard-local entry i.
 func (v *shardView) Quadrant(i int32) int8 { return v.store().Quadrant(i) }
 
-// Postings returns shard-local entry positions for value v.
-func (v *shardView) Postings(val string) []int32 { return v.store().Postings(val) }
-
-// ScanPostings streams the shard's entries holding value val, reporting
-// global table ids so per-shard native scans merge like per-shard SQL.
-func (v *shardView) ScanPostings(val string, fn func(tid, cid, rid int32)) {
-	g := v.parent.globalTID[v.shard]
-	v.store().ScanPostings(val, func(tid, cid, rid int32) { fn(g[tid], cid, rid) })
-}
-
-// ScanPostingsSuper streams the shard's entries holding value val with
-// their row super keys, reporting global table ids.
-func (v *shardView) ScanPostingsSuper(val string, fn func(tid, cid, rid int32, super xash.Key)) {
-	g := v.parent.globalTID[v.shard]
-	v.store().ScanPostingsSuper(val, func(tid, cid, rid int32, super xash.Key) {
-		fn(g[tid], cid, rid, super)
-	})
+// Postings returns a cursor over the shard's live entries holding value
+// val, with shard-local positions and global table ids, so per-shard
+// native scans merge like per-shard SQL.
+func (v *shardView) Postings(val string) PostingCursor {
+	return PostingCursor{s: v.parent, value: val, next: v.shard, end: v.shard + 1}
 }
 
 // ScanTableNumeric streams the numeric cells of a global table id with
@@ -650,9 +591,6 @@ func (v *shardView) ScanTableNumeric(tid, maxRow int32, fn func(cid, rid int32, 
 	}
 	v.store().ScanTableNumeric(r.local, maxRow, fn)
 }
-
-// Frequency returns the shard-local frequency of value v.
-func (v *shardView) Frequency(val string) int { return v.store().Frequency(val) }
 
 // AvgFrequency returns the shard-local mean frequency.
 func (v *shardView) AvgFrequency(values []string) float64 { return v.store().AvgFrequency(values) }
@@ -675,12 +613,6 @@ func (v *shardView) ReconstructRow(tid, rid int32) []string { return v.parent.Re
 
 // ReconstructTable materializes a global table id.
 func (v *shardView) ReconstructTable(tid int32) *table.Table { return v.parent.ReconstructTable(tid) }
-
-// SizeBytes reports the shard's resident size.
-func (v *shardView) SizeBytes() int64 { return v.store().SizeBytes() }
-
-// ComputeStats summarizes the single shard.
-func (v *shardView) ComputeStats() Stats { return v.store().ComputeStats() }
 
 // String identifies the view in diagnostics.
 func (v *shardView) String() string {

@@ -83,8 +83,8 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 		t.Fatalf("distinct values %d != %d", shard.NumDistinctValues(), mono.NumDistinctValues())
 	}
 	for tid := int32(0); tid < int32(mono.NumTables()); tid++ {
-		if shard.TableName(tid) != mono.TableName(tid) {
-			t.Fatalf("table %d name %q != %q", tid, shard.TableName(tid), mono.TableName(tid))
+		if shard.TableName(tid) != mono.TableMeta(tid).Name {
+			t.Fatalf("table %d name %q != %q", tid, shard.TableName(tid), mono.TableMeta(tid).Name)
 		}
 		if !reflect.DeepEqual(tableTuples(shard, tid), tableTuples(mono, tid)) {
 			t.Fatalf("table %d entries differ", tid)
@@ -125,7 +125,7 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 			})
 			return out
 		}
-		if !reflect.DeepEqual(decode(shard, shard.Postings(v)), decode(mono, mono.Postings(v))) {
+		if !reflect.DeepEqual(decode(shard, positions(t, shard, v)), decode(mono, positions(t, mono, v))) {
 			t.Fatalf("Postings(%q) decode differently", v)
 		}
 	}
@@ -154,9 +154,14 @@ func TestShardedGlobalPositionsConsistent(t *testing.T) {
 			}
 		}
 	}
-	p := s.Postings("HR")
-	if !sort.SliceIsSorted(p, func(a, b int) bool { return p[a] < p[b] }) {
-		t.Fatal("merged postings not sorted")
+	p := positions(t, s, "HR")
+	if len(p) != s.Frequency("HR") || !sort.SliceIsSorted(p, func(a, b int) bool { return p[a] < p[b] }) {
+		t.Fatalf("merged postings %v: want all %d live HR entries, ascending", p, s.Frequency("HR"))
+	}
+	for _, e := range drain(t, s.Postings("HR"), true) {
+		if s.TableID(e.pos) != e.tid || s.RowID(e.pos) != e.rid || s.SuperKey(e.pos) != e.super {
+			t.Fatalf("cursor entry %+v disagrees with global position %d", e, e.pos)
+		}
 	}
 }
 
@@ -169,7 +174,14 @@ func TestShardReaderViews(t *testing.T) {
 	totalEntries, totalFreq := 0, 0
 	for _, v := range views {
 		totalEntries += v.NumEntries()
-		totalFreq += v.Frequency("HR")
+		hr := drain(t, v.Postings("HR"), false)
+		totalFreq += len(hr)
+		for _, e := range hr {
+			// Positions are shard-local, table ids global.
+			if v.TableID(e.pos) != e.tid || v.Value(e.pos) != "HR" {
+				t.Fatalf("view cursor entry %+v disagrees with its local position", e)
+			}
+		}
 		if v.NumTables() != s.NumTables() {
 			t.Fatal("view must report the global table count")
 		}

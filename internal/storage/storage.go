@@ -10,6 +10,12 @@
 // paper's column-store deployment). The index is a ShardedStore of one or
 // more Store partitions; a single-shard ShardedStore is the monolithic
 // case.
+//
+// Every consumer reads postings the same way: Reader.Postings returns a
+// PostingCursor that gathers the live entries of one value into a
+// caller-owned PostingBlock of parallel position / table / column / row
+// (and, on request, super-key) columns, block by block, mapping shard-local
+// table ids to global ones as it goes.
 package storage
 
 import (
@@ -251,9 +257,6 @@ func parseFloat(s string) (float64, bool) {
 	return f, err == nil
 }
 
-// NumShards reports 1: a store is a single partition.
-func (s *Store) NumShards() int { return 1 }
-
 // NumEntries reports the number of AllTables tuples.
 func (s *Store) NumEntries() int { return len(s.valIdx) }
 
@@ -265,15 +268,6 @@ func (s *Store) NumDistinctValues() int { return len(s.dict) }
 
 // TableMeta returns catalog information for a table id.
 func (s *Store) TableMeta(tid int32) TableMeta { return s.tables[tid] }
-
-// TableName returns the name of a table id, or "" if out of range or
-// tombstoned.
-func (s *Store) TableName(tid int32) string {
-	if !s.TableAlive(tid) {
-		return ""
-	}
-	return s.tables[tid].Name
-}
 
 // TableIDByName returns the id of the named live table, or -1.
 func (s *Store) TableIDByName(name string) int32 {
@@ -306,78 +300,36 @@ func (s *Store) SuperKey(i int32) xash.Key {
 // non-numeric cells.
 func (s *Store) Quadrant(i int32) int8 { return s.quadrant[i] }
 
-// Postings returns the sorted entry positions whose CellValue equals v
-// (the in-DB inverted index lookup), restricted to live tables. Without
-// tombstones the shared index slice is returned directly (callers must not
-// modify it); with tombstones a filtered copy is allocated — compaction
-// restores the zero-copy path.
-func (s *Store) Postings(v string) []int32 {
+// postingList returns every entry position whose CellValue equals v, in
+// ascending order and tombstoned tables included — the in-DB inverted
+// index lookup a PostingCursor gathers from. Callers must not modify it.
+func (s *Store) postingList(v string) []int32 {
 	vi, ok := s.lookupValue(v)
 	if !ok {
 		return nil
 	}
-	if s.numDead == 0 {
-		return s.postings[vi]
-	}
-	out := make([]int32, 0, len(s.postings[vi]))
-	for _, p := range s.postings[vi] {
-		if !s.dead[s.tableIDs[p]] {
-			out = append(out, p)
-		}
-	}
-	return out
+	return s.postings[vi]
+}
+
+// Postings returns a cursor over the live entries holding value v, with
+// the store's own positions and table ids.
+func (s *Store) Postings(v string) PostingCursor {
+	return PostingCursor{st: s, list: s.postingList(v)}
 }
 
 // Frequency returns the number of live index entries holding value v.
 func (s *Store) Frequency(v string) int {
-	vi, ok := s.lookupValue(v)
-	if !ok {
-		return 0
-	}
+	list := s.postingList(v)
 	if s.numDead == 0 {
-		return len(s.postings[vi])
+		return len(list)
 	}
 	n := 0
-	for _, p := range s.postings[vi] {
+	for _, p := range list {
 		if !s.dead[s.tableIDs[p]] {
 			n++
 		}
 	}
 	return n
-}
-
-// ScanPostings streams the (TableId, ColumnId, RowId) attributes of every
-// entry holding value v, in ascending entry-position order — the native
-// posting-list access path the engine's fast seeker executor scans instead
-// of interpreting SQL.
-func (s *Store) ScanPostings(v string, fn func(tid, cid, rid int32)) {
-	vi, ok := s.lookupValue(v)
-	if !ok {
-		return
-	}
-	for _, p := range s.postings[vi] {
-		if s.numDead > 0 && s.dead[s.tableIDs[p]] {
-			continue
-		}
-		fn(s.tableIDs[p], s.columnIDs[p], s.rowIDs[p])
-	}
-}
-
-// ScanPostingsSuper streams, for every entry holding value v, its
-// (TableId, ColumnId, RowId) attributes plus the XASH super key of its row
-// — the candidate stream of the native multi-column executor.
-func (s *Store) ScanPostingsSuper(v string, fn func(tid, cid, rid int32, super xash.Key)) {
-	vi, ok := s.lookupValue(v)
-	if !ok {
-		return
-	}
-	for _, p := range s.postings[vi] {
-		if s.numDead > 0 && s.dead[s.tableIDs[p]] {
-			continue
-		}
-		fn(s.tableIDs[p], s.columnIDs[p], s.rowIDs[p],
-			xash.Key{Lo: s.superLo[p], Hi: s.superHi[p]})
-	}
 }
 
 // ScanTableNumeric streams the numeric cells (Quadrant not null) of table
@@ -402,15 +354,18 @@ func (s *Store) ScanTableNumeric(tid, maxRow int32, fn func(cid, rid int32, q in
 	}
 }
 
-// AvgFrequency returns the mean index frequency of the given values — the
-// statistic BLEND's learned cost model uses as a feature (§VII-B).
-func (s *Store) AvgFrequency(values []string) float64 {
+// AvgFrequency returns the mean index frequency of the given values.
+func (s *Store) AvgFrequency(values []string) float64 { return avgFrequency(values, s.Frequency) }
+
+// avgFrequency returns the mean of freq over values — the statistic BLEND's
+// learned cost model uses as a feature (§VII-B).
+func avgFrequency(values []string, freq func(string) int) float64 {
 	if len(values) == 0 {
 		return 0
 	}
 	total := 0
 	for _, v := range values {
-		total += s.Frequency(v)
+		total += freq(v)
 	}
 	return float64(total) / float64(len(values))
 }

@@ -59,7 +59,7 @@ func TestBuildBasics(t *testing.T) {
 
 func TestPostings(t *testing.T) {
 	s := Build(lakeFixture(), 1)
-	p := s.Postings("Firenze")
+	p := positions(t, s, "Firenze")
 	if len(p) != 3 { // S, T2, T3
 		t.Fatalf("Firenze postings = %d, want 3", len(p))
 	}
@@ -70,8 +70,8 @@ func TestPostings(t *testing.T) {
 	if !tables[0] || !tables[2] || !tables[3] {
 		t.Fatalf("Firenze found in wrong tables: %v", tables)
 	}
-	if s.Postings("nonexistent") != nil {
-		t.Fatal("missing value should have nil postings")
+	if p := positions(t, s, "nonexistent"); p != nil {
+		t.Fatalf("missing value has postings %v", p)
 	}
 	if s.Frequency("HR") != 4 { // S, T1, T2, T3
 		t.Fatalf("Frequency(HR) = %d", s.Frequency("HR"))
@@ -177,7 +177,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		}
 	}
 	// Derived indexes must be rebuilt identically.
-	if len(back.Postings("Firenze")) != len(orig.Postings("Firenze")) {
+	if !reflect.DeepEqual(positions(t, back, "Firenze"), positions(t, orig, "Firenze")) {
 		t.Fatal("postings differ after round trip")
 	}
 	for tid := int32(0); tid < int32(orig.NumTables()); tid++ {
@@ -269,8 +269,8 @@ func TestAddTableIncremental(t *testing.T) {
 		t.Fatalf("table counts: derived %d, parent %d", s.NumTables(), orig.NumTables())
 	}
 	// New value visible through the derived index's inverted index only.
-	if len(s.Postings("Legal")) != 1 || orig.Frequency("Legal") != 0 {
-		t.Fatalf("Legal postings = %d, parent frequency %d", len(s.Postings("Legal")), orig.Frequency("Legal"))
+	if len(positions(t, s, "Legal")) != 1 || orig.Frequency("Legal") != 0 {
+		t.Fatalf("Legal postings = %d, parent frequency %d", len(positions(t, s, "Legal")), orig.Frequency("Legal"))
 	}
 	// Existing value frequency grew.
 	if s.Frequency("HR") != 5 {

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"blend/internal/berr"
@@ -25,8 +26,10 @@ import (
 // and Open truncates the file back to the last intact record so the next
 // append extends a clean tail. A checkpoint record marks "the index was
 // durably saved at generation g": replay starts from the last checkpoint,
-// and Reset rewrites the log to just that marker after each successful
-// Save.
+// and Checkpoint replaces the log with just that marker after each
+// successful Save — by writing a new file and renaming it over the old
+// one, so a crash mid-checkpoint leaves either log intact, never a
+// truncated one.
 
 // WAL record kinds.
 const (
@@ -89,6 +92,11 @@ func OpenWAL(path string) (*WAL, []WALRecord, uint64, error) {
 		}
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		f.Close()
+		return nil, nil, 0, berr.Wrap(berr.CodeBadIndex, walOp, err)
+	}
+	// Make the log's directory entry durable in case this call created it.
+	if err := syncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, nil, 0, berr.Wrap(berr.CodeBadIndex, walOp, err)
 	}
@@ -174,27 +182,27 @@ func (w *WAL) Compact() error {
 	return w.append(walCompact, nil)
 }
 
-// Checkpoint rewrites the log to a single checkpoint marker at gen — the
+// Checkpoint replaces the log with a single checkpoint marker at gen — the
 // index was just durably saved, so the mutations before it need never be
-// replayed again.
+// replayed again. The marker goes to a new synced file that is renamed
+// over the log, and later appends extend that file.
 func (w *WAL) Checkpoint(gen uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.f.Truncate(0); err != nil {
-		return berr.Wrap(berr.CodeBadIndex, walOp, err)
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return berr.Wrap(berr.CodeBadIndex, walOp, err)
-	}
 	rec := make([]byte, 0, 5+8+4)
 	rec = append(rec, walCheckpoint)
 	rec = appendU32(rec, 8)
 	rec = appendU64(rec, gen)
 	rec = appendU32(rec, crc32.Checksum(rec, castagnoli))
-	if _, err := w.f.Write(rec); err != nil {
-		return berr.Wrap(berr.CodeBadIndex, walOp, err)
+	f, err := replaceFile(w.path, func(f *os.File) error {
+		_, err := f.Write(rec)
+		return err
+	})
+	if f != nil {
+		w.f.Close() // superseded: its records were synced as they were appended
+		w.f = f
 	}
-	if err := w.f.Sync(); err != nil {
+	if err != nil {
 		return berr.Wrap(berr.CodeBadIndex, walOp, err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -112,10 +113,14 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
-// TestWALCheckpoint verifies Checkpoint rewrites the log to one marker:
-// earlier mutations are never replayed again and the generation survives.
+// TestWALCheckpoint verifies Checkpoint replaces the log with one marker:
+// earlier mutations are never replayed again, the generation survives, the
+// appends after it replay in order, and the old log was replaced by a
+// rename (a handle opened before the checkpoint still reads the old
+// records) with no temp file left behind.
 func TestWALCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
 	w, _, _, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
@@ -123,13 +128,36 @@ func TestWALCheckpoint(t *testing.T) {
 	if err := w.AddTables([]*table.Table{walTestTable("W1")}); err != nil {
 		t.Fatal(err)
 	}
+	before, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer before.Close()
 	if err := w.Checkpoint(42); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.RemoveTable(5); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.AddTables([]*table.Table{walTestTable("W2")}); err != nil {
+		t.Fatal(err)
+	}
 	w.Close()
+
+	old, err := io.ReadAll(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, gen, _ := replayWAL(old); gen != 0 || len(recs) != 1 {
+		t.Fatalf("pre-checkpoint log was rewritten in place: recs=%d gen=%d", len(recs), gen)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "wal.log" {
+		t.Fatalf("directory after checkpoint holds %v, want only wal.log", entries)
+	}
 
 	w2, recs, gen, err := OpenWAL(path)
 	if err != nil {
@@ -139,10 +167,13 @@ func TestWALCheckpoint(t *testing.T) {
 	if gen != 42 {
 		t.Fatalf("checkpoint generation %d, want 42", gen)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("post-checkpoint replay: %d records, want 1", len(recs))
+	if len(recs) != 2 {
+		t.Fatalf("post-checkpoint replay: %d records, want 2", len(recs))
 	}
 	if tid, ok := recs[0].IsRemove(); !ok || tid != 5 {
 		t.Fatalf("rec 0 = %+v", recs[0])
+	}
+	if tables, ok := recs[1].IsAddTables(); !ok || len(tables) != 1 || tables[0].Name != "W2" {
+		t.Fatalf("rec 1 = %+v", recs[1])
 	}
 }
