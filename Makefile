@@ -4,8 +4,11 @@ GO ?= go
 
 .PHONY: build test race lint lint-fix bench fuzz cover
 
+# build also vets the nested bench/ module: the root `go build ./...`
+# skips it, yet it compiles against the root module's internals.
 build:
 	$(GO) build ./...
+	(cd bench && $(GO) vet ./...)
 
 test:
 	$(GO) test ./...

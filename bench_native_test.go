@@ -75,7 +75,7 @@ func BenchmarkKWSeekerNativePath(b *testing.B) {
 func BenchmarkKWSeekerSQLPath(b *testing.B) { benchPathSetup(b); benchSeekKW(b, benchPath.colSQL) }
 
 // The same pairing over a 4-shard store: per-shard scans + bounded-heap
-// merge vs per-shard SQL fan-out + merged re-sort.
+// merge vs SQL over the one AllTables relation spanning every shard.
 func BenchmarkSCSeekerShardedNativePath(b *testing.B) {
 	benchPathSetup(b)
 	benchSeekSC(b, benchPath.shardNative)
@@ -104,7 +104,7 @@ func BenchmarkMCNative(b *testing.B) { benchPathSetup(b); benchSeekMC(b, benchPa
 func BenchmarkMCSQL(b *testing.B)    { benchPathSetup(b); benchSeekMC(b, benchPath.colSQL) }
 
 // The same MC pairing over a 4-shard store: concurrent per-shard candidate
-// joins vs the per-shard SQL fan-out.
+// joins vs the Listing 2 join over the one AllTables relation.
 func BenchmarkMCNativeSharded(b *testing.B) {
 	benchPathSetup(b)
 	benchSeekMC(b, benchPath.shardNative)

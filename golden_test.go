@@ -5,9 +5,10 @@ package blend
 // with one fixed input per seeker kind — SC, KW, MC, C, Semantic — plus a
 // union search plan. The named, scored results must match the committed
 // trace in testdata/golden/expected.json byte-for-byte, on the native
-// executor and on the SQL fallback alike, so any future executor change
-// that shifts results (scores, order, tie-breaks) diffs against a
-// known-good baseline instead of only against the other path. (The
+// executor and on the SQL fallback alike, at one shard and at four, so
+// any future executor change that shifts results (scores, order,
+// tie-breaks) diffs against a known-good baseline instead of only against
+// the other path. (The
 // semantic trace is deterministic because the HNSW level generator is
 // seeded and the embedder is hash-based.)
 //
@@ -93,14 +94,23 @@ func TestGoldenTrace(t *testing.T) {
 	}
 	trace := goldenQueries(t, d)
 
-	// The SQL fallback must produce the identical trace: the golden file
-	// pins both executors at once.
-	dSQL, err := IndexCSVDir(ColumnStore, lakeDir, WithoutNativeExec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sqlTrace := goldenQueries(t, dSQL); !reflect.DeepEqual(trace, sqlTrace) {
-		t.Fatalf("native and SQL traces diverge:\n native: %+v\n    sql: %+v", trace, sqlTrace)
+	// The SQL fallback, and both executors on a 4-shard index, must
+	// produce the identical trace: the golden file pins every path at once.
+	for _, c := range []struct {
+		label string
+		opts  []IndexOption
+	}{
+		{"sql", []IndexOption{WithoutNativeExec()}},
+		{"native/4 shards", []IndexOption{WithShards(4)}},
+		{"sql/4 shards", []IndexOption{WithShards(4), WithoutNativeExec()}},
+	} {
+		dc, err := IndexCSVDir(ColumnStore, lakeDir, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := goldenQueries(t, dc); !reflect.DeepEqual(trace, got) {
+			t.Fatalf("%s trace diverges from the native one:\n native: %+v\n %s: %+v", c.label, trace, c.label, got)
+		}
 	}
 
 	var buf bytes.Buffer

@@ -1,9 +1,10 @@
 // Package alltables bridges the storage engine and the SQL engine: it
-// presents a storage.Reader (the whole sharded store, or one shard view) as
-// the AllTables relation of Fig. 3 so that the seekers' generated SQL
-// (Listings 1–3 of the paper) can run against it, with the inverted index
-// on CellValue (read through the reader's posting cursor) and the range
-// index on TableId served as minisql index access paths.
+// presents the whole index (every shard of a storage.ShardedStore, in
+// global entry positions) as the one AllTables relation of Fig. 3, so that
+// raw SQL and the seekers' generated SQL (Listings 1–3 of the paper) run
+// against it, with the inverted index on CellValue (read through the
+// store's posting cursor) and the range index on TableId served as minisql
+// index access paths.
 package alltables
 
 import (
@@ -32,19 +33,15 @@ var columns = []string{
 	"CellValue", "TableId", "ColumnId", "RowId", "SuperKeyLo", "SuperKeyHi", "Quadrant",
 }
 
-// Relation adapts a storage.Reader to minisql.IndexedRelation. The reader
-// may be a monolithic store, a full sharded store (the unified global view
-// used for raw SQL), or a single shard view (the partition-local relations
-// the engine fans seeker SQL out across).
+// Relation adapts a storage.ShardedStore to minisql.IndexedRelation: row
+// i of the relation is global entry i of the store, so one relation spans
+// every shard.
 type Relation struct {
-	store storage.Reader
+	store *storage.ShardedStore
 }
 
-// New wraps an index reader.
-func New(s storage.Reader) *Relation { return &Relation{store: s} }
-
-// Store returns the wrapped reader.
-func (r *Relation) Store() storage.Reader { return r.store }
+// New wraps an index.
+func New(s *storage.ShardedStore) *Relation { return &Relation{store: s} }
 
 // Columns implements minisql.Relation.
 func (r *Relation) Columns() []string { return columns }

@@ -29,7 +29,7 @@ func fixtureStore(t *testing.T) *storage.ShardedStore {
 	return storage.Build([]*table.Table{t1, t2, t3}, 1)
 }
 
-func catalogFor(s storage.Reader) *minisql.Catalog {
+func catalogFor(s *storage.ShardedStore) *minisql.Catalog {
 	cat := minisql.NewCatalog()
 	cat.Register(Name, New(s))
 	return cat

@@ -20,10 +20,11 @@ const DefaultSampleH = 256
 // Engine executes discovery plans against one indexed data lake. It owns
 // the trained per-seeker cost models used by the optimizer and publishes
 // MVCC generation snapshots of the index (see snapshot.go): each snapshot
-// carries its own SQL catalog exposing the AllTables relation and, when the
-// index is sharded, one catalog per shard so every seeker's SQL executes
-// against all shards concurrently with the partial results merged exactly
-// (tables are partitioned whole, so per-table aggregates are shard-local).
+// carries one SQL catalog exposing the AllTables relation, which raw SQL
+// and the seekers' SQL fallback (NoNativeExec) run against. The native
+// executors scan the shards of a sharded index concurrently and merge
+// their top-k (tables are partitioned whole, so per-table aggregates are
+// shard-local).
 //
 // The engine is safe for concurrent use, and reads never block on writes:
 // a query pins the current snapshot once at start and runs lock-free
@@ -67,7 +68,7 @@ type Engine struct {
 	// closed flips once at Close and breaks the pin retry loop.
 	closed atomic.Bool
 
-	// shardSem bounds how many per-shard executions run at once
+	// shardSem bounds how many per-shard native scans run at once
 	// engine-wide, so plan-level and shard-level parallelism compose
 	// without oversubscribing the machine. Nil for monolithic stores
 	// (the shard count never changes across generations).
@@ -109,10 +110,9 @@ func NewEngine(store *storage.ShardedStore) *Engine {
 // window. Prefer the Engine accessors or a Snapshot handle.
 func (e *Engine) Store() *storage.ShardedStore { return e.snap.Load().store }
 
-// Catalog returns the current generation's unified SQL catalog (exposed
-// for tests and advanced embedding). For sharded indexes it serves the
-// global single-relation view; seekers use the concurrent per-shard path
-// instead. Prefer ExecRawSQL, which pins the generation for the statement.
+// Catalog returns the current generation's SQL catalog: the one AllTables
+// relation over every shard (exposed for tests and advanced embedding).
+// Prefer ExecRawSQL, which pins the generation for the statement.
 func (e *Engine) Catalog() *minisql.Catalog { return e.snap.Load().cat }
 
 // NumShards reports how many partitions the engine scans per seeker.
@@ -288,52 +288,16 @@ func (e *Engine) SaveFile(path string) error {
 	return nil
 }
 
-// execSQL runs a seeker's SQL against the view's pinned snapshot and times
-// it. On a sharded index the statement executes against every shard
-// concurrently and the partial results are merged; tables never span
-// shards, so the merged rows equal a run against the unified relation. The
-// context cancels the fan-out between shard scans.
+// execSQL runs a seeker's SQL against the AllTables relation of the view's
+// pinned snapshot and times it. A context already canceled fails before
+// the statement starts; the executor does not interrupt it mid-flight.
 func (v *view) execSQL(ctx context.Context, sql string) (*minisql.Result, time.Duration, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	sn := v.sn
-	if len(sn.shardCats) == 0 {
-		res, err := minisql.ExecSQL(sn.cat, sql)
-		return res, time.Since(start), err
-	}
-	parts := make([]*minisql.Result, len(sn.shardCats))
-	errs := make([]error, len(sn.shardCats))
-	panics := make([]any, len(sn.shardCats))
-	var wg sync.WaitGroup
-	for i, cat := range sn.shardCats {
-		wg.Add(1)
-		go func(i int, cat *minisql.Catalog) {
-			defer wg.Done()
-			defer func() { panics[i] = recover() }()
-			select {
-			case v.shardSem <- struct{}{}:
-				defer func() { <-v.shardSem }()
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			parts[i], errs[i] = minisql.ExecSQL(cat, sql)
-		}(i, cat)
-	}
-	wg.Wait()
-	repanic(panics)
-	for _, err := range errs {
-		if err != nil {
-			return nil, time.Since(start), err
-		}
-	}
-	return minisql.MergeResults(parts...), time.Since(start), nil
+	res, err := minisql.ExecSQL(v.sn.cat, sql)
+	return res, time.Since(start), err
 }
 
 // TableNames maps hits to table names, preserving order, against the

@@ -231,11 +231,11 @@ func dedupeValues(values []string) []string {
 	return out
 }
 
-// scanShardOverlap executes the overlap aggregation against one shard
-// reader and returns its top-k hits (best first) plus the number of
-// aggregation groups that passed the minOverlap threshold (the rows the
-// equivalent SQL would have produced on this shard).
-func scanShardOverlap(ctx context.Context, r storage.Reader, values []string,
+// scanShardOverlap executes the overlap aggregation against shard sh of s
+// and returns its top-k hits (best first) plus the number of aggregation
+// groups that passed the minOverlap threshold (the rows the equivalent
+// GROUP BY would have produced on this shard).
+func scanShardOverlap(ctx context.Context, s *storage.ShardedStore, sh int, values []string,
 	k, minOverlap int, perColumn bool, f *tableFilter, numTables int) (Hits, scanCounts, error) {
 
 	sc := grabScratch(numTables)
@@ -247,7 +247,7 @@ func scanShardOverlap(ctx context.Context, r storage.Reader, values []string,
 			return nil, scanCounts{}, err
 		}
 		epoch := uint32(vi + 1)
-		cur := r.Postings(v)
+		cur := s.ShardPostings(sh, v)
 		for cur.Next(blk, false) {
 			for i, tid := range blk.TID[:blk.N] {
 				if !f.admit(tid) {
@@ -301,26 +301,28 @@ func scanShardOverlap(ctx context.Context, r storage.Reader, values []string,
 		}
 		heap.offer(TableHit{TableID: tid, Score: float64(n)})
 	}
-	if !perColumn && k >= 0 && groups > k {
-		// The equivalent KW SQL carries LIMIT k per shard; clamp the group
-		// count so RunStats.SQLRows matches what that SQL would return.
-		groups = k
-	}
 	return heap.sorted(), scanCounts{sqlRows: groups}, nil
 }
 
 // runNativeOverlap executes the SC (perColumn) / KW seeker shape on the
-// native fast path. The returned sqlRows count approximates
-// RunStats.SQLRows: the rows the generated SQL would have returned.
+// native fast path. The returned sqlRows count equals RunStats.SQLRows of
+// the SQL path: the rows the generated SQL returns.
 func (v *view) runNativeOverlap(ctx context.Context, values []string,
 	k, minOverlap int, perColumn bool, rw Rewrite) (Hits, scanCounts, error) {
 
 	values = dedupeValues(values)
 	f := compileFilter(rw)
-	numTables := v.sn.store.NumTables()
-	return v.runShards(ctx, k, func(ctx context.Context, r storage.Reader) (Hits, scanCounts, error) {
-		return scanShardOverlap(ctx, r, values, k, minOverlap, perColumn, &f, numTables)
+	store := v.sn.store
+	numTables := store.NumTables()
+	hits, c, err := v.runShards(ctx, k, func(ctx context.Context, sh int) (Hits, scanCounts, error) {
+		return scanShardOverlap(ctx, store, sh, values, k, minOverlap, perColumn, &f, numTables)
 	})
+	if !perColumn && k >= 0 && c.sqlRows > k {
+		// The KW SQL ends in LIMIT k over all groups of the one relation;
+		// clamp the summed group count so SQLRows matches its row count.
+		c.sqlRows = k
+	}
+	return hits, c, err
 }
 
 // scanCounts is the work a native shard scan reports, summed across
@@ -332,21 +334,21 @@ type scanCounts struct {
 }
 
 // runShards is the one shard fan-out of the native executors: it runs scan
-// (one seeker shape against one shard reader, returning that shard's
-// top-k, best first) on every native shard view of the pinned snapshot,
-// then merges the partials with the (score desc, TableId asc) order the
-// SQL path's topK applies and sums their counts, so both paths return
-// identical results. Tables never span shards, so the per-shard counts
-// partition exactly. A single view runs inline. Otherwise every shard runs
-// on its own goroutine holding a slot of the engine's shard semaphore (or
-// giving up if ctx is canceled while waiting), and any shard error —
-// cancellation included — fails the whole run.
+// (one seeker shape against one shard of the pinned store, given by index,
+// returning that shard's top-k, best first) on every shard, then merges
+// the partials with the (score desc, TableId asc) order the SQL path's
+// topK applies and sums their counts, so both paths return identical
+// results. Tables never span shards, so the per-shard counts partition
+// exactly. A single shard runs inline. Otherwise every shard runs on its
+// own goroutine holding a slot of the engine's shard semaphore (or giving
+// up if ctx is canceled while waiting), and any shard error — cancellation
+// included — fails the whole run.
 func (v *view) runShards(ctx context.Context, k int,
-	scan func(ctx context.Context, r storage.Reader) (Hits, scanCounts, error)) (Hits, scanCounts, error) {
+	scan func(ctx context.Context, sh int) (Hits, scanCounts, error)) (Hits, scanCounts, error) {
 
-	shards := v.sn.nativeViews
-	if len(shards) == 1 {
-		hits, c, err := scan(ctx, shards[0])
+	n := v.sn.store.NumShards()
+	if n == 1 {
+		hits, c, err := scan(ctx, 0)
 		if err != nil {
 			return nil, c, err
 		}
@@ -356,14 +358,14 @@ func (v *view) runShards(ctx context.Context, k int,
 		return topK(hits, k), c, nil
 	}
 
-	partials := make([]Hits, len(shards))
-	counts := make([]scanCounts, len(shards))
-	errs := make([]error, len(shards))
-	panics := make([]any, len(shards))
+	partials := make([]Hits, n)
+	counts := make([]scanCounts, n)
+	errs := make([]error, n)
+	panics := make([]any, n)
 	var wg sync.WaitGroup
-	for i, r := range shards {
+	for i := range n {
 		wg.Add(1)
-		go func(i int, r storage.Reader) {
+		go func(i int) {
 			defer wg.Done()
 			defer func() { panics[i] = recover() }()
 			if v.shardSem != nil {
@@ -375,8 +377,8 @@ func (v *view) runShards(ctx context.Context, k int,
 					return
 				}
 			}
-			partials[i], counts[i], errs[i] = scan(ctx, r)
-		}(i, r)
+			partials[i], counts[i], errs[i] = scan(ctx, i)
+		}(i)
 	}
 	wg.Wait()
 	repanic(panics)

@@ -63,10 +63,10 @@ func (sc *corrScratch) release() {
 	corrPool.Put(sc)
 }
 
-// scanShardCorr executes the correlation pipeline against one shard reader
+// scanShardCorr executes the correlation pipeline against shard sh of s
 // and returns its top-k hits (best first) plus the number of aggregation
 // groups — the rows Listing 3 would have produced on this shard.
-func scanShardCorr(ctx context.Context, r storage.Reader, vals []string,
+func scanShardCorr(ctx context.Context, s *storage.ShardedStore, sh int, vals []string,
 	masks []uint8, h int32, k int, f *tableFilter) (Hits, scanCounts, error) {
 
 	sc := grabCorrScratch()
@@ -81,7 +81,7 @@ func scanShardCorr(ctx context.Context, r storage.Reader, vals []string,
 			return nil, scanCounts{}, err
 		}
 		mask := masks[vi]
-		cur := r.Postings(v)
+		cur := s.ShardPostings(sh, v)
 		for cur.Next(blk, false) {
 			for i, rid := range blk.RID[:blk.N] {
 				if tid := blk.TID[i]; rid < h && f.admit(tid) {
@@ -121,7 +121,7 @@ func scanShardCorr(ctx context.Context, r storage.Reader, vals []string,
 			return nil, scanCounts{}, err
 		}
 		p := lo
-		r.ScanTableNumeric(tid, h, func(ncol, rid int32, q int8) {
+		s.ScanTableNumeric(tid, h, func(ncol, rid int32, q int8) {
 			for p < hi && hits[p].rid < rid {
 				p++
 			}
@@ -184,7 +184,8 @@ func (v *view) runNativeCorrelation(ctx context.Context, k0, k1 []string,
 		masks = append(masks, 2)
 	}
 	f := compileFilter(rw)
-	return v.runShards(ctx, k, func(ctx context.Context, r storage.Reader) (Hits, scanCounts, error) {
-		return scanShardCorr(ctx, r, vals, masks, h, k, &f)
+	store := v.sn.store
+	return v.runShards(ctx, k, func(ctx context.Context, sh int) (Hits, scanCounts, error) {
+		return scanShardCorr(ctx, store, sh, vals, masks, h, k, &f)
 	})
 }

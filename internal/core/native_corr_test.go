@@ -66,26 +66,10 @@ func TestNativeCorrSQLEquivalence(t *testing.T) {
 					}
 					label := fmt.Sprintf("c h=%d q=%d k=%d rw=%d", h, qi, k, rw.mode)
 					runBoth(t, native, sql, NewCorrelation(keys, targets, k), rw, label)
-
-					nst := statsFor(t, native, NewCorrelation(keys, targets, k), rw)
-					sst := statsFor(t, sql, NewCorrelation(keys, targets, k), rw)
-					if nst.SQLRows != sst.SQLRows {
-						t.Fatalf("%s: SQLRows disagree: native %d sql %d", label, nst.SQLRows, sst.SQLRows)
-					}
 				}
 			}
 		})
 	}
-}
-
-// statsFor runs a seeker and returns its RunStats.
-func statsFor(t *testing.T, e *Engine, s Seeker, rw Rewrite) RunStats {
-	t.Helper()
-	_, stats, err := runDirect(context.Background(), e, s, rw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stats
 }
 
 // TestNativeCorrEmptyAndDegenerate pins the edge cases: no keys

@@ -69,7 +69,7 @@ func rowKey64(tid, rid int32) uint64 {
 	return uint64(uint32(tid))<<32 | uint64(uint32(rid))
 }
 
-// scanShardMC executes the MC pipeline against one shard reader and
+// scanShardMC executes the MC pipeline against shard sh of s and
 // returns its top-k hits (best first) plus the validation funnel both
 // execution paths report identically: the rows Listing 2's join would
 // return, the rows surviving the XASH filter, and the rows surviving exact
@@ -81,7 +81,7 @@ func rowKey64(tid, rid int32) uint64 {
 // epoch reached the previous column. The per-column match counts multiply
 // into the join-row multiplicity, so sqlRows equals the row count of the
 // SQL join without materializing it.
-func scanShardMC(ctx context.Context, r storage.Reader, cols [][]string,
+func scanShardMC(ctx context.Context, s *storage.ShardedStore, sh int, cols [][]string,
 	tuples [][]string, tupleKeys []xash.Key, k int, f *tableFilter) (Hits, scanCounts, error) {
 
 	var c scanCounts
@@ -93,7 +93,7 @@ func scanShardMC(ctx context.Context, r storage.Reader, cols [][]string,
 		if err := ctx.Err(); err != nil {
 			return nil, c, err
 		}
-		cur := r.Postings(v)
+		cur := s.ShardPostings(sh, v)
 		for cur.Next(blk, true) {
 			for i, tid := range blk.TID[:blk.N] {
 				if !f.admit(tid) {
@@ -118,7 +118,7 @@ func scanShardMC(ctx context.Context, r storage.Reader, cols [][]string,
 			if err := ctx.Err(); err != nil {
 				return nil, c, err
 			}
-			cur := r.Postings(v)
+			cur := s.ShardPostings(sh, v)
 			for cur.Next(blk, false) {
 				for i, tid := range blk.TID[:blk.N] {
 					key := rowKey64(tid, blk.RID[i])
@@ -176,7 +176,7 @@ func scanShardMC(ctx context.Context, r storage.Reader, cols [][]string,
 		if len(sc.cells) > 0 {
 			clear(sc.cells)
 		}
-		for _, cell := range r.ReconstructRow(tid, rid) {
+		for _, cell := range s.ReconstructRow(tid, rid) {
 			if cell != "" {
 				sc.cells[cell] = struct{}{}
 			}
@@ -228,7 +228,8 @@ func (v *view) runNativeMC(ctx context.Context, s *MCSeeker, rw Rewrite) (Hits, 
 		tupleKeys[i] = xash.HashRow(t)
 	}
 	f := compileFilter(rw)
-	return v.runShards(ctx, s.K, func(ctx context.Context, r storage.Reader) (Hits, scanCounts, error) {
-		return scanShardMC(ctx, r, cols, s.Tuples, tupleKeys, s.K, &f)
+	store := v.sn.store
+	return v.runShards(ctx, s.K, func(ctx context.Context, sh int) (Hits, scanCounts, error) {
+		return scanShardMC(ctx, store, sh, cols, s.Tuples, tupleKeys, s.K, &f)
 	})
 }

@@ -32,7 +32,9 @@ func buildNativeTestEngines(shards int, lake *datalake.JoinLake) (native, sql *E
 }
 
 // runBoth executes one seeker with the same rewrite on both engines and
-// asserts byte-identical results and correct path attribution.
+// asserts byte-identical results, equal RunStats.SQLRows (the native count
+// must equal the row count of the one-relation SQL) and correct path
+// attribution.
 func runBoth(t *testing.T, native, sql *Engine, s Seeker, rw Rewrite, label string) Hits {
 	t.Helper()
 	ctx := context.Background()
@@ -54,6 +56,9 @@ func runBoth(t *testing.T, native, sql *Engine, s Seeker, rw Rewrite, label stri
 	}
 	if !reflect.DeepEqual(nh, sh) {
 		t.Fatalf("%s: paths disagree\n native: %v\n    sql: %v", label, nh, sh)
+	}
+	if nst.SQLRows != sst.SQLRows {
+		t.Fatalf("%s: SQLRows %d (native) vs %d (sql)", label, nst.SQLRows, sst.SQLRows)
 	}
 	return nh
 }
@@ -206,8 +211,8 @@ func TestNativePlanEquivalence(t *testing.T) {
 }
 
 // TestNativeAddTableVisibility asserts the native path sees incrementally
-// appended tables exactly like the SQL path (the per-shard views read the
-// live store).
+// appended tables exactly like the SQL path (the per-shard cursors read
+// the live store).
 func TestNativeAddTableVisibility(t *testing.T) {
 	lake := datalake.GenJoinLake(datalake.JoinLakeConfig{
 		Name: "addt", NumTables: 8, ColsPerTable: 3, RowsPerTable: 20,

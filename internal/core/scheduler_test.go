@@ -102,7 +102,7 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 }
 
 // TestSchedulerMatchesSequentialSharded repeats the invariant on a sharded
-// index, covering the concurrent per-shard SQL fan-out as well.
+// index, covering the concurrent per-shard native fan-out as well.
 func TestSchedulerMatchesSequentialSharded(t *testing.T) {
 	lake := schedLake(77, 14)
 	mono := NewEngine(storage.Build(lake, 1))
@@ -163,7 +163,7 @@ type blockingSeeker struct {
 
 func (s *blockingSeeker) Kind() SeekerKind { return KW }
 func (s *blockingSeeker) TopK() int        { return 1 }
-func (s *blockingSeeker) Features(storage.Reader) costmodel.Features {
+func (s *blockingSeeker) Features(*storage.ShardedStore) costmodel.Features {
 	return costmodel.Features{Card: 1, Cols: 1, AvgFreq: 1}
 }
 func (s *blockingSeeker) SQL(Rewrite) string { return "" }

@@ -63,7 +63,7 @@ type Seeker interface {
 	TopK() int
 	// Features extracts the cost-model features of this seeker's input
 	// against the given index.
-	Features(store storage.Reader) costmodel.Features
+	Features(store *storage.ShardedStore) costmodel.Features
 	// SQL renders the seeker's (first-phase) SQL statement with the given
 	// rewrite predicate injected, as the optimizer would execute it.
 	SQL(rw Rewrite) string
@@ -177,7 +177,7 @@ func (s *SCSeeker) Kind() SeekerKind { return SC }
 func (s *SCSeeker) TopK() int { return s.K }
 
 // Features implements Seeker.
-func (s *SCSeeker) Features(store storage.Reader) costmodel.Features {
+func (s *SCSeeker) Features(store *storage.ShardedStore) costmodel.Features {
 	return costmodel.Features{
 		Card:    float64(len(s.Values)),
 		Cols:    1,
@@ -252,7 +252,7 @@ func (s *KWSeeker) Kind() SeekerKind { return KW }
 func (s *KWSeeker) TopK() int { return s.K }
 
 // Features implements Seeker.
-func (s *KWSeeker) Features(store storage.Reader) costmodel.Features {
+func (s *KWSeeker) Features(store *storage.ShardedStore) costmodel.Features {
 	return costmodel.Features{
 		Card:    float64(len(s.Keywords)),
 		Cols:    1,
@@ -358,7 +358,7 @@ func (s *MCSeeker) columnValues(i int) []string {
 // Features implements Seeker. The MC frequency feature multiplies the
 // per-column averages because the SQL joins the per-column index hits
 // (§VII-B).
-func (s *MCSeeker) Features(store storage.Reader) costmodel.Features {
+func (s *MCSeeker) Features(store *storage.ShardedStore) costmodel.Features {
 	x := s.width()
 	freq := 1.0
 	card := 0
@@ -533,7 +533,7 @@ func (s *CorrelationSeeker) Kind() SeekerKind { return C }
 func (s *CorrelationSeeker) TopK() int { return s.K }
 
 // Features implements Seeker.
-func (s *CorrelationSeeker) Features(store storage.Reader) costmodel.Features {
+func (s *CorrelationSeeker) Features(store *storage.ShardedStore) costmodel.Features {
 	return costmodel.Features{
 		Card:    float64(len(s.Keys)),
 		Cols:    2,

@@ -53,7 +53,7 @@ func (s *SemanticSeeker) TopK() int { return s.K }
 
 // Features implements Seeker. ANN cost scales with the probe width, not
 // the lake, so the features describe the query only.
-func (s *SemanticSeeker) Features(store storage.Reader) costmodel.Features {
+func (s *SemanticSeeker) Features(store *storage.ShardedStore) costmodel.Features {
 	return costmodel.Features{Card: float64(len(s.Values)), Cols: 1, AvgFreq: 1}
 }
 

@@ -33,16 +33,12 @@ import (
 const DefaultRetainedGenerations = 4
 
 // snapshot is one published, immutable generation of the index: the store
-// view plus every piece of derived read state (SQL catalogs, native shard
-// views, the lazily built semantic ANN side-index).
+// view plus every piece of derived read state (the SQL catalog, the lazily
+// built semantic ANN side-index).
 type snapshot struct {
 	gen   uint64
 	store *storage.ShardedStore
-	cat   *minisql.Catalog // serves this generation's store view
-	// shardCats / nativeViews mirror the sharded fan-out state that used to
-	// live on the engine (nil / single-element for monolithic stores).
-	shardCats   []*minisql.Catalog
-	nativeViews []storage.Reader
+	cat   *minisql.Catalog // the AllTables relation over this generation's store
 
 	// refs counts the retention list's reference (1, dropped when the
 	// generation falls out of the window) plus one per in-flight pin. It
@@ -173,24 +169,14 @@ func (e *Engine) releaseEvicted(evicted []*snapshot, oldest uint64) {
 }
 
 // buildSnapshot assembles the derived read state for one generation of the
-// store: the unified SQL catalog, per-shard catalogs and native views when
-// sharded, and a reference on the lineage's file-mapping lease.
+// store: the SQL catalog holding the one AllTables relation, and a
+// reference on the lineage's file-mapping lease.
 //
 // lockguard: caller holds writeMu
 func (e *Engine) buildSnapshot(store *storage.ShardedStore, gen uint64) *snapshot {
 	cat := minisql.NewCatalog()
 	cat.Register(alltables.Name, alltables.New(store))
 	sn := &snapshot{gen: gen, store: store, cat: cat, lease: e.lease}
-	sn.nativeViews = []storage.Reader{store}
-	if views := store.ShardReaders(); len(views) > 1 {
-		sn.shardCats = make([]*minisql.Catalog, len(views))
-		for i, v := range views {
-			c := minisql.NewCatalog()
-			c.Register(alltables.Name, alltables.New(v))
-			sn.shardCats[i] = c
-		}
-		sn.nativeViews = views
-	}
 	sn.refs.Store(1) // the retention list's reference; see publish
 	sn.lease.acquire()
 	return sn

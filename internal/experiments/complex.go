@@ -135,7 +135,7 @@ func runNegativeTask(ctx context.Context, scale Scale, queries int) taskResult {
 // filters tables by the positive examples, then application code loads
 // every result table from the database and validates it row by row
 // against the negative examples.
-func baselineNegative(ix *mate.Index, db storage.Reader, pos, neg [][]string, k int) []string {
+func baselineNegative(ix *mate.Index, db *storage.ShardedStore, pos, neg [][]string, k int) []string {
 	hits, _ := ix.Search(pos, -1)
 	var out []string
 	for _, h := range hits {
@@ -202,7 +202,7 @@ func runImputationTask(ctx context.Context, scale Scale, queries int) taskResult
 // complete rows, JOSIE for partial rows, intersected in application code;
 // the intersected tables are then loaded from the database so the missing
 // values can be inferred from them.
-func baselineImputation(mi *mate.Index, ji *josie.Index, db storage.Reader, examples [][]string, queries []string, k int) []string {
+func baselineImputation(mi *mate.Index, ji *josie.Index, db *storage.ShardedStore, examples [][]string, queries []string, k int) []string {
 	mateHits, _ := mi.Search(examples, -1)
 	josieHits := ji.SearchTables(queries, 4*k)
 	inJosie := make(map[int32]struct{}, len(josieHits))
@@ -260,7 +260,7 @@ func runFeatureTask(ctx context.Context, scale Scale, queries int) taskResult {
 // baselineFeature is the federated implementation of §VIII-B4: repeated
 // rounds of the QCR sketch (target, then each feature, filtering previous
 // results) plus MATE for joinability, intersected in application code.
-func baselineFeature(si *qcrsketch.Index, mi *mate.Index, db storage.Reader, keys []string, target []float64, features [][]float64, joinTuples [][]string, k int) []string {
+func baselineFeature(si *qcrsketch.Index, mi *mate.Index, db *storage.ShardedStore, keys []string, target []float64, features [][]float64, joinTuples [][]string, k int) []string {
 	targetHits := si.Search(keys, target, k)
 	surviving := make(map[int32]struct{}, len(targetHits))
 	for _, h := range targetHits {
@@ -318,7 +318,7 @@ func runMultiTask(ctx context.Context, scale Scale, queries int) taskResult {
 // keyword/join search, Starmie for union search, and the QCR sketch for
 // correlation search, with application code gluing three systems and three
 // index formats together.
-func baselineMulti(ji *josie.Index, si *starmie.Index, qi *qcrsketch.Index, db storage.Reader, keywords []string, query *table.Table, k int) []string {
+func baselineMulti(ji *josie.Index, si *starmie.Index, qi *qcrsketch.Index, db *storage.ShardedStore, keywords []string, query *table.Table, k int) []string {
 	union := make(map[string]struct{})
 	// Each subsystem's results cross a system boundary: the tables are
 	// loaded from the database to be merged in application memory.

@@ -116,49 +116,6 @@ func (r *Result) truncate(n int) *Result {
 	return out
 }
 
-// MergeResults concatenates partial results produced by executing the same
-// statement against disjoint partitions of a relation (the engine's sharded
-// scan path). Rows are appended in argument order, so a deterministic shard
-// order yields a deterministic merged result; callers re-apply any ORDER BY
-// / LIMIT semantics across partitions themselves. Nil parts are skipped;
-// merging zero non-nil parts returns an empty result.
-func MergeResults(parts ...*Result) *Result {
-	merged := &Result{}
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if merged.cols == nil {
-			merged.cols = p.cols
-			merged.quals = p.quals
-			merged.vals = make([][]Value, len(p.cols))
-		}
-		for c := range merged.vals {
-			pv := p.vals[c]
-			if pv == nil {
-				// A NULL column stays nil until some part materializes the
-				// position; then the gap is padded explicitly.
-				if merged.vals[c] != nil {
-					for i := 0; i < p.n; i++ {
-						merged.vals[c] = append(merged.vals[c], Null)
-					}
-				}
-				continue
-			}
-			if merged.vals[c] == nil && merged.n > 0 {
-				pad := make([]Value, merged.n, merged.n+len(pv))
-				for i := range pad {
-					pad[i] = Null
-				}
-				merged.vals[c] = pad
-			}
-			merged.vals[c] = append(merged.vals[c], pv...)
-		}
-		merged.n += p.n
-	}
-	return merged
-}
-
 // ExecSQL parses and executes a statement against the catalog.
 func ExecSQL(cat *Catalog, sql string) (*Result, error) {
 	q, err := Parse(sql)

@@ -165,15 +165,14 @@ func TestMapFileBadFooter(t *testing.T) {
 	}
 }
 
-// TestMappedCorruptSectionPanicsTyped flips a byte inside a shard's body
-// section. The footer stays valid, so MapFile succeeds; eager Load of the
-// same bytes must return an error (it checks section CRCs up front), and
-// the mapped store must panic with a typed bad-index error on first touch
-// of the poisoned shard — the Reader interface has no error returns, and a
-// CRC mismatch after open means the file changed underneath the mapping.
-func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
+// corruptShard0 saves a 4-shard index, flips a byte inside shard 0's dict
+// section body, and returns the corrupted bytes plus the directory holding
+// them. The footer stays valid, so MapFile accepts the file and the damage
+// shows only when shard 0 is first touched.
+func corruptShard0(t *testing.T) (data []byte, dir string) {
+	t.Helper()
 	orig := Build(widerLake(), 4)
-	dir := t.TempDir()
+	dir = t.TempDir()
 	clean := filepath.Join(dir, "clean.blend")
 	if err := orig.SaveFile(clean); err != nil {
 		t.Fatal(err)
@@ -186,11 +185,22 @@ func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
 	if dict.Bytes == 0 {
 		t.Fatal("shard 0 has an empty dict section")
 	}
-	data, err := os.ReadFile(clean)
+	data, err = os.ReadFile(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[dict.Off+dict.Bytes/2] ^= 0xFF
+	return data, dir
+}
+
+// TestMappedCorruptSectionPanicsTyped flips a byte inside a shard's body
+// section. The footer stays valid, so MapFile succeeds; eager Load of the
+// same bytes must return an error (it checks section CRCs up front), and
+// the mapped store must panic with a typed bad-index error on first touch
+// of the poisoned shard — the read accessors have no error returns, and a
+// CRC mismatch after open means the file changed underneath the mapping.
+func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
+	data, dir := corruptShard0(t)
 
 	// Eager load checks every section CRC before returning.
 	if _, err := Load(bytes.NewReader(data)); err == nil {
@@ -218,6 +228,40 @@ func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
 		if !ok || berr.CodeOf(err) != berr.CodeBadIndex {
 			t.Fatalf("touch %d panicked with %v, want typed CodeBadIndex error", i, r)
 		}
+	}
+}
+
+// TestMappedCorruptSectionSaveFails saves a mapped index whose shard 0 is
+// corrupt. Save has an error return, so it must report the typed
+// bad-index error rather than panic, and SaveFile must leave neither the
+// target nor its temp file behind.
+func TestMappedCorruptSectionSaveFails(t *testing.T) {
+	data, dir := corruptShard0(t)
+	bad := filepath.Join(dir, "bad.blend")
+	writeBytes(t, bad, data)
+	idx, err := MapFile(bad)
+	if err != nil {
+		t.Fatalf("MapFile rejected a file with a valid footer: %v", err)
+	}
+	defer idx.Close()
+
+	out := filepath.Join(dir, "out.blend")
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("SaveFile panicked: %v", r)
+			}
+		}()
+		err = idx.SaveFile(out)
+	}()
+	if !errors.Is(err, berr.ErrBadIndex) {
+		t.Fatalf("SaveFile error = %v, want ErrBadIndex", err)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed SaveFile left %s behind (stat: %v)", out, err)
+	}
+	if left, _ := filepath.Glob(out + ".tmp*"); len(left) != 0 {
+		t.Fatalf("failed SaveFile left temp files %v", left)
 	}
 }
 

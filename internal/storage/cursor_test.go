@@ -39,27 +39,27 @@ func drain(t *testing.T, c PostingCursor, super bool) []cursorEntry {
 	return out
 }
 
-// positions lists the entry positions a Reader's cursor yields for v.
-func positions(t *testing.T, r Reader, v string) []int32 {
+// positions lists the entry positions the store's cursor yields for v.
+func positions(t *testing.T, s *ShardedStore, v string) []int32 {
 	t.Helper()
 	var out []int32
-	for _, e := range drain(t, r.Postings(v), false) {
+	for _, e := range drain(t, s.Postings(v), false) {
 		out = append(out, e.pos)
 	}
 	return out
 }
 
-// bruteForcePostings scans every entry of r through the per-entry
-// accessors: the live entries holding v, in position order.
-func bruteForcePostings(r Reader, v string, super bool) []cursorEntry {
+// bruteForcePostings scans the global entries [lo, hi) of s through the
+// per-entry accessors: the live entries holding v, in position order.
+func bruteForcePostings(s *ShardedStore, lo, hi int32, v string, super bool) []cursorEntry {
 	var out []cursorEntry
-	for i := int32(0); i < int32(r.NumEntries()); i++ {
-		if r.Value(i) != v || !r.TableAlive(r.TableID(i)) {
+	for i := lo; i < hi; i++ {
+		if s.Value(i) != v || !s.TableAlive(s.TableID(i)) {
 			continue
 		}
-		e := cursorEntry{pos: i, tid: r.TableID(i), cid: r.ColumnID(i), rid: r.RowID(i)}
+		e := cursorEntry{pos: i, tid: s.TableID(i), cid: s.ColumnID(i), rid: s.RowID(i)}
 		if super {
-			e.super = r.SuperKey(i)
+			e.super = s.SuperKey(i)
 		}
 		out = append(out, e)
 	}
@@ -97,7 +97,8 @@ func cursorLake() []*table.Table {
 // TestPostingCursorMatchesBruteForce checks the cursor against a scan over
 // the per-entry accessors for every dictionary value and a missing one,
 // across shard counts, heap-built / eagerly loaded / mapped stores, with
-// and without a tombstone, on the global store and on every shard view.
+// and without a tombstone: Postings against the whole entry range, and
+// ShardPostings of every shard against that shard's global range.
 func TestPostingCursorMatchesBruteForce(t *testing.T) {
 	lake := cursorLake()
 	for _, shards := range []int{1, 3, 4} {
@@ -127,16 +128,21 @@ func TestPostingCursorMatchesBruteForce(t *testing.T) {
 					for i := int32(0); i < int32(src.s.NumEntries()); i++ {
 						values[src.s.Value(i)] = true
 					}
-					readers := []Reader{src.s}
-					readers = append(readers, src.s.ShardReaders()...)
-					for ri, r := range readers {
-						for v := range values {
-							for _, super := range []bool{false, true} {
-								got := drain(t, r.Postings(v), super)
-								want := bruteForcePostings(r, v, super)
+					s := src.s
+					for v := range values {
+						for _, super := range []bool{false, true} {
+							got := drain(t, s.Postings(v), super)
+							want := bruteForcePostings(s, 0, int32(s.NumEntries()), v, super)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("value %q, super %v: cursor %d entries, brute force %d",
+									v, super, len(got), len(want))
+							}
+							for i := range s.NumShards() {
+								got := drain(t, s.ShardPostings(i, v), super)
+								want := bruteForcePostings(s, s.base[i], s.base[i+1], v, super)
 								if !reflect.DeepEqual(got, want) {
-									t.Fatalf("reader %d, value %q, super %v: cursor %d entries, brute force %d",
-										ri, v, super, len(got), len(want))
+									t.Fatalf("shard %d, value %q, super %v: cursor %d entries, brute force %d",
+										i, v, super, len(got), len(want))
 								}
 							}
 						}

@@ -121,10 +121,10 @@ func TestRemoveTableHidesEveryReadSurface(t *testing.T) {
 					t.Fatal("postings still reference the removed table")
 				}
 			}
-			for _, v := range s.ShardReaders() {
-				for _, e := range drain(t, v.Postings("Firenze"), false) {
+			for i := range s.NumShards() {
+				for _, e := range drain(t, s.ShardPostings(i, "Firenze"), false) {
 					if e.tid == tid {
-						t.Fatal("a shard view still streams the removed table")
+						t.Fatalf("shard %d still streams the removed table", i)
 					}
 				}
 			}

@@ -31,11 +31,17 @@ const rebuildHint = "rebuild it with `blend index -lake DIR -out FILE`"
 // the shard count, the global table directory, and per-shard tombstones.
 // A one-shard index is written as the monolithic kind, any other as the
 // sharded kind. On a lazily mapped store this first materializes every
-// shard (a full save must serialize every shard anyway).
+// shard (a full save must serialize every shard anyway); a shard that
+// fails its integrity checks fails the save with a typed bad-index error
+// before anything is written.
 func (s *ShardedStore) Save(w io.Writer) error {
 	shards := make([]*Store, len(s.shards))
 	for i := range shards {
-		shards[i] = s.shard(i)
+		st, err := s.loadShard(i)
+		if err != nil {
+			return err
+		}
+		shards[i] = st
 	}
 	return writeSegmented(w, shards, s.refs)
 }

@@ -69,7 +69,7 @@ func readerProbe(t *testing.T, want, got *ShardedStore, label string) {
 
 // TestMapFileMatchesEagerLoad is the core differential: the same v4 file
 // read back eagerly (LoadFile) and lazily (MapFile) must expose identical
-// content through every Reader surface, across shard counts.
+// content through every read surface, across shard counts.
 func TestMapFileMatchesEagerLoad(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("Column/shards=%d", shards), func(t *testing.T) {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"hash/fnv"
 	"runtime"
 	"sort"
@@ -16,16 +15,16 @@ import (
 // ShardedStore hash-partitions the AllTables relation across N shards, one
 // Store per shard, each with its own dictionary, inverted index, and
 // table-range index; N = 1 is the monolithic case. It is the whole index:
-// the Reader, the per-shard views (ShardReaders), copy-on-write
-// maintenance (cow.go) and persistence (persist.go). Tables are assigned whole to a shard by a hash of
-// their name, so every per-table aggregate the seekers' SQL computes
-// (GROUP BY TableId, joins on TableId/RowId) is shard-local and the engine
-// can execute a seeker against every shard concurrently and merge top-k.
+// the read surface, copy-on-write maintenance (cow.go) and persistence
+// (persist.go). Tables are assigned whole to a shard by a hash of their
+// name, so every per-table aggregate a seeker computes (GROUP BY TableId,
+// joins on TableId/RowId) is shard-local and the native executors can scan
+// every shard concurrently (ShardPostings) and merge top-k.
 //
-// The ShardedStore itself presents the unified global view: entry positions
-// are globally contiguous (shard s occupies [base[s], base[s+1])) and table
-// ids are assigned in insertion order across the whole lake, so raw SQL and
-// every Reader consumer behave identically regardless of partitioning.
+// The ShardedStore presents the unified global view: entry positions are
+// globally contiguous (shard s occupies [base[s], base[s+1])) and table
+// ids are assigned in insertion order across the whole lake, so SQL and
+// the native executors behave identically regardless of partitioning.
 type ShardedStore struct {
 	shards []*Store
 
@@ -59,7 +58,7 @@ type shardSlot struct {
 // shard returns shard i, materializing it from the mapped file on first
 // touch. Reads from concurrent goroutines are safe: sync.Once publishes
 // the decoded store. A shard that fails its checksum or integrity checks
-// panics with a typed bad-index error — the Reader interface has no error
+// panics with a typed bad-index error — the read accessors have no error
 // returns, and a section whose CRC no longer matches means the file was
 // corrupted underneath a running process, which is not a state to limp
 // through. Structural problems (bad footer, bad offsets) are caught
@@ -67,6 +66,19 @@ type shardSlot struct {
 func (s *ShardedStore) shard(i int) *Store {
 	if st := s.shards[i]; st != nil {
 		return st
+	}
+	st, err := s.loadShard(i)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
+// loadShard is shard returning the typed bad-index error instead of
+// panicking with it, for callers that have an error return (Save).
+func (s *ShardedStore) loadShard(i int) (*Store, error) {
+	if st := s.shards[i]; st != nil {
+		return st, nil
 	}
 	sl := s.slots[i]
 	sl.once.Do(func() {
@@ -79,9 +91,9 @@ func (s *ShardedStore) shard(i int) *Store {
 		sl.done.Store(true)
 	})
 	if sl.err != nil {
-		panic(berr.New(berr.CodeBadIndex, "storage.mmap", "shard %d: %v", i, sl.err))
+		return nil, berr.New(berr.CodeBadIndex, "storage.mmap", "shard %d: %v", i, sl.err)
 	}
-	return sl.st
+	return sl.st, nil
 }
 
 // residentShard returns shard i only if it is already heap-resident, nil
@@ -325,9 +337,17 @@ func (s *ShardedStore) Quadrant(i int32) int8 {
 }
 
 // Postings returns a cursor over the live entries holding value v across
-// every shard in shard order, with global positions and table ids.
+// every shard in shard order, with global positions and table ids — the
+// inverted index on CellValue, read block by block.
 func (s *ShardedStore) Postings(v string) PostingCursor {
-	return PostingCursor{s: s, value: v, end: len(s.shards), global: true}
+	return PostingCursor{s: s, value: v, end: len(s.shards)}
+}
+
+// ShardPostings is Postings restricted to shard i: the live entries of
+// that shard holding value v, still with global positions and table ids.
+// The native executors scan one shard per goroutine through it.
+func (s *ShardedStore) ShardPostings(i int, v string) PostingCursor {
+	return PostingCursor{s: s, value: v, next: i, end: i + 1}
 }
 
 // ScanPostings streams the (TableId, ColumnId, RowId) attributes of every
@@ -363,9 +383,17 @@ func (s *ShardedStore) Frequency(v string) int {
 	return total
 }
 
-// AvgFrequency returns the mean index frequency of the given values.
+// AvgFrequency returns the mean index frequency of the given values — the
+// statistic BLEND's learned cost model uses as a feature (§VII-B).
 func (s *ShardedStore) AvgFrequency(values []string) float64 {
-	return avgFrequency(values, s.Frequency)
+	if len(values) == 0 {
+		return 0
+	}
+	total := 0
+	for _, v := range values {
+		total += s.Frequency(v)
+	}
+	return float64(total) / float64(len(values))
 }
 
 // TableEntries returns the global [start, end) entry range of a table id.
@@ -512,109 +540,4 @@ func (s *ShardedStore) removeTable(tid int32) error {
 	}
 	r := s.refs[tid]
 	return s.shard(int(r.shard)).removeTable(r.local)
-}
-
-// ShardReaders returns one per-shard view exposing global table ids over
-// shard-local entry positions, for the engine's concurrent SQL fan-out.
-func (s *ShardedStore) ShardReaders() []Reader {
-	out := make([]Reader, len(s.shards))
-	for i := range s.shards {
-		out[i] = &shardView{parent: s, shard: i}
-	}
-	return out
-}
-
-// shardView is one shard of a ShardedStore viewed as a standalone Reader.
-// Entry positions are local to the shard (the relation the SQL engine scans
-// is just that shard), but table ids are global so GROUP BY TableId output
-// and TableId IN (…) rewrite predicates compose across shards. TableEntries
-// of a table owned by another shard is empty, which makes TableId lookups
-// against foreign tables match nothing — precisely the partition semantics
-// the merge step relies on.
-type shardView struct {
-	parent *ShardedStore
-	shard  int
-}
-
-func (v *shardView) store() *Store { return v.parent.shard(v.shard) }
-
-// NumEntries reports the shard-local tuple count.
-func (v *shardView) NumEntries() int { return v.store().NumEntries() }
-
-// NumTables reports the global table count, so global table ids stay in
-// range for bounds checks at the SQL layer.
-func (v *shardView) NumTables() int { return v.parent.NumTables() }
-
-// TableAlive delegates to the global catalog.
-func (v *shardView) TableAlive(tid int32) bool { return v.parent.TableAlive(tid) }
-
-// Tombstones reports the shard-local tombstone count.
-func (v *shardView) Tombstones() int { return v.store().Tombstones() }
-
-// Value returns the CellValue of shard-local entry i.
-func (v *shardView) Value(i int32) string { return v.store().Value(i) }
-
-// TableID returns the global TableId of shard-local entry i.
-func (v *shardView) TableID(i int32) int32 {
-	return v.parent.globalTID[v.shard][v.store().TableID(i)]
-}
-
-// ColumnID returns the ColumnId of shard-local entry i.
-func (v *shardView) ColumnID(i int32) int32 { return v.store().ColumnID(i) }
-
-// RowID returns the RowId of shard-local entry i.
-func (v *shardView) RowID(i int32) int32 { return v.store().RowID(i) }
-
-// SuperKey returns the super key of shard-local entry i.
-func (v *shardView) SuperKey(i int32) xash.Key { return v.store().SuperKey(i) }
-
-// Quadrant returns the quadrant bit of shard-local entry i.
-func (v *shardView) Quadrant(i int32) int8 { return v.store().Quadrant(i) }
-
-// Postings returns a cursor over the shard's live entries holding value
-// val, with shard-local positions and global table ids, so per-shard
-// native scans merge like per-shard SQL.
-func (v *shardView) Postings(val string) PostingCursor {
-	return PostingCursor{s: v.parent, value: val, next: v.shard, end: v.shard + 1}
-}
-
-// ScanTableNumeric streams the numeric cells of a global table id with
-// RowId < maxRow; a table owned by another shard streams nothing, matching
-// the view's empty TableEntries range for foreign tables.
-func (v *shardView) ScanTableNumeric(tid, maxRow int32, fn func(cid, rid int32, q int8)) {
-	if tid < 0 || int(tid) >= len(v.parent.refs) {
-		return
-	}
-	r := v.parent.refs[tid]
-	if int(r.shard) != v.shard {
-		return
-	}
-	v.store().ScanTableNumeric(r.local, maxRow, fn)
-}
-
-// AvgFrequency returns the shard-local mean frequency.
-func (v *shardView) AvgFrequency(values []string) float64 { return v.store().AvgFrequency(values) }
-
-// TableEntries maps a global table id to the shard-local entry range; a
-// table owned by another shard yields the empty range.
-func (v *shardView) TableEntries(tid int32) (start, end int32) {
-	if tid < 0 || int(tid) >= len(v.parent.refs) {
-		return 0, 0
-	}
-	r := v.parent.refs[tid]
-	if int(r.shard) != v.shard {
-		return 0, 0
-	}
-	return v.store().TableEntries(r.local)
-}
-
-// ReconstructRow materializes a row of a global table id.
-func (v *shardView) ReconstructRow(tid, rid int32) []string { return v.parent.ReconstructRow(tid, rid) }
-
-// ReconstructTable materializes a global table id.
-func (v *shardView) ReconstructTable(tid int32) *table.Table { return v.parent.ReconstructTable(tid) }
-
-// String identifies the view in diagnostics.
-func (v *shardView) String() string {
-	return fmt.Sprintf("shard %d/%d", v.shard, len(v.parent.shards))
 }

@@ -34,8 +34,9 @@ type entryTuple struct {
 	q        int8
 }
 
-// tableTuples decodes a table's entries through any Reader, sorted.
-func tableTuples(r Reader, tid int32) []entryTuple {
+// tableTuples decodes a table's entries through the per-entry accessors,
+// sorted.
+func tableTuples(r *ShardedStore, tid int32) []entryTuple {
 	start, end := r.TableEntries(tid)
 	out := make([]entryTuple, 0, end-start)
 	for i := start; i < end; i++ {
@@ -62,13 +63,14 @@ func buildStore(tables []*table.Table) *Store {
 	return s
 }
 
-// TestShardedMatchesMonolithic checks a 4-shard index against a single
-// Store built straight from the same tables: global table ids, names,
-// per-table entries, reconstruction, frequencies and postings must agree,
-// even though global entry positions differ.
+// TestShardedMatchesMonolithic checks a 4-shard index against the
+// one-shard index of the same tables: global table ids, names, per-table
+// entries, reconstruction, frequencies and postings must agree, even
+// though global entry positions differ. The one-shard index in turn must
+// match a single Store built straight from the tables entry for entry.
 func TestShardedMatchesMonolithic(t *testing.T) {
 	tables := widerLake()
-	mono := buildStore(tables)
+	mono := Build(tables, 1)
 	shard := Build(tables, 4)
 	if shard.NumShards() != 4 {
 		t.Fatalf("NumShards = %d", shard.NumShards())
@@ -83,8 +85,8 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 		t.Fatalf("distinct values %d != %d", shard.NumDistinctValues(), mono.NumDistinctValues())
 	}
 	for tid := int32(0); tid < int32(mono.NumTables()); tid++ {
-		if shard.TableName(tid) != mono.TableMeta(tid).Name {
-			t.Fatalf("table %d name %q != %q", tid, shard.TableName(tid), mono.TableMeta(tid).Name)
+		if shard.TableName(tid) != mono.TableName(tid) {
+			t.Fatalf("table %d name %q != %q", tid, shard.TableName(tid), mono.TableName(tid))
 		}
 		if !reflect.DeepEqual(tableTuples(shard, tid), tableTuples(mono, tid)) {
 			t.Fatalf("table %d entries differ", tid)
@@ -106,7 +108,7 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 		}
 		// Postings positions differ (global layouts differ) but must
 		// decode to the same cell locations.
-		decode := func(r Reader, ps []int32) []entryTuple {
+		decode := func(r *ShardedStore, ps []int32) []entryTuple {
 			out := make([]entryTuple, 0, len(ps))
 			for _, p := range ps {
 				out = append(out, entryTuple{
@@ -132,11 +134,11 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 	if got, want := shard.AvgFrequency([]string{"HR", "Firenze"}), mono.AvgFrequency([]string{"HR", "Firenze"}); got != want {
 		t.Fatalf("AvgFrequency %v != %v", got, want)
 	}
-	// One shard is the monolithic case: same global entry positions.
-	one := Build(tables, 1)
-	for i := int32(0); i < int32(mono.NumEntries()); i++ {
-		if one.Value(i) != mono.Value(i) || one.TableID(i) != mono.TableID(i) ||
-			one.RowID(i) != mono.RowID(i) || one.SuperKey(i) != mono.SuperKey(i) {
+	// One shard is the monolithic case: same entry positions as a Store.
+	st := buildStore(tables)
+	for i := int32(0); i < int32(st.NumEntries()); i++ {
+		if mono.Value(i) != st.Value(i) || mono.TableID(i) != st.TableID(i) ||
+			mono.RowID(i) != st.RowID(i) || mono.SuperKey(i) != st.SuperKey(i) {
 			t.Fatalf("one-shard index diverges from the Store at entry %d", i)
 		}
 	}
@@ -165,51 +167,37 @@ func TestShardedGlobalPositionsConsistent(t *testing.T) {
 	}
 }
 
-func TestShardReaderViews(t *testing.T) {
+// TestShardPostings checks the per-shard cursors the native executors
+// scan: each reports global positions inside its own shard's range and
+// global table ids of tables that shard owns, and together they yield
+// every live posting exactly once.
+func TestShardPostings(t *testing.T) {
 	s := Build(widerLake(), 4)
-	views := s.ShardReaders()
-	if len(views) != 4 {
-		t.Fatalf("views = %d", len(views))
-	}
-	totalEntries, totalFreq := 0, 0
-	for _, v := range views {
-		totalEntries += v.NumEntries()
-		hr := drain(t, v.Postings("HR"), false)
-		totalFreq += len(hr)
+	total := 0
+	for i := range s.NumShards() {
+		hr := drain(t, s.ShardPostings(i, "HR"), false)
+		total += len(hr)
 		for _, e := range hr {
-			// Positions are shard-local, table ids global.
-			if v.TableID(e.pos) != e.tid || v.Value(e.pos) != "HR" {
-				t.Fatalf("view cursor entry %+v disagrees with its local position", e)
+			if e.pos < s.base[i] || e.pos >= s.base[i+1] {
+				t.Fatalf("shard %d cursor entry %+v outside the shard's range [%d, %d)",
+					i, e, s.base[i], s.base[i+1])
 			}
-		}
-		if v.NumTables() != s.NumTables() {
-			t.Fatal("view must report the global table count")
-		}
-		// Every entry's TableID must be global: its global range must
-		// belong to a table whose name matches.
-		for i := int32(0); i < int32(v.NumEntries()); i++ {
-			tid := v.TableID(i)
-			if tid < 0 || int(tid) >= s.NumTables() {
-				t.Fatalf("view reports out-of-range global table id %d", tid)
+			if s.TableID(e.pos) != e.tid || s.Value(e.pos) != "HR" {
+				t.Fatalf("shard %d cursor entry %+v disagrees with its global position", i, e)
+			}
+			if s.refs[e.tid].shard != int32(i) {
+				t.Fatalf("shard %d streams table %d owned by shard %d", i, e.tid, s.refs[e.tid].shard)
 			}
 		}
 	}
-	if totalEntries != s.NumEntries() {
-		t.Fatalf("views hold %d entries, store %d", totalEntries, s.NumEntries())
+	if total != s.Frequency("HR") {
+		t.Fatalf("per-shard cursors yield %d postings, want %d", total, s.Frequency("HR"))
 	}
-	if totalFreq != s.Frequency("HR") {
-		t.Fatal("per-shard frequencies must sum to the global frequency")
-	}
-	// A table's entries live in exactly one view.
+	// A table's entries lie inside its owning shard's range.
 	for tid := int32(0); tid < int32(s.NumTables()); tid++ {
-		owners := 0
-		for _, v := range views {
-			if lo, hi := v.TableEntries(tid); hi > lo {
-				owners++
-			}
-		}
-		if owners != 1 {
-			t.Fatalf("table %d owned by %d shards", tid, owners)
+		sh := s.refs[tid].shard
+		if lo, hi := s.TableEntries(tid); lo < s.base[sh] || hi > s.base[sh+1] {
+			t.Fatalf("table %d entries [%d, %d) outside shard %d", tid, lo, hi, sh)
 		}
 	}
 }

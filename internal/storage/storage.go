@@ -11,11 +11,12 @@
 // more Store partitions; a single-shard ShardedStore is the monolithic
 // case.
 //
-// Every consumer reads postings the same way: Reader.Postings returns a
-// PostingCursor that gathers the live entries of one value into a
-// caller-owned PostingBlock of parallel position / table / column / row
-// (and, on request, super-key) columns, block by block, mapping shard-local
-// table ids to global ones as it goes.
+// Every consumer reads postings the same way: ShardedStore.Postings (or,
+// one shard at a time, ShardPostings) returns a PostingCursor that gathers
+// the live entries of one value into a caller-owned PostingBlock of
+// parallel position / table / column / row (and, on request, super-key)
+// columns, block by block, mapping shard-local table ids to global ones as
+// it goes.
 package storage
 
 import (
@@ -311,12 +312,6 @@ func (s *Store) postingList(v string) []int32 {
 	return s.postings[vi]
 }
 
-// Postings returns a cursor over the live entries holding value v, with
-// the store's own positions and table ids.
-func (s *Store) Postings(v string) PostingCursor {
-	return PostingCursor{st: s, list: s.postingList(v)}
-}
-
 // Frequency returns the number of live index entries holding value v.
 func (s *Store) Frequency(v string) int {
 	list := s.postingList(v)
@@ -352,22 +347,6 @@ func (s *Store) ScanTableNumeric(tid, maxRow int32, fn func(cid, rid int32, q in
 		}
 		fn(s.columnIDs[i], rid, q)
 	}
-}
-
-// AvgFrequency returns the mean index frequency of the given values.
-func (s *Store) AvgFrequency(values []string) float64 { return avgFrequency(values, s.Frequency) }
-
-// avgFrequency returns the mean of freq over values — the statistic BLEND's
-// learned cost model uses as a feature (§VII-B).
-func avgFrequency(values []string, freq func(string) int) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	total := 0
-	for _, v := range values {
-		total += freq(v)
-	}
-	return float64(total) / float64(len(values))
 }
 
 // TableEntries returns the [start, end) entry range of a table id (the
