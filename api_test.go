@@ -33,10 +33,6 @@ func TestTypedErrorCodes(t *testing.T) {
 	if err := NewPlan().SetOutput("nope"); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("unknown output: %v", err)
 	}
-	// Untrained cost models -> ErrNoCostModel.
-	if err := d.SaveCostModels(filepath.Join(t.TempDir(), "m.json")); !errors.Is(err, ErrNoCostModel) {
-		t.Fatalf("untrained models: %v", err)
-	}
 	// Corrupt index file -> ErrBadIndex.
 	if _, err := OpenIndex(filepath.Join(t.TempDir(), "missing.blend")); !errors.Is(err, ErrBadIndex) {
 		t.Fatalf("missing index: %v", err)
@@ -164,7 +160,10 @@ func TestConcurrentAddTableAndQueries(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				nt := NewTable(fmt.Sprintf("W%d_%d", w, i), "Team", "Head")
 				nt.MustAppendRow("Quidditch"+strconv.Itoa(i), "Head"+strconv.Itoa(w))
-				d.AddTable(nt)
+				if err := d.AddTable(nt); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}(w)
 	}

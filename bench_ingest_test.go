@@ -64,7 +64,9 @@ func BenchmarkBulkIngestSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := benchIngestTarget(b)
 		for _, t := range benchIngest.add {
-			d.AddTable(t)
+			if err := d.AddTable(t); err != nil {
+				b.Fatal(err)
+			}
 		}
 		if d.NumTables() != len(benchIngest.seed)+len(benchIngest.add) {
 			b.Fatal("sequential ingest lost tables")

@@ -23,11 +23,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 
-	"blend/internal/berr"
 	"blend/internal/core"
-	"blend/internal/costmodel"
 	"blend/internal/storage"
 	"blend/internal/table"
 )
@@ -169,11 +166,12 @@ func WithShards(n int) IndexOption {
 // WithResultCache enables the engine's seeker result cache with room for n
 // entries: repeated seekers (standalone or inside plans) return their
 // memoized top-k list instead of rescanning the index. Entries are keyed
-// by (seeker fingerprint, rewrite, store generation) and the cache is
-// purged by AddTable, so results are never stale. Off by default, so
-// benchmark and experiment timings keep measuring real executions; serving
-// deployments (blend-serve) enable it. See Discovery.SetResultCache to
-// reconfigure later and Discovery.CacheStats for hit rates.
+// by (seeker fingerprint, rewrite, store generation), so a query never
+// reads an entry computed at another generation and results are never
+// stale. Off by default, so benchmark and experiment timings keep
+// measuring real executions; serving deployments (blend-serve) enable it.
+// See Discovery.SetResultCache to reconfigure later and
+// Discovery.CacheStats for hit rates.
 func WithResultCache(n int) IndexOption {
 	return func(c *indexConfig) { c.cacheSize = n }
 }
@@ -458,49 +456,6 @@ func (d *Discovery) RetainedGenerations() []uint64 { return d.engine.RetainedGen
 // releases the excess immediately.
 func (d *Discovery) SetRetention(n int) { d.engine.SetRetention(n) }
 
-// TrainCostModels runs the offline cost-model training of §VII-B:
-// samplesPerKind random inputs per seeker type are executed and timed, and
-// a linear model per type is fitted and installed for use by the optimizer.
-// The context bounds the whole training sweep: cancellation aborts between
-// (and inside) sample runs.
-func (d *Discovery) TrainCostModels(ctx context.Context, samplesPerKind int, seed int64) error {
-	_, err := core.TrainCostModels(ctx, d.engine, samplesPerKind, seed)
-	return err
-}
-
-// SaveCostModels persists the trained cost models as JSON (the paper
-// trains once per lake installation; the models ride alongside the index
-// file). It fails if TrainCostModels has not run.
-func (d *Discovery) SaveCostModels(path string) error {
-	if d.engine.Cost == nil {
-		return berr.New(berr.CodeNoCostModel, "blend.cost", "no trained cost models; call TrainCostModels first")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := d.engine.Cost.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadCostModels installs previously saved cost models.
-func (d *Discovery) LoadCostModels(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	per, err := costmodel.LoadModels(f)
-	if err != nil {
-		return err
-	}
-	d.engine.Cost = per
-	return nil
-}
-
 // WritePlanDot renders a plan's DAG in Graphviz dot format (Fig. 2b).
 func WritePlanDot(p *Plan, w io.Writer) error { return p.WriteDot(w) }
 
@@ -513,11 +468,16 @@ func (d *Discovery) SetCorrelationSampleSize(h int) { d.engine.SampleH = h }
 func (d *Discovery) TableNames(h Hits) []string { return d.engine.TableNames(h) }
 
 // AddTable appends one table to the index without rebuilding it — the
-// incremental maintenance a single unified index enables (§I). The table
-// is immediately discoverable. AddTable is safe concurrently with
-// queries: it waits for in-flight plans to drain, and queries issued
-// after it returns see the new table.
-func (d *Discovery) AddTable(t *Table) { d.engine.AddTable(t) }
+// incremental maintenance a single unified index enables (§I). It is
+// AddTables with a batch of one: a name already indexed fails with
+// ErrDuplicateTable, a journal failure returns a typed error, and either
+// leaves the index and its generation unchanged. AddTable is safe
+// concurrently with queries: in-flight plans keep their pinned
+// generation, and queries issued after it returns see the new table.
+func (d *Discovery) AddTable(t *Table) error {
+	_, err := d.engine.AddTables([]*Table{t}, 0)
+	return err
+}
 
 // SetResultCache configures the seeker result cache to hold up to n
 // entries; n <= 0 disables it. See WithResultCache for semantics.

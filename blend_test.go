@@ -259,13 +259,6 @@ func tableSet(names []string) map[string]bool {
 	return m
 }
 
-func TestTrainCostModelsPublicAPI(t *testing.T) {
-	d := IndexTables(ColumnStore, fig1Tables())
-	if err := d.TrainCostModels(context.Background(), 30, 7); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSetCorrelationSampleSize(t *testing.T) {
 	d := IndexTables(ColumnStore, fig1Tables())
 	d.SetCorrelationSampleSize(64)
@@ -300,7 +293,9 @@ func TestAddTablePublicAPI(t *testing.T) {
 	d := IndexTables(ColumnStore, fig1Tables())
 	nt := NewTable("T4", "Team", "Head")
 	nt.MustAppendRow("Quidditch", "Oliver Wood")
-	d.AddTable(nt)
+	if err := d.AddTable(nt); err != nil {
+		t.Fatal(err)
+	}
 	if d.NumTables() != 4 {
 		t.Fatalf("tables = %d", d.NumTables())
 	}
@@ -311,6 +306,47 @@ func TestAddTablePublicAPI(t *testing.T) {
 	if len(hits) != 1 || d.TableNames(hits)[0] != "T4" {
 		t.Fatalf("incrementally added table not discoverable: %v", hits)
 	}
+}
+
+// failingJournal is a write-ahead log whose every append fails.
+type failingJournal struct{ err error }
+
+func (j failingJournal) AddTables([]*Table) error { return j.err }
+func (j failingJournal) RemoveTable(int32) error  { return j.err }
+func (j failingJournal) Compact() error           { return j.err }
+func (j failingJournal) Checkpoint(uint64) error  { return j.err }
+
+// TestAddTableRejectsWithoutPublishing asserts AddTable's two refusals:
+// a journal append failure returns a typed error rather than panicking,
+// and a name already indexed returns ErrDuplicateTable. Neither publishes
+// a generation or grows the index.
+func TestAddTableRejectsWithoutPublishing(t *testing.T) {
+	d := IndexTables(ColumnStore, fig1Tables())
+	gen, tables := d.Generation(), d.NumTables()
+	unchanged := func(what string) {
+		t.Helper()
+		if d.Generation() != gen || d.NumTables() != tables {
+			t.Fatalf("%s: generation %d, tables %d; want %d, %d",
+				what, d.Generation(), d.NumTables(), gen, tables)
+		}
+	}
+
+	dup := NewTable("T1", "Team")
+	dup.MustAppendRow("Quidditch")
+	if err := d.AddTable(dup); !errors.Is(err, ErrDuplicateTable) {
+		t.Fatalf("duplicate name: err = %v, want ErrDuplicateTable", err)
+	}
+	unchanged("duplicate")
+
+	diskFull := errors.New("no space left on device")
+	d.Engine().SetJournal(failingJournal{err: diskFull})
+	nt := NewTable("T4", "Team")
+	nt.MustAppendRow("Quidditch")
+	err := d.AddTable(nt)
+	if !errors.Is(err, ErrInternal) || !errors.Is(err, diskFull) {
+		t.Fatalf("journal failure: err = %v, want ErrInternal wrapping the cause", err)
+	}
+	unchanged("journal failure")
 }
 
 func TestParallelPublicAPI(t *testing.T) {
@@ -328,31 +364,6 @@ func TestParallelPublicAPI(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq.Tables, par.Tables) {
 		t.Fatalf("parallel %v != sequential %v", par.Tables, seq.Tables)
-	}
-}
-
-func TestCostModelPersistencePublicAPI(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "models.json")
-	d := IndexTables(ColumnStore, fig1Tables())
-	if err := d.SaveCostModels(path); err == nil {
-		t.Fatal("saving untrained models must fail")
-	}
-	if err := d.TrainCostModels(context.Background(), 30, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SaveCostModels(path); err != nil {
-		t.Fatal(err)
-	}
-	d2 := IndexTables(ColumnStore, fig1Tables())
-	if err := d2.LoadCostModels(path); err != nil {
-		t.Fatal(err)
-	}
-	if d2.Engine().Cost == nil {
-		t.Fatal("models not installed after load")
-	}
-	if err := d2.LoadCostModels(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file must fail")
 	}
 }
 
@@ -482,7 +493,9 @@ func TestPersistenceRegressionBothFormats(t *testing.T) {
 		// index, whichever format it came from.
 		nt := NewTable("T9", "Team", "Head")
 		nt.MustAppendRow("Astronomy", "Aurora Sinistra")
-		back.AddTable(nt)
+		if err := back.AddTable(nt); err != nil {
+			t.Fatal(err)
+		}
 		hits, err := back.Seek(context.Background(), KW([]string{"Astronomy"}, 5))
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,7 @@ import "blend/internal/berr"
 // Error is BLEND's typed error: a stable Code for programmatic dispatch,
 // the operation that failed, and a human-readable detail. Every failure
 // surfaced by the public API — plan validation, seeker execution, raw SQL,
-// index persistence, cost models — is (or wraps) an *Error, so callers
+// index persistence, ingest — is (or wraps) an *Error, so callers
 // use errors.Is against the sentinels below, or errors.As to inspect the
 // fields, instead of matching message strings:
 //
@@ -35,8 +35,6 @@ const (
 	CodeCanceled = berr.CodeCanceled
 	// CodeDeadline reports execution aborted by a context deadline.
 	CodeDeadline = berr.CodeDeadline
-	// CodeNoCostModel reports cost-model use before training.
-	CodeNoCostModel = berr.CodeNoCostModel
 	// CodeBadQuery reports a rejected raw SQL statement.
 	CodeBadQuery = berr.CodeBadQuery
 	// CodeBadIndex reports a corrupt or unreadable index file.
@@ -69,8 +67,6 @@ var (
 	// deadline (including WithDeadline run options); such errors also
 	// wrap context.DeadlineExceeded.
 	ErrDeadlineExceeded = berr.ErrDeadlineExceeded
-	// ErrNoCostModel matches cost-model operations before training.
-	ErrNoCostModel = berr.ErrNoCostModel
 	// ErrBadQuery matches raw SQL the embedded engine rejects.
 	ErrBadQuery = berr.ErrBadQuery
 	// ErrBadIndex matches corrupt or unreadable persisted indexes.

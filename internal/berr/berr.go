@@ -36,8 +36,6 @@ const (
 	CodeCanceled
 	// CodeDeadline reports an execution aborted by a context deadline.
 	CodeDeadline
-	// CodeNoCostModel reports a cost-model operation before training.
-	CodeNoCostModel
 	// CodeBadQuery reports a raw SQL statement the minisql engine rejects,
 	// at parse time or during execution.
 	CodeBadQuery
@@ -71,8 +69,6 @@ func (c Code) String() string {
 		return "canceled"
 	case CodeDeadline:
 		return "deadline_exceeded"
-	case CodeNoCostModel:
-		return "no_cost_model"
 	case CodeBadQuery:
 		return "bad_query"
 	case CodeBadIndex:
@@ -145,7 +141,6 @@ var (
 	ErrUnknownNode      = &Error{Code: CodeUnknownNode}
 	ErrCanceled         = &Error{Code: CodeCanceled}
 	ErrDeadlineExceeded = &Error{Code: CodeDeadline}
-	ErrNoCostModel      = &Error{Code: CodeNoCostModel}
 	ErrBadQuery         = &Error{Code: CodeBadQuery}
 	ErrBadIndex         = &Error{Code: CodeBadIndex}
 	ErrBadRequest       = &Error{Code: CodeBadRequest}

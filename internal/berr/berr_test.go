@@ -84,3 +84,35 @@ func TestErrorString(t *testing.T) {
 		}
 	}
 }
+
+// TestCodeWireNames pins the String form of every code: it is the wire
+// name the HTTP service and the CLIs emit, while the numeric values are
+// never persisted or sent, so codes may be renumbered but not renamed.
+func TestCodeWireNames(t *testing.T) {
+	want := map[Code]string{
+		CodeUnknown:        "unknown",
+		CodeBadPlan:        "bad_plan",
+		CodeUnknownNode:    "unknown_node",
+		CodeCanceled:       "canceled",
+		CodeDeadline:       "deadline_exceeded",
+		CodeBadQuery:       "bad_query",
+		CodeBadIndex:       "bad_index",
+		CodeBadRequest:     "bad_request",
+		CodeNotFound:       "not_found",
+		CodeInternal:       "internal",
+		CodeDuplicateTable: "duplicate_table",
+		CodeGenerationGone: "generation_gone",
+	}
+	for c := CodeUnknown; c <= CodeGenerationGone; c++ {
+		name, ok := want[c]
+		if !ok {
+			t.Fatalf("code %d has no pinned wire name", c)
+		}
+		if c.String() != name {
+			t.Errorf("code %d: String() = %q, want %q", c, c.String(), name)
+		}
+	}
+	if got := (CodeGenerationGone + 1).String(); got != "unknown" {
+		t.Fatalf("a code past CodeGenerationGone is named %q: pin it here", got)
+	}
+}

@@ -87,7 +87,11 @@ func TestResultCacheInvalidationOnAddTable(t *testing.T) {
 	nt.MustAppendRow("HR")
 	nt.MustAppendRow("IT")
 	nt.MustAppendRow("Marketing")
-	tid := e.AddTable(nt)
+	ids, err := e.AddTables([]*table.Table{nt}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid := ids[0]
 
 	after, st, err := e.RunSeeker(context.Background(), s)
 	if err != nil {
@@ -190,7 +194,10 @@ func TestResultCacheConcurrent(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			nt := table.New(fmt.Sprintf("C%d", i), "Team")
 			nt.MustAppendRow("HR")
-			e.AddTable(nt)
+			if _, err := e.AddTables([]*table.Table{nt}, 0); err != nil {
+				t.Errorf("add: %v", err)
+				return
+			}
 		}
 	}()
 	wg.Wait()

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"blend/internal/datalake"
 	"blend/internal/storage"
 	"blend/internal/table"
 )
@@ -437,6 +438,15 @@ func TestRuleRanking(t *testing.T) {
 	}
 }
 
+func TestSeekerKindString(t *testing.T) {
+	names := map[SeekerKind]string{KW: "KW", SC: "SC", MC: "MC", C: "C", Semantic: "Semantic", Semantic + 1: "Kind(5)"}
+	for k, want := range names {
+		if k.String() != want {
+			t.Fatalf("%d.String() = %q, want %q", int(k), k.String(), want)
+		}
+	}
+}
+
 func TestExecutionGroupIdentification(t *testing.T) {
 	p := NewPlan()
 	p.MustAddSeeker("mc", NewMC([][]string{{"a", "b"}}, 5))
@@ -487,6 +497,67 @@ func TestOptimizerRunsKWBeforeMC(t *testing.T) {
 	}
 	if res.Stats["kw"].Rewritten {
 		t.Fatal("first seeker must not be rewritten")
+	}
+}
+
+// TestOptimizerOrdersSameKindByEstimate asserts the within-kind rule of
+// §VII-B: in an Intersect over two seekers of one kind, the one with the
+// lower index-frequency estimate runs first even when the plan declares it
+// second, and the order is the same on a 1-shard and a 4-shard index
+// (Frequency sums over shards, so the estimates are identical).
+func TestOptimizerOrdersSameKindByEstimate(t *testing.T) {
+	lake := datalake.GenJoinLake(datalake.JoinLakeConfig{
+		Name: "rank", NumTables: 40, ColsPerTable: 4, RowsPerTable: 60,
+		VocabSize: 800, Seed: 5,
+	})
+	targets := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(i % 7)
+		}
+		return out
+	}
+	smallTuples, _ := lake.QueryTuples(2, 2)
+	bigTuples, _ := lake.QueryTuples(12, 3)
+	smallKeys, bigKeys := lake.QueryColumn(4), lake.QueryColumn(40)
+	pairs := []struct {
+		kind             SeekerKind
+		cheap, expensive Seeker
+	}{
+		{SC, NewSC(lake.QueryColumn(3), 10), NewSC(lake.QueryColumn(50), 10)},
+		{MC, NewMC(smallTuples, 10), NewMC(bigTuples, 10)},
+		{C, NewCorrelation(smallKeys, targets(len(smallKeys)), 10),
+			NewCorrelation(bigKeys, targets(len(bigKeys)), 10)},
+	}
+	engines := []*Engine{
+		NewEngine(storage.Build(lake.Tables, 1)),
+		NewEngine(storage.Build(lake.Tables, 4)),
+	}
+	for _, pc := range pairs {
+		p := NewPlan()
+		p.MustAddSeeker("expensive", pc.expensive)
+		p.MustAddSeeker("cheap", pc.cheap)
+		p.MustAddCombiner("i", NewIntersect(10), "expensive", "cheap")
+		var est [2]float64
+		for i, e := range engines {
+			cheap, exp := pc.cheap.estimate(e.Store()), pc.expensive.estimate(e.Store())
+			if cheap >= exp {
+				t.Fatalf("%v: estimates do not differ as intended: cheap %v, expensive %v",
+					pc.kind, cheap, exp)
+			}
+			est[i] = cheap
+			res, err := e.Run(context.Background(), p, RunOptions{Optimize: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.SeekerOrder, []string{"cheap", "expensive"}) {
+				t.Fatalf("%v at %d shards: order = %v, want [cheap expensive]",
+					pc.kind, e.NumShards(), res.SeekerOrder)
+			}
+		}
+		if est[0] != est[1] {
+			t.Fatalf("%v: estimate differs across shard counts: %v vs %v", pc.kind, est[0], est[1])
+		}
 	}
 }
 
@@ -594,70 +665,6 @@ func TestForcedOrder(t *testing.T) {
 	got = applyForcedOrder(ranked, []string{"z"})
 	if !reflect.DeepEqual(got, ranked) {
 		t.Fatalf("unknown forced id changed order: %v", got)
-	}
-}
-
-func TestTrainCostModels(t *testing.T) {
-	e := fig1Engine()
-	per, err := TrainCostModels(context.Background(), e, 40, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Cost != per {
-		t.Fatal("models must be installed on the engine")
-	}
-	// SC should always be trainable on this lake.
-	if per.Get(SC) == nil {
-		t.Fatal("SC model missing")
-	}
-	// Prediction should be finite.
-	m := per.Get(SC)
-	v := m.Predict(NewSC(departments, 10).Features(e.Store()))
-	if v != v { // NaN check
-		t.Fatal("prediction is NaN")
-	}
-}
-
-// TestTrainCostModelsPathSeparation asserts training observes both
-// executors for natively-served kinds: the flag is restored afterwards,
-// and the fitted model prices the native execution of a seeker below its
-// SQL execution (the Native feature varied within the training set, so
-// its weight carries the path cost gap instead of being collinear with
-// the intercept).
-func TestTrainCostModelsPathSeparation(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		e := fig1Engine()
-		if cached {
-			// Training must bypass the result cache: its keys are
-			// path-agnostic, so a cached run would feed the SQL-path
-			// samples the native run's result at zero measured cost.
-			e.SetResultCache(64)
-		}
-		per, err := TrainCostModels(context.Background(), e, 40, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.NoNativeExec {
-			t.Fatal("training must restore the engine's execution path")
-		}
-		m := per.Get(SC)
-		if m == nil {
-			t.Fatal("SC model missing")
-		}
-		f := NewSC(departments, 10).Features(e.Store())
-		fNative := f
-		fNative.Native = 1
-		if n, s := m.Predict(fNative), m.Predict(f); n >= s {
-			t.Fatalf("cached=%v: trained model prices native (%v) >= sql (%v)",
-				cached, n, s)
-		}
-	}
-}
-
-func TestTrainCostModelsTooFewSamples(t *testing.T) {
-	e := fig1Engine()
-	if _, err := TrainCostModels(context.Background(), e, 2, 1); err == nil {
-		t.Fatal("want error for tiny sample count")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"blend/internal/berr"
-	"blend/internal/costmodel"
 	"blend/internal/minisql"
 	"blend/internal/storage"
 	"blend/internal/table"
@@ -17,19 +16,18 @@ import (
 // experiments use h = 256.
 const DefaultSampleH = 256
 
-// Engine executes discovery plans against one indexed data lake. It owns
-// the trained per-seeker cost models used by the optimizer and publishes
-// MVCC generation snapshots of the index (see snapshot.go): each snapshot
-// carries one SQL catalog exposing the AllTables relation, which raw SQL
-// and the seekers' SQL fallback (NoNativeExec) run against. The native
-// executors scan the shards of a sharded index concurrently and merge
-// their top-k (tables are partitioned whole, so per-table aggregates are
-// shard-local).
+// Engine executes discovery plans against one indexed data lake. It
+// publishes MVCC generation snapshots of the index (see snapshot.go): each
+// snapshot carries one SQL catalog exposing the AllTables relation, which
+// raw SQL and the seekers' SQL fallback (NoNativeExec) run against. The
+// native executors scan the shards of a sharded index concurrently and
+// merge their top-k (tables are partitioned whole, so per-table aggregates
+// are shard-local).
 //
 // The engine is safe for concurrent use, and reads never block on writes:
 // a query pins the current snapshot once at start and runs lock-free
-// against it, while mutations (AddTable, AddTables, RemoveTable, Compact)
-// serialize on writeMu, derive the next store copy-on-write, and publish it
+// against it, while mutations (AddTables, RemoveTable, Compact) serialize
+// on writeMu, derive the next store copy-on-write, and publish it
 // atomically. Queries started before a mutation keep seeing the old
 // generation; queries started after it see the new one.
 type Engine struct {
@@ -44,8 +42,8 @@ type Engine struct {
 	gen     uint64 // guarded by writeMu
 	// names caches the live table names for AddTables' duplicate check,
 	// built lazily and maintained incrementally; nil means "rebuild on next
-	// use" (RemoveTable invalidates it, since duplicate names the unchecked
-	// AddTable may have introduced make an incremental delete ambiguous).
+	// use" (RemoveTable invalidates it: the initial index build performs no
+	// duplicate check, so deleting one name could drop a live twin).
 	names   map[string]struct{} // guarded by writeMu
 	journal Journal             // guarded by writeMu
 	lease   *storeLease         // guarded by writeMu
@@ -82,10 +80,6 @@ type Engine struct {
 	// SampleH is the number of leading row ids sampled by the correlation
 	// seeker (the `rowid < h` predicate of Listing 3).
 	SampleH int
-
-	// Cost holds the learned cost models per seeker kind; when nil the
-	// optimizer falls back to pure rule-based ranking.
-	Cost *costmodel.PerKind
 }
 
 // NewEngine wraps an AllTables index for plan execution and publishes it as
@@ -117,34 +111,6 @@ func (e *Engine) Catalog() *minisql.Catalog { return e.snap.Load().cat }
 
 // NumShards reports how many partitions the engine scans per seeker.
 func (e *Engine) NumShards() int { return e.snap.Load().store.NumShards() }
-
-// AddTable appends one table to the index without rebuilding it — the
-// incremental maintenance a single unified index enables (§I). It derives
-// and publishes a new generation, so it is safe concurrently with queries:
-// in-flight plans keep their pinned snapshot, and queries started after it
-// returns see the new table. Unlike AddTables it performs no duplicate
-// check, and it pays the generation publish per call — bulk ingestion
-// should batch through AddTables. A journal append failure panics with a
-// typed error (durability was promised and cannot be delivered); use
-// AddTables to handle journal errors gracefully.
-func (e *Engine) AddTable(t *table.Table) int32 {
-	start := time.Now()
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	if e.journal != nil {
-		if err := e.journal.AddTables([]*table.Table{t}); err != nil {
-			panic(berr.Wrap(berr.CodeInternal, "engine.wal", err))
-		}
-	}
-	next, id := e.snap.Load().store.CloneAddTablesBatch([]*table.Table{t}, 0)
-	e.gen++
-	e.publish(e.buildSnapshot(next, e.gen))
-	if e.names != nil {
-		e.names[t.Name] = struct{}{}
-	}
-	e.recordBatch(1, uint64(len(t.Rows)), time.Since(start))
-	return id[0]
-}
 
 // recordBatch updates the ingest counters for one committed batch.
 func (e *Engine) recordBatch(tables int, rows uint64, d time.Duration) {

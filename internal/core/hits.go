@@ -1,8 +1,8 @@
 // Package core implements BLEND's contribution: the seeker and combiner
 // operators (§IV of the paper), the declarative discovery Plan and its DAG,
 // and the two-phase plan optimizer (§VII) that ranks operators with rules
-// plus a learned cost model and rewrites their SQL with intermediate-result
-// predicates before execution on the AllTables index.
+// plus an index-frequency work estimate and rewrites their SQL with
+// intermediate-result predicates before execution on the AllTables index.
 package core
 
 import "sort"

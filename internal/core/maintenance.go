@@ -19,8 +19,7 @@ import (
 // service exposes them as the ingest progress/throughput counters of
 // /v1/stats.
 type MaintStats struct {
-	// Batches counts committed ingest batches (one per AddTables call;
-	// AddTable counts as a batch of one).
+	// Batches counts committed ingest batches (one per AddTables call).
 	Batches uint64
 	// TablesAdded / RowsAdded count ingested tables and rows.
 	TablesAdded uint64
@@ -39,9 +38,8 @@ type MaintStats struct {
 
 // AddTables appends a batch of tables to the index as one maintenance
 // operation: one journal append, one derived store, one published
-// generation for the whole batch (AddTable pays each per call). On a
-// sharded index the per-shard inserts run concurrently, bounded by workers
-// (<= 0 means GOMAXPROCS).
+// generation for the whole batch. On a sharded index the per-shard inserts
+// run concurrently, bounded by workers (<= 0 means GOMAXPROCS).
 //
 // Table names must be unique: a name already indexed (and not removed), or
 // repeated within the batch, fails the whole call with a typed

@@ -248,21 +248,6 @@ func TestNativeSQLEquivalenceAfterRemoveCompact(t *testing.T) {
 	}
 }
 
-func TestTrainCostModelsSurvivesTombstones(t *testing.T) {
-	base := maintLake("train", 8)
-	e := NewEngine(storage.Build(base, 1))
-	for _, tid := range []int32{1, 4, 6} {
-		if err := e.RemoveTable(tid); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The sampler draws ids across the whole allocated space; tombstoned
-	// ids must be resampled, not dereferenced.
-	if _, err := TrainCostModels(context.Background(), e, 40, 5); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLiveTablesExcludesTombstones(t *testing.T) {
 	base := maintLake("live", 6)
 	e := NewEngine(storage.Build(base, 2))

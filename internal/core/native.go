@@ -9,9 +9,9 @@ import (
 )
 
 // Execution-path labels reported in RunStats.Path and, under WithExplain,
-// in PlanResult.PathByNode. They tell the optimizer/cost-model layer (and
-// operators reading -explain output) whether a seeker ran on the native
-// posting-list executor or fell back to SQL interpretation.
+// in PlanResult.PathByNode. They tell operators reading -explain output
+// whether a seeker ran on the native posting-list executor or fell back
+// to SQL interpretation.
 const (
 	// PathNative marks a run on the native posting-list fast path: no SQL
 	// was generated, parsed, or interpreted.

@@ -225,9 +225,12 @@ func TestNativeAddTableVisibility(t *testing.T) {
 	for _, cfg := range nativeTestConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
 			native, sql := buildNativeTestEngines(cfg.shards, lake)
-			for _, tb := range extra.Tables {
-				native.AddTable(tb)
-				sql.AddTable(tb)
+			for i := range extra.Tables {
+				for _, e := range []*Engine{native, sql} {
+					if _, err := e.AddTables(extra.Tables[i:i+1], 0); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			q := extra.Tables[0].DistinctColumnValues(0)
 			if len(q) > 15 {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"blend/internal/costmodel"
-)
+import "sort"
 
 // nativeServes reports whether the engine's native posting-list executor
 // will serve the given seeker kind. With every relational seeker family
@@ -21,19 +17,6 @@ func (e *Engine) nativeServes(k SeekerKind) bool {
 	default:
 		return false
 	}
-}
-
-// seekerFeatures extracts a seeker's cost-model features and stamps the
-// execution-path indicator, so trained models can price the native and SQL
-// executions of one kind separately. Every optimizer or training call site
-// goes through here — never through Seeker.Features directly, which cannot
-// know the engine's path configuration.
-func (v *view) seekerFeatures(s Seeker) costmodel.Features {
-	f := s.Features(v.sn.store)
-	if v.nativeServes(s.Kind()) {
-		f.Native = 1
-	}
-	return f
 }
 
 // ruleRank orders seeker kinds per the rule-based optimizer (§VII-B):
@@ -98,9 +81,9 @@ func (p *Plan) findExecutionGroups() []executionGroup {
 }
 
 // rankSeekers orders the execution-group members: rule-based ranking across
-// kinds, learned cost estimation within a kind (falling back to a frequency
-// heuristic when no model is trained). The sort is stable over plan
-// insertion order, keeping optimization deterministic.
+// kinds, the seekers' index-frequency work estimates within a kind. The
+// sort is stable over plan insertion order, keeping optimization
+// deterministic.
 func (v *view) rankSeekers(p *Plan, members []string) []string {
 	type ranked struct {
 		id   string
@@ -110,22 +93,7 @@ func (v *view) rankSeekers(p *Plan, members []string) []string {
 	rs := make([]ranked, len(members))
 	for i, id := range members {
 		s := p.nodes[id].seeker
-		r := ranked{id: id, rule: ruleRank(s.Kind())}
-		f := v.seekerFeatures(s)
-		if v.Cost != nil {
-			if m := v.Cost.Get(s.Kind()); m != nil {
-				r.cost = m.Predict(f)
-				rs[i] = r
-				continue
-			}
-		}
-		// Heuristic fallback: work is roughly |Q| × avg posting length.
-		freq := f.AvgFreq
-		if freq < 1 {
-			freq = 1
-		}
-		r.cost = f.Card * freq * float64(int(f.Cols))
-		rs[i] = r
+		rs[i] = ranked{id: id, rule: ruleRank(s.Kind()), cost: s.estimate(v.sn.store)}
 	}
 	sort.SliceStable(rs, func(a, b int) bool {
 		if rs[a].rule != rs[b].rule {
@@ -138,4 +106,16 @@ func (v *view) rankSeekers(p *Plan, members []string) []string {
 		out[i] = r.id
 	}
 	return out
+}
+
+// workEstimate prices a seeker input as card query values × their average
+// posting length (at least 1) × cols columns, a proxy for the postings the
+// seeker reads. The frequencies are the dictionary's exact per-value
+// counts summed over shards, so the estimate needs no training and does
+// not depend on the shard count.
+func workEstimate(card int, avgFreq float64, cols int) float64 {
+	if avgFreq < 1 {
+		avgFreq = 1
+	}
+	return float64(card) * avgFreq * float64(cols)
 }

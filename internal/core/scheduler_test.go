@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"blend/internal/costmodel"
 	"blend/internal/storage"
 	"blend/internal/table"
 )
@@ -161,12 +160,10 @@ type blockingSeeker struct {
 	id      string
 }
 
-func (s *blockingSeeker) Kind() SeekerKind { return KW }
-func (s *blockingSeeker) TopK() int        { return 1 }
-func (s *blockingSeeker) Features(*storage.ShardedStore) costmodel.Features {
-	return costmodel.Features{Card: 1, Cols: 1, AvgFreq: 1}
-}
-func (s *blockingSeeker) SQL(Rewrite) string { return "" }
+func (s *blockingSeeker) Kind() SeekerKind                       { return KW }
+func (s *blockingSeeker) TopK() int                              { return 1 }
+func (s *blockingSeeker) estimate(*storage.ShardedStore) float64 { return 1 }
+func (s *blockingSeeker) SQL(Rewrite) string                     { return "" }
 func (s *blockingSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats, error) {
 	s.started <- s.id
 	select {

@@ -6,23 +6,46 @@ import (
 	"strings"
 	"time"
 
-	"blend/internal/costmodel"
 	"blend/internal/qcr"
 	"blend/internal/storage"
 	"blend/internal/xash"
 )
 
-// SeekerKind identifies the seeker types of §IV-A. It aliases the cost
-// model's kind so trained models attach without translation.
-type SeekerKind = costmodel.Kind
+// SeekerKind identifies the seeker types of §IV-A.
+type SeekerKind int
 
 // Seeker kind values.
 const (
-	KW = costmodel.KindKW
-	SC = costmodel.KindSC
-	MC = costmodel.KindMC
-	C  = costmodel.KindC
+	// KW is the keyword seeker.
+	KW SeekerKind = iota
+	// SC is the single-column seeker.
+	SC
+	// MC is the multi-column seeker.
+	MC
+	// C is the correlation seeker.
+	C
+	// Semantic is the embedding-based seeker (the §X future-work
+	// extension implemented in this reproduction).
+	Semantic
 )
+
+// String names the kind as in the paper.
+func (k SeekerKind) String() string {
+	switch k {
+	case KW:
+		return "KW"
+	case SC:
+		return "SC"
+	case MC:
+		return "MC"
+	case C:
+		return "C"
+	case Semantic:
+		return "Semantic"
+	default:
+		return fmt.Sprintf("Kind(%d)", int(k))
+	}
+}
 
 // RunStats captures per-seeker execution diagnostics used by the
 // experiments (Table V counts true/false positives of the MC seeker).
@@ -46,8 +69,8 @@ type RunStats struct {
 	Rewritten  bool
 	// Path reports the execution path the run took: PathNative for the
 	// posting-list fast path, PathSQL for the minisql interpreter, PathANN
-	// for the semantic seeker's embedding search. The optimizer/cost-model
-	// layer uses it to attribute timings to the right executor.
+	// for the semantic seeker's embedding search (surfaced by -explain and
+	// the service's per-node paths).
 	Path string
 	// CacheHit marks a run served from the engine's result cache; Path
 	// then reports the path that originally produced the entry.
@@ -61,9 +84,10 @@ type Seeker interface {
 	Kind() SeekerKind
 	// TopK is the seeker-level result limit.
 	TopK() int
-	// Features extracts the cost-model features of this seeker's input
-	// against the given index.
-	Features(store *storage.ShardedStore) costmodel.Features
+	// estimate prices this seeker's input against the given index for
+	// the optimizer's within-kind ordering; only the ordering of estimates
+	// of one kind matters.
+	estimate(store *storage.ShardedStore) float64
 	// SQL renders the seeker's (first-phase) SQL statement with the given
 	// rewrite predicate injected, as the optimizer would execute it.
 	SQL(rw Rewrite) string
@@ -176,13 +200,8 @@ func (s *SCSeeker) Kind() SeekerKind { return SC }
 // TopK implements Seeker.
 func (s *SCSeeker) TopK() int { return s.K }
 
-// Features implements Seeker.
-func (s *SCSeeker) Features(store *storage.ShardedStore) costmodel.Features {
-	return costmodel.Features{
-		Card:    float64(len(s.Values)),
-		Cols:    1,
-		AvgFreq: store.AvgFrequency(s.Values),
-	}
+func (s *SCSeeker) estimate(store *storage.ShardedStore) float64 {
+	return workEstimate(len(s.Values), store.AvgFrequency(s.Values), 1)
 }
 
 // SQL implements Seeker. The GROUP BY (TableId, ColumnId) pairs are cut at
@@ -251,13 +270,8 @@ func (s *KWSeeker) Kind() SeekerKind { return KW }
 // TopK implements Seeker.
 func (s *KWSeeker) TopK() int { return s.K }
 
-// Features implements Seeker.
-func (s *KWSeeker) Features(store *storage.ShardedStore) costmodel.Features {
-	return costmodel.Features{
-		Card:    float64(len(s.Keywords)),
-		Cols:    1,
-		AvgFreq: store.AvgFrequency(s.Keywords),
-	}
+func (s *KWSeeker) estimate(store *storage.ShardedStore) float64 {
+	return workEstimate(len(s.Keywords), store.AvgFrequency(s.Keywords), 1)
 }
 
 // SQL implements Seeker.
@@ -355,10 +369,9 @@ func (s *MCSeeker) columnValues(i int) []string {
 	return distinct(vals)
 }
 
-// Features implements Seeker. The MC frequency feature multiplies the
-// per-column averages because the SQL joins the per-column index hits
-// (§VII-B).
-func (s *MCSeeker) Features(store *storage.ShardedStore) costmodel.Features {
+// estimate multiplies the per-column average frequencies because the SQL
+// joins the per-column index hits (§VII-B).
+func (s *MCSeeker) estimate(store *storage.ShardedStore) float64 {
 	x := s.width()
 	freq := 1.0
 	card := 0
@@ -367,7 +380,7 @@ func (s *MCSeeker) Features(store *storage.ShardedStore) costmodel.Features {
 		card += len(vals)
 		freq *= store.AvgFrequency(vals)
 	}
-	return costmodel.Features{Card: float64(card), Cols: float64(x), AvgFreq: freq}
+	return workEstimate(card, freq, x)
 }
 
 // SQL implements Seeker: the first phase of the MC seeker (Listing 2),
@@ -398,7 +411,7 @@ func (s *MCSeeker) SQL(rw Rewrite) string {
 }
 
 // run executes the MC seeker against the view's pinned snapshot (seekers
-// only run inside Engine.Run / Engine.RunSeeker / the offline trainer).
+// only run inside Engine.Run / Engine.RunSeeker).
 func (s *MCSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats, error) {
 	stats := RunStats{Kind: MC, Rewritten: rw.active(), Path: PathSQL}
 	if s.width() == 0 || len(s.Tuples) == 0 {
@@ -532,13 +545,8 @@ func (s *CorrelationSeeker) Kind() SeekerKind { return C }
 // TopK implements Seeker.
 func (s *CorrelationSeeker) TopK() int { return s.K }
 
-// Features implements Seeker.
-func (s *CorrelationSeeker) Features(store *storage.ShardedStore) costmodel.Features {
-	return costmodel.Features{
-		Card:    float64(len(s.Keys)),
-		Cols:    2,
-		AvgFreq: store.AvgFrequency(s.Keys),
-	}
+func (s *CorrelationSeeker) estimate(store *storage.ShardedStore) float64 {
+	return workEstimate(len(s.Keys), store.AvgFrequency(s.Keys), 2)
 }
 
 // split partitions the join keys by their target's quadrant bit: k0 below

@@ -4,14 +4,10 @@ import (
 	"context"
 	"time"
 
-	"blend/internal/costmodel"
 	"blend/internal/embed"
 	"blend/internal/hnsw"
 	"blend/internal/storage"
 )
-
-// Semantic is the seeker kind of the SemanticSeeker extension.
-const Semantic = costmodel.KindSemantic
 
 // SemanticSeeker implements the paper's future-work extension (§X):
 // discovery by semantic rather than syntactic similarity, through
@@ -51,10 +47,10 @@ func (s *SemanticSeeker) Kind() SeekerKind { return Semantic }
 // TopK implements Seeker.
 func (s *SemanticSeeker) TopK() int { return s.K }
 
-// Features implements Seeker. ANN cost scales with the probe width, not
-// the lake, so the features describe the query only.
-func (s *SemanticSeeker) Features(store *storage.ShardedStore) costmodel.Features {
-	return costmodel.Features{Card: float64(len(s.Values)), Cols: 1, AvgFreq: 1}
+// estimate prices the query only: ANN cost scales with the probe width,
+// not the lake.
+func (s *SemanticSeeker) estimate(*storage.ShardedStore) float64 {
+	return float64(len(s.Values))
 }
 
 // SQL implements Seeker. The semantic seeker runs against the embedding

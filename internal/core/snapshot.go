@@ -218,7 +218,7 @@ func (l *storeLease) closeErr() error {
 }
 
 // view is the read-side execution context: the engine's immutable knobs
-// (sample size, cost models, native toggle, shard semaphore) plus one
+// (sample size, native toggle, shard semaphore) plus one
 // pinned snapshot. Every seeker and executor runs against a view, so a
 // query's store resolution happens exactly once — at pin time — and the
 // read path never touches engine synchronization again.

@@ -95,20 +95,28 @@ func TestComplexTasksShape(t *testing.T) {
 	}
 }
 
+// TestOptimizerShape checks Table IV's rows and its exact-work column: on
+// every same-kind pair whose two orders do different work, the optimizer
+// must run the lower-work seeker first. The wall-clock columns are not
+// asserted.
 func TestOptimizerShape(t *testing.T) {
 	ls := lines(t, RunOptimizer(context.Background(), Small))
 	if len(ls) != 5 { // header + 4 seeker categories
 		t.Fatalf("optimizer rows = %d: %v", len(ls), ls)
 	}
+	work := map[string]string{}
+	for _, l := range ls[1:] {
+		f := strings.Fields(l)
+		work[f[0]] = f[len(f)-1]
+	}
 	for _, cat := range []string{"Mixed", "SC", "MC", "C"} {
-		found := false
-		for _, l := range ls {
-			if strings.HasPrefix(l, cat+" ") {
-				found = true
-			}
-		}
-		if !found {
+		if _, ok := work[cat]; !ok {
 			t.Fatalf("missing category %s", cat)
+		}
+	}
+	for cat, want := range map[string]string{"SC": "7/7", "MC": "12/12", "C": "6/6"} {
+		if work[cat] != want {
+			t.Errorf("%s work accuracy = %s, want %s:\n%s", cat, work[cat], want, strings.Join(ls, "\n"))
 		}
 	}
 }

@@ -16,26 +16,28 @@ import (
 // (faster) order, reporting runtime gain and ordering accuracy. The lake
 // and sampling protocol follow §VIII-C (Gittables as the target lake and
 // the source of random inputs).
+//
+// Accuracy judges the optimizer's first seeker against the faster forced
+// order's, so it moves with wall-clock noise. Work judges it against the
+// forced order with the lower Σ SQLRows (rows every seeker produced, an
+// exact count); pairs whose orders do the same work are skipped, and the
+// column reads correct/judged.
 func RunOptimizer(ctx context.Context, scale Scale) *Report {
 	r := &Report{ID: "optimizer", Title: "Table IV: optimizer effectiveness"}
 	lake := datalake.GenJoinLake(datalake.JoinLakeConfig{
 		Name: "opt", NumTables: 50 * scale.factor(), ColsPerTable: 4,
 		RowsPerTable: 80, VocabSize: 3000, Seed: 31,
 	})
-	d := blend.IndexTables(blend.ColumnStore, lake.Tables)
-	// Offline training step of §VII-B.
-	if err := d.TrainCostModels(ctx, 24, 7); err != nil {
-		panic(err)
-	}
-	e := d.Engine()
+	e := blend.IndexTables(blend.ColumnStore, lake.Tables).Engine()
 
 	plans := 12 * scale.factor()
 	rng := rand.New(rand.NewSource(32))
-	r.Printf("%-6s %10s %10s %10s | %9s %9s | %8s",
-		"Seeker", "Rand", "BLEND", "Ideal", "gain-B", "gain-I", "Accuracy")
+	r.Printf("%-6s %10s %10s %10s | %9s %9s | %8s %8s",
+		"Seeker", "Rand", "BLEND", "Ideal", "gain-B", "gain-I", "Accuracy", "Work")
 	for _, cat := range []string{"Mixed", "SC", "MC", "C"} {
 		var randT, blendT, idealT time.Duration
 		correct, total := 0, 0
+		workCorrect, workTotal := 0, 0
 		for p := 0; p < plans; p++ {
 			s0, s1 := samplePair(rng, lake, cat)
 			if s0 == nil || s1 == nil {
@@ -46,21 +48,19 @@ func RunOptimizer(ctx context.Context, scale Scale) *Report {
 			plan.MustAddSeeker("s1", s1)
 			plan.MustAddCombiner("i", core.NewIntersect(10), "s0", "s1")
 
-			run := func(order []string) (time.Duration, error) {
+			run := func(order []string) (time.Duration, int) {
 				res, err := e.Run(ctx, plan, core.RunOptions{Optimize: true, ForcedOrder: order})
 				if err != nil {
-					return 0, err
+					panic(err)
 				}
-				return res.Duration, nil
+				work := 0
+				for _, st := range res.Stats {
+					work += st.SQLRows
+				}
+				return res.Duration, work
 			}
-			tA, err := run([]string{"s0", "s1"})
-			if err != nil {
-				panic(err)
-			}
-			tB, err := run([]string{"s1", "s0"})
-			if err != nil {
-				panic(err)
-			}
+			tA, wA := run([]string{"s0", "s1"})
+			tB, wB := run([]string{"s1", "s0"})
 			// Rand is the expectation over the two orders; Ideal the min.
 			randT += (tA + tB) / 2
 			if tA < tB {
@@ -77,10 +77,24 @@ func RunOptimizer(ctx context.Context, scale Scale) *Report {
 			if tB < tA {
 				fasterFirst = "s1"
 			}
-			if len(res.SeekerOrder) > 0 && res.SeekerOrder[0] == fasterFirst {
+			first := ""
+			if len(res.SeekerOrder) > 0 {
+				first = res.SeekerOrder[0]
+			}
+			if first == fasterFirst {
 				correct++
 			}
 			total++
+			if wA != wB {
+				lighterFirst := "s0"
+				if wB < wA {
+					lighterFirst = "s1"
+				}
+				if first == lighterFirst {
+					workCorrect++
+				}
+				workTotal++
+			}
 		}
 		gain := func(t time.Duration) string {
 			if randT == 0 {
@@ -92,8 +106,9 @@ func RunOptimizer(ctx context.Context, scale Scale) *Report {
 		if total > 0 {
 			acc = fmt.Sprintf("%.1f%%", 100*float64(correct)/float64(total))
 		}
-		r.Printf("%-6s %10s %10s %10s | %9s %9s | %8s",
-			cat, ms(randT), ms(blendT), ms(idealT), gain(blendT), gain(idealT), acc)
+		r.Printf("%-6s %10s %10s %10s | %9s %9s | %8s %8s",
+			cat, ms(randT), ms(blendT), ms(idealT), gain(blendT), gain(idealT), acc,
+			fmt.Sprintf("%d/%d", workCorrect, workTotal))
 	}
 	return r
 }

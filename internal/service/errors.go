@@ -21,7 +21,7 @@ func httpStatus(code berr.Code) int {
 		return 499 // client closed request
 	case berr.CodeDeadline:
 		return http.StatusGatewayTimeout
-	case berr.CodeNoCostModel, berr.CodeDuplicateTable:
+	case berr.CodeDuplicateTable:
 		return http.StatusConflict
 	case berr.CodeGenerationGone:
 		return http.StatusGone

@@ -384,7 +384,7 @@ func (s *ShardedStore) Frequency(v string) int {
 }
 
 // AvgFrequency returns the mean index frequency of the given values — the
-// statistic BLEND's learned cost model uses as a feature (§VII-B).
+// statistic the optimizer's within-kind work estimate uses (§VII-B).
 func (s *ShardedStore) AvgFrequency(values []string) float64 {
 	if len(values) == 0 {
 		return 0

@@ -3,7 +3,7 @@
 // (CellValue, TableId, ColumnId, RowId, SuperKey, Quadrant), together with
 // the two in-database indexes the paper creates on it (an inverted index on
 // CellValue and a clustered range index on TableId), value-frequency
-// statistics for the cost model, and binary persistence.
+// statistics for the optimizer's work estimate, and binary persistence.
 //
 // AllTables is stored column-wise: each attribute lives in a dense
 // parallel array, so scans touch only the attributes they need (the
