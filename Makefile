@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fix bench fuzz cover
+.PHONY: build test race lint lint-fix fuzz cover
 
 # build also vets the nested bench/ module: the root `go build ./...`
 # skips it, yet it compiles against the root module's internals.
@@ -40,14 +40,6 @@ lint-fix:
 	./bin/blendlint -fix ./...
 	gofmt -w .
 
-# bench runs the seeker/service/ingest benchmarks with -benchmem and
-# emits BENCH.json (self-describing: commit + date metadata inside; native
-# fast path vs SQL baseline, bulk-ingest batch vs sequential, result-cache
-# and end-to-end service numbers). Tune with BENCHTIME=2000x /
-# BENCH_OUT=path. Compare two reports with scripts/benchdelta.sh.
-bench:
-	./scripts/bench.sh
-
 # fuzz smoke-runs every native fuzz target (seed corpora live under each
 # package's testdata/fuzz/). Targets are discovered with `go test -list`,
 # so a new Fuzz* function joins the smoke run without touching this file.
@@ -64,9 +56,9 @@ fuzz:
 		done; \
 	done
 
-# cover writes the aggregate coverage profile and prints the per-function
-# summary; CI uploads the profile and posts the total as a non-blocking
-# delta next to the bench delta.
+# cover writes the aggregate coverage profile and prints the total; CI's
+# coverage job uploads the profile and posts the total as a non-blocking
+# delta against the previous main run.
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1

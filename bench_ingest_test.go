@@ -2,13 +2,11 @@ package blend
 
 // Bulk-ingestion benchmarks: the batched, shard-parallel write path
 // (Discovery.AddTables) against the sequential AddTable loop it replaces,
-// plus the end-to-end CSV pipeline. scripts/bench.sh pairs Sequential and
-// Batch into BENCH.json's bulk_ingest_speedup so CI tracks the write-path
-// trajectory the way native_vs_sql_speedup tracks the read path.
+// plus the end-to-end CSV pipeline. Developer tools: compare Sequential
+// and Batch by hand with -benchmem.
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,13 +14,8 @@ import (
 	"blend/internal/datalake"
 )
 
-// benchIngestWorkers bounds the batch path's parallelism: per-shard
-// inserts during commits. The acceptance bar (batched ingest ≥ 2x a
-// sequential AddTable loop) is measured at this width.
-const benchIngestWorkers = 8
-
 // benchIngestShards partitions the target index; tables hash across the
-// shards, so batch commits parallelize up to min(workers, shards).
+// shards, so batch commits parallelize up to min(GOMAXPROCS, shards).
 const benchIngestShards = 8
 
 var benchIngest struct {
@@ -75,26 +68,14 @@ func BenchmarkBulkIngestSequential(b *testing.B) {
 }
 
 // BenchmarkBulkIngestBatch is the bulk path: the whole 64-table batch
-// commits as one maintenance operation with per-shard inserts running on
-// benchIngestWorkers workers.
+// commits as one maintenance operation with per-shard inserts running
+// concurrently.
 func BenchmarkBulkIngestBatch(b *testing.B) {
 	benchIngestSetup(b)
 	b.ReportAllocs()
-	// The effective parallelism is bounded by the flag, the shard count
-	// (one goroutine per shard), and GOMAXPROCS; report the real value so
-	// BENCH.json does not claim 8-way parallelism on a 1-core runner.
-	workers := benchIngestWorkers
-	if benchIngestShards < workers {
-		workers = benchIngestShards
-	}
-	if p := runtime.GOMAXPROCS(0); p < workers {
-		workers = p
-	}
-	b.ReportMetric(float64(workers), "workers")
 	for i := 0; i < b.N; i++ {
 		d := benchIngestTarget(b)
-		ids, err := d.AddTables(context.Background(), benchIngest.add,
-			WithIngestWorkers(benchIngestWorkers))
+		ids, err := d.AddTables(context.Background(), benchIngest.add)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,8 +99,7 @@ func BenchmarkBulkIngestCSVDir(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := benchIngestTarget(b)
-		report, err := d.IngestCSVDir(context.Background(), dir,
-			WithIngestWorkers(benchIngestWorkers))
+		report, err := d.IngestCSVDir(context.Background(), dir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,9 +112,8 @@ func BenchmarkBulkIngestCSVDir(b *testing.B) {
 // Read-under-ingest pairing: BenchmarkReadQuiescent measures seek latency
 // on an idle index, BenchmarkConcurrentReadDuringIngest the same seeks
 // while a writer continuously publishes generations (AddTables +
-// RemoveTable per cycle). scripts/bench.sh pairs them into BENCH.json's
-// read_under_ingest_speedup; a ratio near 1.0 means snapshot-pinned reads
-// do not stall behind the write path.
+// RemoveTable per cycle). A ratio near 1.0 between the two means
+// snapshot-pinned reads do not stall behind the write path.
 
 // benchReadQuery derives a stable seek input from the seed lake.
 func benchReadQuery() []string {

@@ -4,8 +4,8 @@ package blend
 // overlap workloads (SC, KW, union plans) and the multi-column candidate
 // join (MC) executed on the native executor and on the SQL-interpreter
 // baseline it replaced, plus the result cache under repeated serve-style
-// traffic. scripts/bench.sh runs these with -benchmem and records the
-// pairings into BENCH.json.
+// traffic. Developer tools: run them with -benchmem and compare the
+// pairs by hand.
 
 import (
 	"context"
@@ -32,7 +32,8 @@ func benchPathSetup(b *testing.B) {
 		benchPath.colSQL = IndexTables(ColumnStore, tables, WithoutNativeExec())
 		benchPath.shardNative = IndexTables(ColumnStore, tables, WithShards(4))
 		benchPath.shardSQL = IndexTables(ColumnStore, tables, WithShards(4), WithoutNativeExec())
-		benchPath.cached = IndexTables(ColumnStore, tables, WithResultCache(64))
+		benchPath.cached = IndexTables(ColumnStore, tables)
+		benchPath.cached.SetResultCache(64)
 		benchPath.corrSQL = IndexTables(ColumnStore, benchLake.corr.Tables, WithoutNativeExec())
 	})
 }
@@ -99,7 +100,6 @@ func benchSeekMC(b *testing.B, d *Discovery) {
 
 // Multi-column joinability: the native candidate join + XASH pruning +
 // exact validation pipeline vs the interpreted Listing 2 join it replaced.
-// scripts/bench.sh records this pairing as mc_native_speedup in BENCH.json.
 func BenchmarkMCNative(b *testing.B) { benchPathSetup(b); benchSeekMC(b, benchPath.colNative) }
 func BenchmarkMCSQL(b *testing.B)    { benchPathSetup(b); benchSeekMC(b, benchPath.colSQL) }
 
@@ -129,8 +129,7 @@ func benchSeekCorr(b *testing.B, d *Discovery) {
 // Correlation (QCR) seeking: the native two-pass posting scan — fold the
 // key→quadrant map, scan each distinct key value once, heap the per-table
 // agreement scores — vs the interpreted two-way IN-join + grouped
-// aggregation it replaced. scripts/bench.sh records this pairing as
-// corr_native_speedup in BENCH.json.
+// aggregation it replaced.
 func BenchmarkCorrSeekerNativePath(b *testing.B) {
 	benchPathSetup(b)
 	benchSeekCorr(b, benchLake.corrCol)

@@ -1,10 +1,8 @@
 package blend
 
-// Cold-open benchmarks: how fast an on-disk index becomes queryable. The
-// mmap path only parses the footer directory, deferring shard decode to
-// first touch; the eager path decodes every shard before OpenIndex
-// returns. scripts/bench.sh pairs V4Eager and V4Mmap into BENCH.json's
-// open_speedup.
+// Cold-open benchmarks: how fast an on-disk index becomes queryable.
+// OpenIndex maps the file and parses only the footer directory, deferring
+// shard decode to first touch.
 
 import (
 	"os"
@@ -54,8 +52,7 @@ func fileSize(path string) int64 {
 }
 
 // BenchmarkOpenIndexCold measures time-to-queryable for a cold open of
-// the same file, mapped and eagerly decoded. Each sub-benchmark also
-// reports the file's on-disk size.
+// the file. It also reports the file's on-disk size.
 func BenchmarkOpenIndexCold(b *testing.B) {
 	benchOpenSetup(b)
 	b.Run("V4Mmap", func(b *testing.B) {
@@ -63,20 +60,6 @@ func BenchmarkOpenIndexCold(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			d, err := OpenIndex(benchOpen.v4Path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if d.NumTables() == 0 {
-				b.Fatal("empty index")
-			}
-			d.Close()
-		}
-	})
-	b.Run("V4Eager", func(b *testing.B) {
-		b.ReportMetric(float64(benchOpen.v4Size), "disk_bytes")
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d, err := OpenIndex(benchOpen.v4Path, WithMmap(false))
 			if err != nil {
 				b.Fatal(err)
 			}

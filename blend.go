@@ -144,14 +144,15 @@ type Discovery struct {
 	engine *core.Engine
 }
 
-// IndexOption configures IndexTables / IndexCSVDir.
+// IndexOption configures IndexTables, IndexCSVDir and OpenIndex. There
+// are two: WithShards, which picks the physical partitioning at build
+// time, and WithoutNativeExec, which configures the engine. The result
+// cache is sized after construction with Discovery.SetResultCache.
 type IndexOption func(*indexConfig)
 
 type indexConfig struct {
-	shards    int
-	cacheSize int
-	noNative  bool
-	eager     bool
+	shards   int
+	noNative bool
 }
 
 // WithShards hash-partitions the index's tables across n shards, each with
@@ -163,19 +164,6 @@ func WithShards(n int) IndexOption {
 	return func(c *indexConfig) { c.shards = n }
 }
 
-// WithResultCache enables the engine's seeker result cache with room for n
-// entries: repeated seekers (standalone or inside plans) return their
-// memoized top-k list instead of rescanning the index. Entries are keyed
-// by (seeker fingerprint, rewrite, store generation), so a query never
-// reads an entry computed at another generation and results are never
-// stale. Off by default, so benchmark and experiment timings keep
-// measuring real executions; serving deployments (blend-serve) enable it.
-// See Discovery.SetResultCache to reconfigure later and
-// Discovery.CacheStats for hit rates.
-func WithResultCache(n int) IndexOption {
-	return func(c *indexConfig) { c.cacheSize = n }
-}
-
 // WithoutNativeExec forces every seeker through SQL generation and the
 // embedded interpreter — the pre-fast-path behavior. Results are identical
 // to the native posting-list executor (the path-equivalence tests assert
@@ -183,18 +171,6 @@ func WithResultCache(n int) IndexOption {
 // debugging with `-explain`.
 func WithoutNativeExec() IndexOption {
 	return func(c *indexConfig) { c.noNative = true }
-}
-
-// WithMmap controls how OpenIndex reads a segmented (v4) index file. On
-// (the default), the file is memory-mapped and shards are decoded only
-// when a query first touches them, so opening is O(footer) and resident
-// memory tracks the working set; query results are identical either way
-// (the differential tests assert it). WithMmap(false) restores the eager
-// loader, which decodes every shard up front — useful for A/B timing and
-// for tools that will scan the whole lake anyway. IndexTables ignores the
-// option (a freshly built index is already resident).
-func WithMmap(on bool) IndexOption {
-	return func(c *indexConfig) { c.eager = !on }
 }
 
 // IndexTables builds the unified index over the given tables (the offline
@@ -218,9 +194,6 @@ func IndexTables(_ Layout, tables []*Table, opts ...IndexOption) *Discovery {
 func newDiscovery(idx *storage.ShardedStore, cfg indexConfig) *Discovery {
 	e := core.NewEngine(idx)
 	e.NoNativeExec = cfg.noNative
-	if cfg.cacheSize > 0 {
-		e.SetResultCache(cfg.cacheSize)
-	}
 	return &Discovery{engine: e}
 }
 
@@ -236,25 +209,21 @@ func IndexCSVDir(layout Layout, dir string, opts ...IndexOption) (*Discovery, er
 	return IndexTables(layout, tables, opts...), nil
 }
 
-// OpenIndex opens a previously saved v4 index file, memory-mapped with
-// lazy shard materialization by default — see WithMmap to opt out. Files
+// OpenIndex opens a previously saved v4 index file. The file is
+// memory-mapped and each shard is decoded only when a query first touches
+// it, so opening costs O(footer) and resident memory tracks the working
+// set; query results equal those of the index the file was saved from
+// (the differential tests assert it). Close releases the mapping. Files
 // in the retired v1–v3 formats fail with ErrBadIndex and must be rebuilt
-// with `blend index`. The remaining options configure
-// the engine the same way they do at build time — WithoutNativeExec and
-// WithResultCache apply; WithShards is ignored, because the shard count
-// is a property of the persisted file.
+// with `blend index`. WithoutNativeExec configures the engine the same
+// way it does at build time; WithShards is ignored, because the shard
+// count is a property of the persisted file.
 func OpenIndex(path string, opts ...IndexOption) (*Discovery, error) {
 	var cfg indexConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var s *storage.ShardedStore
-	var err error
-	if cfg.eager {
-		s, err = storage.LoadFile(path)
-	} else {
-		s, err = storage.MapFile(path)
-	}
+	s, err := storage.MapFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("blend: open index %s: %w", path, err)
 	}
@@ -293,7 +262,7 @@ func (d *Discovery) EnableWAL(path string) (func() error, error) {
 	d.engine.SeedGeneration(gen)
 	for _, rec := range recs {
 		if tables, ok := rec.IsAddTables(); ok {
-			if _, err := d.engine.AddTables(tables, 0); err != nil {
+			if _, err := d.engine.AddTables(tables); err != nil {
 				wal.Close()
 				return nil, fmt.Errorf("blend: replay wal %s: %w", path, err)
 			}
@@ -475,12 +444,19 @@ func (d *Discovery) TableNames(h Hits) []string { return d.engine.TableNames(h) 
 // concurrently with queries: in-flight plans keep their pinned
 // generation, and queries issued after it returns see the new table.
 func (d *Discovery) AddTable(t *Table) error {
-	_, err := d.engine.AddTables([]*Table{t}, 0)
+	_, err := d.engine.AddTables([]*Table{t})
 	return err
 }
 
-// SetResultCache configures the seeker result cache to hold up to n
-// entries; n <= 0 disables it. See WithResultCache for semantics.
+// SetResultCache enables the engine's seeker result cache with room for n
+// entries, or disables it when n <= 0; it may be called at any time.
+// Repeated seekers (standalone or inside plans) then return their memoized
+// top-k list instead of rescanning the index. Entries are keyed by
+// (seeker fingerprint, rewrite, store generation), so a query never reads
+// an entry computed at another generation and results are never stale.
+// The cache is off by default, so benchmark and experiment timings keep
+// measuring real executions; serving deployments (blend-serve) enable it.
+// CacheStats reports hit rates.
 func (d *Discovery) SetResultCache(n int) { d.engine.SetResultCache(n) }
 
 // CacheStats snapshots the result cache counters (zero value when the

@@ -23,9 +23,12 @@
 //
 // Usage:
 //
-//	blend-serve -index lake.blend [-addr :8080] [-timeout 30s] [-workers N] [-cache N] [-mmap=false]
+//	blend-serve -index lake.blend [-addr :8080] [-timeout 30s] [-workers N] [-cache N]
 //	blend-serve -lake DIR [-shards N] ...
-//	blend-serve ... [-allow-dir-ingest] [-ingest-workers N] [-ingest-batch N]
+//	blend-serve ... [-allow-dir-ingest] [-ingest-batch N]
+//
+// An -index file is memory-mapped and its shards decode on first touch;
+// ingest parses and inserts GOMAXPROCS-wide.
 package main
 
 import (
@@ -68,10 +71,8 @@ func run(args []string) error {
 	cache := fs.Int("cache", 512, "seeker result cache entries, invalidated on index mutation (0 = disabled)")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown drain period")
 	allowDirIngest := fs.Bool("allow-dir-ingest", false, "allow POST /v1/tables to bulk-load CSV directories from the server's filesystem (off by default: it lets any client read server-side CSV files)")
-	ingestWorkers := fs.Int("ingest-workers", 0, "parallelism for ingest parsing and per-shard inserts (0 = GOMAXPROCS)")
 	ingestBatch := fs.Int("ingest-batch", 0, "tables per atomic ingest commit batch (0 = library default)")
 	noNative := fs.Bool("no-native", false, "force the SQL interpreter for every seeker (A/B against path=native in /v1/query explain output)")
-	mmap := fs.Bool("mmap", true, "memory-map a v4 -index with lazy shard loading (false = eager load)")
 	retain := fs.Int("retain", 0, "generations kept addressable for as_of_generation time travel (0 = library default)")
 	wal := fs.String("wal", "", "write-ahead log file: replayed at startup, appended per mutation (crash recovery between saves)")
 	if err := fs.Parse(args); err != nil {
@@ -81,7 +82,7 @@ func run(args []string) error {
 		return berr.New(berr.CodeBadRequest, "serve.flags", "unexpected arguments %q", fs.Args())
 	}
 
-	d, err := openLake(*index, *lake, *shards, *noNative, *mmap)
+	d, err := openLake(*index, *lake, *shards, *noNative)
 	if err != nil {
 		return err
 	}
@@ -112,7 +113,6 @@ func run(args []string) error {
 		DefaultTimeout:  *timeout,
 		MaxWorkers:      *workers,
 		AllowDirIngest:  *allowDirIngest,
-		IngestWorkers:   *ingestWorkers,
 		IngestBatchSize: *ingestBatch,
 	})
 	srv := &http.Server{
@@ -146,7 +146,7 @@ func run(args []string) error {
 }
 
 // openLake resolves the serving lake from -index or -lake.
-func openLake(index, lake string, shards int, noNative, mmap bool) (*blend.Discovery, error) {
+func openLake(index, lake string, shards int, noNative bool) (*blend.Discovery, error) {
 	var opts []blend.IndexOption
 	if noNative {
 		opts = append(opts, blend.WithoutNativeExec())
@@ -155,7 +155,7 @@ func openLake(index, lake string, shards int, noNative, mmap bool) (*blend.Disco
 	case index != "" && lake != "":
 		return nil, berr.New(berr.CodeBadRequest, "serve.flags", "-index and -lake are mutually exclusive")
 	case index != "":
-		return blend.OpenIndex(index, append(opts, blend.WithMmap(mmap))...)
+		return blend.OpenIndex(index, opts...)
 	case lake != "":
 		return blend.IndexCSVDir(blend.ColumnStore, lake, append(opts, blend.WithShards(shards))...)
 	default:

@@ -112,7 +112,7 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   blend index -lake DIR -out FILE [-shards N]            build the unified index
-  blend index -lake DIR -out FILE -append [-workers N] [-batch N]
+  blend index -lake DIR -out FILE -append [-batch N]
                                                          bulk-append DIR to an existing index
   blend index -out FILE -inspect                         print a v4 index's segment directory
   blend seek  -index FILE -op sc|kw -values v1,v2,...    single-column / keyword search
@@ -122,21 +122,18 @@ func usage() {
                                                          run a JSON discovery plan
   blend stats -index FILE                                index statistics
   blend demo                                             run the paper's Example 1
-seek, sql, and plan open v4 index files memory-mapped with lazy shard
-loading; pass -mmap=false to load eagerly (A/B timing).`)
+seek, sql, and plan memory-map the index file and decode each shard on
+first touch; stats decodes every shard.`)
 }
 
-// indexOptions maps the -no-native and -mmap flags to the engine options
-// OpenIndex applies: the SQL interpreter serves every seeker (for A/B runs
-// against path=native output), and mmap=false forces the eager loader (for
-// A/B runs against the default lazy-mapped open).
-func indexOptions(noNative, mmap bool) []blend.IndexOption {
-	var opts []blend.IndexOption
+// indexOptions maps the -no-native flag to the engine option OpenIndex
+// applies: the SQL interpreter serves every seeker (for A/B runs against
+// path=native output).
+func indexOptions(noNative bool) []blend.IndexOption {
 	if noNative {
-		opts = append(opts, blend.WithoutNativeExec())
+		return []blend.IndexOption{blend.WithoutNativeExec()}
 	}
-	opts = append(opts, blend.WithMmap(mmap))
-	return opts
+	return nil
 }
 
 // queryContext derives the context for one CLI query: Background, bounded
@@ -157,13 +154,17 @@ func cmdStats(args []string) error {
 	if *index == "" {
 		return berr.New(berr.CodeBadRequest, "cli.stats", "-index is required")
 	}
-	// Stats scan the whole index, so a lazy open would materialize
-	// everything anyway; load eagerly for exact content figures.
-	d, err := blend.OpenIndex(*index, blend.WithMmap(false))
+	// Stats scan the whole index: decode every shard first, so the content
+	// figures are exact and a corrupt shard is an error, not a panic.
+	s, err := storage.MapFile(*index)
 	if err != nil {
 		return err
 	}
-	st := d.Stats()
+	defer s.Close()
+	if _, err := s.LoadShards(); err != nil {
+		return err
+	}
+	st := s.ComputeStats()
 	fmt.Printf("shards:               %d\n", st.Shards)
 	fmt.Printf("tables:               %d (avg %.1f cols × %.1f rows)\n",
 		st.Tables, st.AvgColumnsPerTbl, st.AvgRowsPerTable)
@@ -186,7 +187,6 @@ func cmdPlan(args []string) error {
 	profile := fs.Bool("profile", false, "print a per-node execution profile")
 	explain := fs.Bool("explain", false, "print the SQL executed per seeker, rewrites included")
 	noNative := fs.Bool("no-native", false, "force the SQL interpreter (A/B against path=native under -explain)")
-	mmap := fs.Bool("mmap", true, "memory-map a v4 index with lazy shard loading (false = eager load)")
 	asOf := fs.Uint64("as-of", 0, "execute against this retained generation instead of the current one (0 = current)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -194,7 +194,7 @@ func cmdPlan(args []string) error {
 	if *index == "" || *file == "" {
 		return berr.New(berr.CodeBadRequest, "cli.plan", "-index and -file are required")
 	}
-	d, err := blend.OpenIndex(*index, indexOptions(*noNative, *mmap)...)
+	d, err := blend.OpenIndex(*index, indexOptions(*noNative)...)
 	if err != nil {
 		return err
 	}
@@ -251,7 +251,6 @@ func cmdIndex(args []string) error {
 	out := fs.String("out", "lake.blend", "output index file")
 	shards := fs.Int("shards", 1, "hash-partition the index across N shards")
 	appendMode := fs.Bool("append", false, "append -lake to the existing index at -out instead of rebuilding (bulk ingest; -shards comes from the existing index)")
-	workers := fs.Int("workers", 0, "ingest parallelism for -append: CSV parsers and per-shard inserts (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "tables per atomic ingest commit batch for -append (0 = library default)")
 	timeout := fs.Duration("timeout", 0, "abort an -append ingest after this duration (0 = none)")
 	inspect := fs.Bool("inspect", false, "print the segment directory of the v4 index at -out and exit")
@@ -271,8 +270,7 @@ func cmdIndex(args []string) error {
 		}
 		ctx, cancel := queryContext(*timeout)
 		defer cancel()
-		report, err := d.IngestCSVDir(ctx, *lakeDir,
-			blend.WithIngestWorkers(*workers), blend.WithIngestBatchSize(*batch))
+		report, err := d.IngestCSVDir(ctx, *lakeDir, blend.WithIngestBatchSize(*batch))
 		if err != nil {
 			return err
 		}
@@ -345,7 +343,6 @@ func cmdSeek(args []string) error {
 	preview := fs.Int("preview", 0, "print the first N rows of each result table")
 	timeout := fs.Duration("timeout", 0, "abort the search after this duration (0 = none)")
 	noNative := fs.Bool("no-native", false, "force the SQL interpreter instead of the native fast path")
-	mmap := fs.Bool("mmap", true, "memory-map a v4 index with lazy shard loading (false = eager load)")
 	asOf := fs.Uint64("as-of", 0, "seek against this retained generation instead of the current one (0 = current)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -356,7 +353,7 @@ func cmdSeek(args []string) error {
 	if *k <= 0 {
 		return berr.New(berr.CodeBadRequest, "cli.seek", "-k must be positive, got %d", *k)
 	}
-	d, err := blend.OpenIndex(*index, indexOptions(*noNative, *mmap)...)
+	d, err := blend.OpenIndex(*index, indexOptions(*noNative)...)
 	if err != nil {
 		return err
 	}
@@ -410,14 +407,13 @@ func cmdSQL(args []string) error {
 	limit := fs.Int("print", 50, "maximum rows to print")
 	explain := fs.Bool("explain", false, "print the execution plan instead of results")
 	timeout := fs.Duration("timeout", 0, "abort the query after this duration (0 = none)")
-	mmap := fs.Bool("mmap", true, "memory-map a v4 index with lazy shard loading (false = eager load)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *index == "" || *query == "" {
 		return berr.New(berr.CodeBadRequest, "cli.sql", "-index and -query are required")
 	}
-	d, err := blend.OpenIndex(*index, blend.WithMmap(*mmap))
+	d, err := blend.OpenIndex(*index)
 	if err != nil {
 		return err
 	}

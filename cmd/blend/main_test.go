@@ -3,25 +3,51 @@ package main
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"blend"
+	"blend/internal/datalake"
+	"blend/internal/storage"
 )
+
+// buildCLI builds the blend binary into a temp dir and returns its path.
+func buildCLI(t *testing.T) string {
+	t.Helper()
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "blend")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// runCLI runs the binary and returns its combined output and exit code.
+func runCLI(t *testing.T, bin string, args ...string) (string, int) {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return string(out), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), 0
+}
 
 // TestCLI builds the blend binary once and drives it end to end: index,
 // inspect, seek, plan, sql, stats, and the structured error line and exit
 // status of each failure class (2 for usage errors, 1 for runtime errors).
 func TestCLI(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
+	bin := buildCLI(t)
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "blend")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
 
 	lake := filepath.Join(dir, "lake")
 	writeFile(t, filepath.Join(lake, "T1.csv"), "Team,Size\nFinance,31\nMarketing,28\nHR,33\nIT,92\n")
@@ -56,7 +82,7 @@ func TestCLI(t *testing.T) {
 			[]string{"version 4, sharded", "across 2 shard(s)"}, []string{"layout"}},
 		{"seek-sc", []string{"seek", "-index", idx, "-op", "sc", "-values", "HR,IT,Finance", "-k", "2"}, 0,
 			[]string{" 1. T1 ", " 2. "}, nil},
-		{"seek-mc-eager", []string{"seek", "-index", sharded, "-op", "mc", "-tuples", "Firenze|HR", "-mmap=false"}, 0,
+		{"seek-mc-sharded", []string{"seek", "-index", sharded, "-op", "mc", "-tuples", "Firenze|HR"}, 0,
 			[]string{"T2", "T3"}, []string{"T1"}},
 		{"plan-explain", []string{"plan", "-index", idx, "-file", plan, "-explain"}, 0,
 			[]string{"node[a]: path=native", "node[b]: path=native", "T2", "T3"}, nil},
@@ -76,28 +102,97 @@ func TestCLI(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := exec.Command(bin, tc.args...).CombinedOutput()
-			code := 0
-			var exit *exec.ExitError
-			if errors.As(err, &exit) {
-				code = exit.ExitCode()
-			} else if err != nil {
-				t.Fatal(err)
-			}
+			out, code := runCLI(t, bin, tc.args...)
 			if code != tc.code {
 				t.Fatalf("exit code %d, want %d\n%s", code, tc.code, out)
 			}
 			for _, w := range tc.want {
-				if !strings.Contains(string(out), w) {
+				if !strings.Contains(out, w) {
 					t.Errorf("output lacks %q\n%s", w, out)
 				}
 			}
 			for _, w := range tc.wantNot {
-				if strings.Contains(string(out), w) {
+				if strings.Contains(out, w) {
 					t.Errorf("output contains %q\n%s", w, out)
 				}
 			}
 		})
+	}
+}
+
+// TestStatsExact checks `blend stats` on a saved 4-shard index against the
+// stats of the built index the file was made from: every shard is decoded,
+// so every figure is exact. A corrupt dictionary section must end in the
+// structured bad_index error line, not a panic.
+func TestStatsExact(t *testing.T) {
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	lake := filepath.Join(dir, "lake")
+	if err := os.MkdirAll(lake, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range datalake.GenJoinLake(datalake.JoinLakeConfig{
+		Name: "st", NumTables: 16, ColsPerTable: 3, RowsPerTable: 20, VocabSize: 200, Seed: 5,
+	}).Tables {
+		if err := tb.WriteCSVFile(filepath.Join(lake, tb.Name+".csv")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx := filepath.Join(dir, "lake.blend")
+	if out, code := runCLI(t, bin, "index", "-lake", lake, "-out", idx, "-shards", "4"); code != 0 {
+		t.Fatalf("index: exit %d\n%s", code, out)
+	}
+	built, err := blend.IndexCSVDir(blend.ColumnStore, lake, blend.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := built.Stats()
+	if st.Shards != 4 || st.ResidentShards != 4 {
+		t.Fatalf("built stats = %+v, want 4 resident shards", st)
+	}
+	out, code := runCLI(t, bin, "stats", "-index", idx)
+	if code != 0 {
+		t.Fatalf("stats: exit %d\n%s", code, out)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("shards:               %d\n", st.Shards),
+		fmt.Sprintf("tables:               %d (avg %.1f cols × %.1f rows)\n", st.Tables, st.AvgColumnsPerTbl, st.AvgRowsPerTable),
+		fmt.Sprintf("index entries:        %d\n", st.Entries),
+		fmt.Sprintf("distinct values:      %d (%d dictionary bytes)\n", st.DistinctValues, st.DictBytes),
+		fmt.Sprintf("numeric cells:        %d (with quadrant bits)\n", st.NumericCells),
+		fmt.Sprintf("posting lists:        avg %.2f, max %d\n", st.AvgPostingLength, st.MaxPostingLength),
+		fmt.Sprintf("estimated footprint:  %d bytes\n", st.EstimatedBytes),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stats output lacks %q\n%s", want, out)
+		}
+	}
+
+	// Flip a byte inside shard 0's dictionary section: the footer stays
+	// valid, so the damage shows only when the shard is decoded.
+	info, err := storage.InspectFile(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := false
+	for _, sec := range info.Shards[0].Sections {
+		if sec.Name == "dict" && sec.Bytes > 0 {
+			data[sec.Off+sec.Bytes/2] ^= 0xFF
+			flipped = true
+		}
+	}
+	if !flipped {
+		t.Fatal("shard 0 has no dictionary bytes to corrupt")
+	}
+	bad := filepath.Join(dir, "bad.blend")
+	writeFile(t, bad, string(data))
+	out, code = runCLI(t, bin, "stats", "-index", bad)
+	if code != 1 || !strings.Contains(out, "blend: error[bad_index]:") || strings.Contains(out, "panic") {
+		t.Fatalf("stats on a corrupt dictionary: exit %d, want 1 and one bad_index line\n%s", code, out)
 	}
 }
 

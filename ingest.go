@@ -28,7 +28,6 @@ type MaintStats = core.MaintStats
 type IngestOption func(*ingestConfig)
 
 type ingestConfig struct {
-	workers   int
 	batchSize int
 	skipBad   bool
 }
@@ -46,13 +45,6 @@ func ingestOptions(opts []IngestOption) ingestConfig {
 		cfg.batchSize = DefaultIngestBatchSize
 	}
 	return cfg
-}
-
-// WithIngestWorkers bounds the pipeline's parallelism: concurrent CSV
-// parsers in IngestCSVDir and concurrent per-shard inserts inside each
-// committed batch. n <= 0 (the default) means GOMAXPROCS.
-func WithIngestWorkers(n int) IngestOption {
-	return func(c *ingestConfig) { c.workers = n }
 }
 
 // WithIngestBatchSize sets how many tables are committed per index batch.
@@ -101,8 +93,7 @@ func (r *IngestReport) Throughput() float64 {
 // write-lock acquisition, one store-generation bump, and one result-cache
 // purge per committed batch (WithIngestBatchSize splits large inputs; by
 // default inputs up to DefaultIngestBatchSize commit as a single batch),
-// and on a sharded index the per-shard inserts run concurrently, bounded
-// by WithIngestWorkers.
+// and on a sharded index the per-shard inserts run concurrently.
 //
 // Table names must be unique across the lake and within the call; a
 // duplicate fails with ErrDuplicateTable and the offending batch is not
@@ -131,7 +122,7 @@ func (d *Discovery) AddTables(ctx context.Context, tables []*Table, opts ...Inge
 		if end > len(tables) {
 			end = len(tables)
 		}
-		batch, err := d.engine.AddTables(tables[start:end], cfg.workers)
+		batch, err := d.engine.AddTables(tables[start:end])
 		if err != nil {
 			return ids, err
 		}
@@ -141,13 +132,15 @@ func (d *Discovery) AddTables(ctx context.Context, tables []*Table, opts ...Inge
 }
 
 // IngestCSVDir bulk-loads every *.csv under dir (subdirectories included)
-// into the index: a directory walk feeds a bounded pool of concurrent CSV
+// into the index: a directory walk feeds GOMAXPROCS concurrent CSV
 // parsers, whose output is committed in deterministic path order through
-// the same batched maintenance path as AddTables. A parse failure aborts
-// the ingest with the current batch unapplied, unless WithSkipBadFiles
-// turned skipping on; batches committed before the failure remain
-// indexed. Cancellation mid-ingest leaves only whole committed batches
-// behind and reports ErrCanceled / ErrDeadlineExceeded.
+// the same batched maintenance path as AddTables. Parsing runs a bounded
+// window of files ahead of the commits, so memory holds at most a few
+// parsed files per parser beyond the batch being built. A parse failure
+// aborts the ingest with the current batch unapplied, unless
+// WithSkipBadFiles turned skipping on; batches committed before the
+// failure remain indexed. Cancellation mid-ingest leaves only whole
+// committed batches behind and reports ErrCanceled / ErrDeadlineExceeded.
 func (d *Discovery) IngestCSVDir(ctx context.Context, dir string, opts ...IngestOption) (*IngestReport, error) {
 	cfg := ingestOptions(opts)
 	start := time.Now()
@@ -161,7 +154,7 @@ func (d *Discovery) IngestCSVDir(ctx context.Context, dir string, opts ...Ingest
 		if len(batch) == 0 {
 			return nil
 		}
-		ids, err := d.engine.AddTables(batch, cfg.workers)
+		ids, err := d.engine.AddTables(batch)
 		if err != nil {
 			return err
 		}
@@ -174,7 +167,7 @@ func (d *Discovery) IngestCSVDir(ctx context.Context, dir string, opts ...Ingest
 		batch = batch[:0]
 		return nil
 	}
-	err = datalake.ParseCSVFiles(ctx, paths, cfg.workers, func(p datalake.ParsedCSV) error {
+	err = datalake.ParseCSVFiles(ctx, paths, func(p datalake.ParsedCSV) error {
 		if p.Err != nil {
 			if cfg.skipBad {
 				report.SkippedFiles = append(report.SkippedFiles, p.Path)

@@ -44,7 +44,7 @@ func TestIngestCSVDirRecursive(t *testing.T) {
 	writeLakeDir(t, sub, "deep", 2)
 
 	d := seedDiscovery(t)
-	report, err := d.IngestCSVDir(context.Background(), dir, WithIngestWorkers(3))
+	report, err := d.IngestCSVDir(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,12 @@ func TestIngestCSVDirRecursive(t *testing.T) {
 	}
 	// Parallel parse must not perturb deterministic id order (paths are
 	// sorted; "nested/" sorts before the top-level "top*" files).
-	if d.TableByID(report.TableIDs[0]).Name != "deep00" {
-		t.Fatalf("first ingested table = %q", d.TableByID(report.TableIDs[0]).Name)
+	var order []string
+	for _, id := range report.TableIDs {
+		order = append(order, d.TableByID(id).Name)
+	}
+	if want := []string{"deep00", "deep01", "top00", "top01", "top02"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("ingested table order = %v, want %v", order, want)
 	}
 	// Ingested content is discoverable.
 	hits, err := d.Seek(context.Background(), SC([]string{"Unitdeep0", "HR"}, 10))

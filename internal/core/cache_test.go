@@ -87,7 +87,7 @@ func TestResultCacheInvalidationOnAddTable(t *testing.T) {
 	nt.MustAppendRow("HR")
 	nt.MustAppendRow("IT")
 	nt.MustAppendRow("Marketing")
-	ids, err := e.AddTables([]*table.Table{nt}, 0)
+	ids, err := e.AddTables([]*table.Table{nt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestResultCacheConcurrent(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			nt := table.New(fmt.Sprintf("C%d", i), "Team")
 			nt.MustAppendRow("HR")
-			if _, err := e.AddTables([]*table.Table{nt}, 0); err != nil {
+			if _, err := e.AddTables([]*table.Table{nt}); err != nil {
 				t.Errorf("add: %v", err)
 				return
 			}

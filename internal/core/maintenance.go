@@ -39,13 +39,13 @@ type MaintStats struct {
 // AddTables appends a batch of tables to the index as one maintenance
 // operation: one journal append, one derived store, one published
 // generation for the whole batch. On a sharded index the per-shard inserts
-// run concurrently, bounded by workers (<= 0 means GOMAXPROCS).
+// run concurrently.
 //
 // Table names must be unique: a name already indexed (and not removed), or
 // repeated within the batch, fails the whole call with a typed
 // duplicate-table error and the index unchanged — ingest batches are
 // atomic.
-func (e *Engine) AddTables(tables []*table.Table, workers int) ([]int32, error) {
+func (e *Engine) AddTables(tables []*table.Table) ([]int32, error) {
 	if len(tables) == 0 {
 		return nil, nil
 	}
@@ -74,7 +74,7 @@ func (e *Engine) AddTables(tables []*table.Table, workers int) ([]int32, error) 
 			return nil, berr.Wrap(berr.CodeInternal, "engine.wal", err)
 		}
 	}
-	next, ids := e.snap.Load().store.CloneAddTablesBatch(tables, workers)
+	next, ids := e.snap.Load().store.CloneAddTablesBatch(tables)
 	e.gen++
 	e.publish(e.buildSnapshot(next, e.gen))
 	for _, t := range tables {

@@ -27,7 +27,7 @@ func TestAddTablesBatchVisibilityAndCounters(t *testing.T) {
 	base := maintLake("base", 6)
 	e := NewEngine(storage.Build(base, 4))
 	add := maintLake("extra", 10)
-	ids, err := e.AddTables(add, 4)
+	ids, err := e.AddTables(add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAddTablesRejectsDuplicates(t *testing.T) {
 	// Duplicate against the existing index.
 	clash := table.New(base[2].Name, "A")
 	clash.MustAppendRow("x")
-	if _, err := e.AddTables([]*table.Table{clash}, 1); err == nil {
+	if _, err := e.AddTables([]*table.Table{clash}); err == nil {
 		t.Fatal("duplicate against index must fail")
 	}
 	// Duplicate within the batch.
@@ -80,7 +80,7 @@ func TestAddTablesRejectsDuplicates(t *testing.T) {
 	a.MustAppendRow("x")
 	b := table.New("fresh", "B")
 	b.MustAppendRow("y")
-	if _, err := e.AddTables([]*table.Table{a, b}, 1); err == nil {
+	if _, err := e.AddTables([]*table.Table{a, b}); err == nil {
 		t.Fatal("duplicate within batch must fail")
 	}
 	// Atomicity: nothing from the failed batches landed.
@@ -95,7 +95,7 @@ func TestAddTablesRejectsDuplicates(t *testing.T) {
 	if err := e.RemoveTable(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddTables([]*table.Table{clash}, 1); err != nil {
+	if _, err := e.AddTables([]*table.Table{clash}); err != nil {
 		t.Fatalf("re-ingest of removed name: %v", err)
 	}
 }
@@ -121,7 +121,7 @@ func TestBatchCachePurgeOncePerBatch(t *testing.T) {
 	// retention window moves once, sweeping the warmed generation in one
 	// pass, where a sequential AddTable loop would sweep five times.
 	genBefore := e.Generation()
-	if _, err := e.AddTables(maintLake("more", 5), 2); err != nil {
+	if _, err := e.AddTables(maintLake("more", 5)); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Generation(); got != genBefore+1 {
@@ -313,7 +313,7 @@ func TestMaintenanceConcurrentWithQueries(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 4; i++ {
-		if _, err := e.AddTables(maintLake(fmt.Sprintf("conc-extra%d", i), 3), 2); err != nil {
+		if _, err := e.AddTables(maintLake(fmt.Sprintf("conc-extra%d", i), 3)); err != nil {
 			t.Fatal(err)
 		}
 	}

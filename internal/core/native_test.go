@@ -227,7 +227,7 @@ func TestNativeAddTableVisibility(t *testing.T) {
 			native, sql := buildNativeTestEngines(cfg.shards, lake)
 			for i := range extra.Tables {
 				for _, e := range []*Engine{native, sql} {
-					if _, err := e.AddTables(extra.Tables[i:i+1], 0); err != nil {
+					if _, err := e.AddTables(extra.Tables[i : i+1]); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -82,19 +82,12 @@ func (s *SemanticSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, Ru
 	results := idx.ann.Search(vec, probe)
 	stats.SQLRows = len(results)
 
-	allowed, excluded := rw.filterSets()
+	filter := compileFilter(rw)
 	best := make(map[int32]float64)
 	for _, r := range results {
 		tid := idx.refs[r.ID]
-		if allowed != nil {
-			if _, ok := allowed[tid]; !ok {
-				continue
-			}
-		}
-		if excluded != nil {
-			if _, ok := excluded[tid]; ok {
-				continue
-			}
+		if !filter.admit(tid) {
+			continue
 		}
 		sim := float64(r.Similarity)
 		if cur, ok := best[tid]; !ok || sim > cur {
@@ -155,24 +148,6 @@ func (v *view) semanticSupport(values []string, cand map[int32]float64) map[int3
 		}
 	}
 	return support
-}
-
-// filterSets converts a rewrite into post-filter sets for operators that
-// cannot push the predicate into their search.
-func (r Rewrite) filterSets() (allowed, excluded map[int32]struct{}) {
-	switch r.mode {
-	case 1:
-		allowed = make(map[int32]struct{}, len(r.ids))
-		for _, id := range r.ids {
-			allowed[id] = struct{}{}
-		}
-	case 2:
-		excluded = make(map[int32]struct{}, len(r.ids))
-		for _, id := range r.ids {
-			excluded[id] = struct{}{}
-		}
-	}
-	return allowed, excluded
 }
 
 // semanticIdx is the lazily built embedding side-index: one vector per

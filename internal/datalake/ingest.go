@@ -49,30 +49,35 @@ type ParsedCSV struct {
 	Err   error
 }
 
-// ParseCSVFiles parses the given files with a bounded pool of workers
-// concurrent parsers (<= 0 means GOMAXPROCS) and invokes emit once per
-// file in input order — parallel parse, sequential commit, so table ids
-// downstream match the sorted path order exactly like a sequential load.
+// readAheadPerWorker bounds how far ParseCSVFiles parses past the next
+// file to emit: at most readAheadPerWorker × GOMAXPROCS files wait parsed
+// in memory, however slowly emit commits them.
+const readAheadPerWorker = 2
+
+// ParseCSVFiles parses the given files on GOMAXPROCS concurrent parsers
+// and invokes emit once per file in input order — parallel parse,
+// sequential commit, so table ids downstream match the sorted path order
+// exactly like a sequential load. Parsers run at most
+// readAheadPerWorker × GOMAXPROCS files ahead of emit, so a slow emit
+// bounds memory instead of letting the whole directory pile up parsed.
 // Parse failures are delivered through ParsedCSV.Err for emit to decide
 // on (skip or abort); a non-nil error from emit aborts the pipeline and
 // is returned. Context cancellation aborts between files with a typed
 // canceled/deadline error; already-emitted files are unaffected.
-func ParseCSVFiles(ctx context.Context, paths []string, workers int, emit func(ParsedCSV) error) error {
+func ParseCSVFiles(ctx context.Context, paths []string, emit func(ParsedCSV) error) error {
 	if len(paths) == 0 {
 		return nil
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-
-	// Every file gets a 1-slot result channel: workers never block on
-	// delivery, and the emit loop receives in input order.
+	// Every file gets a 1-slot result channel, so workers never block on
+	// delivery and the emit loop receives in input order. The emit loop
+	// also dispatches: it queues the first window+1 files up front and one
+	// more per file it emits, so the next file to emit plus at most window
+	// more are ever queued or parsed, and the queue never fills.
+	procs := runtime.GOMAXPROCS(0)
+	window := readAheadPerWorker * procs
 	results := make([]chan ParsedCSV, len(paths))
 	for i := range results {
 		results[i] = make(chan ParsedCSV, 1)
@@ -80,19 +85,12 @@ func ParseCSVFiles(ctx context.Context, paths []string, workers int, emit func(P
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := range paths {
-			select {
-			case jobs <- i:
-			case <-pctx.Done():
-				return
-			}
-		}
-	}()
+	jobs := make(chan int, window+1)
+	for i := range min(window+1, len(paths)) {
+		jobs <- i
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(procs, len(paths)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -106,6 +104,7 @@ func ParseCSVFiles(ctx context.Context, paths []string, workers int, emit func(P
 		}()
 	}
 	defer wg.Wait()
+	defer close(jobs)
 
 	for i := range paths {
 		select {
@@ -113,6 +112,9 @@ func ParseCSVFiles(ctx context.Context, paths []string, workers int, emit func(P
 			if err := emit(p); err != nil {
 				cancel()
 				return err
+			}
+			if next := i + window + 1; next < len(paths) {
+				jobs <- next
 			}
 		case <-ctx.Done():
 			cancel()

@@ -126,10 +126,10 @@ func benchQueries(b *testing.B) (*Catalog, []*Query) {
 	return cat, qs
 }
 
-// BenchmarkMinisqlColumnar / BenchmarkMinisqlRowAtATime is the honest A/B
-// pair behind BENCH.json's minisql_columnar_speedup: the same pre-parsed
-// workload through the live columnar executor and the frozen row-at-a-time
-// reference. The headline metric is the allocation reduction.
+// BenchmarkMinisqlColumnar / BenchmarkMinisqlRowAtATime is an A/B pair:
+// the same pre-parsed workload through the live columnar executor and the
+// frozen row-at-a-time reference. The headline metric is the allocation
+// reduction.
 func BenchmarkMinisqlColumnar(b *testing.B) {
 	cat, qs := benchQueries(b)
 	b.ReportAllocs()

@@ -112,13 +112,12 @@ type SQLResponse struct {
 
 // IngestDirRequest is the JSON body of POST /v1/tables when Content-Type
 // is application/json: a server-side bulk ingest of a CSV directory the
-// server can read (gated by the server's allow-dir-ingest setting).
+// server can read (gated by the server's allow-dir-ingest setting). The
+// strict decoder rejects unknown fields, "workers" included: ingest
+// parallelism is GOMAXPROCS and not settable per request.
 type IngestDirRequest struct {
 	// Dir is the directory to walk for *.csv files (recursive).
 	Dir string `json:"dir"`
-	// Workers bounds concurrent CSV parsers and per-shard inserts
-	// (0 = server default).
-	Workers int `json:"workers,omitempty"`
 	// BatchSize is the number of tables per atomic commit batch
 	// (0 = server default).
 	BatchSize int `json:"batch_size,omitempty"`
@@ -164,8 +163,8 @@ func validateIngestDirRequest(req *IngestDirRequest) error {
 	if req.Dir == "" {
 		return berr.New(berr.CodeBadRequest, "service.ingest", "request carries no dir")
 	}
-	if req.Workers < 0 || req.BatchSize < 0 {
-		return berr.New(berr.CodeBadRequest, "service.ingest", "workers and batch_size must not be negative")
+	if req.BatchSize < 0 {
+		return berr.New(berr.CodeBadRequest, "service.ingest", "batch_size must not be negative")
 	}
 	return nil
 }
@@ -184,13 +183,13 @@ type StatsResponse struct {
 	EstimatedBytes   int64   `json:"estimated_bytes"`
 	AvgColumnsPerTbl float64 `json:"avg_columns_per_table"`
 	AvgRowsPerTable  float64 `json:"avg_rows_per_table"`
-	// Lazy-mapping figures (v4 indexes opened with mmap): how many shards
-	// are heap-resident and how large the mapped file is. For heap-built
-	// or eagerly loaded indexes resident_shards == shards and
-	// mapped_bytes == 0. Content stats (distinct values, postings, dict)
-	// cover resident shards only when the index is partially mapped, so
-	// this probe never forces the whole lake resident; estimated_bytes is
-	// the resident heap footprint.
+	// Lazy-mapping figures (v4 indexes opened from a file): how many
+	// shards are heap-resident and how large the mapped file is. For
+	// heap-built indexes resident_shards == shards and mapped_bytes == 0.
+	// Content stats (distinct values, postings, dict) cover resident
+	// shards only when the index is partially mapped, so this probe never
+	// forces the whole lake resident; estimated_bytes is the resident heap
+	// footprint.
 	ResidentShards int   `json:"resident_shards"`
 	MappedBytes    int64 `json:"mapped_bytes"`
 	// Result-cache counters (all zero when the cache is disabled; see

@@ -111,7 +111,7 @@ func TestServiceDirIngest(t *testing.T) {
 	d := fig1Discovery()
 	srv := newIngestServer(t, d, Options{AllowDirIngest: true})
 
-	req := fmt.Sprintf(`{"dir": %q, "workers": 2, "batch_size": 2}`, dir)
+	req := fmt.Sprintf(`{"dir": %q, "batch_size": 2}`, dir)
 	resp, body := doReq(t, "POST", srv.URL+"/v1/tables", "application/json", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("dir ingest status %d: %s", resp.StatusCode, body)
@@ -154,6 +154,35 @@ func TestServiceDirIngest(t *testing.T) {
 	resp, _ = doReq(t, "POST", srv2.URL+"/v1/tables", "application/json", req)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("disabled dir ingest status %d", resp.StatusCode)
+	}
+}
+
+// TestServiceDirIngestRejectsWorkers pins the wire contract: ingest
+// parallelism is not settable per request, so a body still carrying the
+// retired "workers" field is an unknown field — 400 bad_request, with
+// nothing ingested.
+func TestServiceDirIngestRejectsWorkers(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "w.csv"), []byte("team,size\nHR,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := fig1Discovery()
+	srv := newIngestServer(t, d, Options{AllowDirIngest: true})
+	before := d.NumTables()
+	resp, body := doReq(t, "POST", srv.URL+"/v1/tables", "application/json",
+		fmt.Sprintf(`{"dir": %q, "workers": 2}`, dir))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil {
+		t.Fatal(err)
+	}
+	if eb.Error.Code != "bad_request" || !strings.Contains(eb.Error.Detail, `unknown field "workers"`) {
+		t.Fatalf("error = %+v, want bad_request naming the unknown field", eb.Error)
+	}
+	if d.NumTables() != before {
+		t.Fatalf("rejected request ingested tables: %d -> %d", before, d.NumTables())
 	}
 }
 

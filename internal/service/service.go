@@ -29,10 +29,6 @@ type Options struct {
 	// POST /v1/tables (JSON {"dir": …}), which makes the server read CSV
 	// files from its own filesystem. CSV uploads are always enabled.
 	AllowDirIngest bool
-	// IngestWorkers bounds concurrent CSV parsers and per-shard inserts
-	// for ingest requests that do not pick their own width (0 =
-	// GOMAXPROCS).
-	IngestWorkers int
 	// IngestBatchSize is the default number of tables per atomic commit
 	// batch (0 = the library default).
 	IngestBatchSize int
@@ -280,23 +276,17 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ingestOptions folds the server ingest defaults with per-request
-// overrides into library options.
-func (s *Service) ingestOptions(workers, batchSize int) []blend.IngestOption {
-	if workers <= 0 {
-		workers = s.opts.IngestWorkers
-	}
+// ingestOptions folds the server's default batch size with a per-request
+// override into library options. Ingest parallelism is not configurable:
+// parsing and per-shard inserts run GOMAXPROCS-wide.
+func (s *Service) ingestOptions(batchSize int) []blend.IngestOption {
 	if batchSize <= 0 {
 		batchSize = s.opts.IngestBatchSize
 	}
-	var opts []blend.IngestOption
-	if workers > 0 {
-		opts = append(opts, blend.WithIngestWorkers(workers))
-	}
 	if batchSize > 0 {
-		opts = append(opts, blend.WithIngestBatchSize(batchSize))
+		return []blend.IngestOption{blend.WithIngestBatchSize(batchSize)}
 	}
-	return opts
+	return nil
 }
 
 // handleIngest serves POST /v1/tables in its two forms:
@@ -335,7 +325,7 @@ func (s *Service) handleIngestCSV(w http.ResponseWriter, r *http.Request) {
 		writeError(w, berr.New(berr.CodeBadRequest, "service.ingest", "parse csv upload: %v", err))
 		return
 	}
-	ids, err := s.d.AddTables(r.Context(), []*blend.Table{t}, s.ingestOptions(0, 0)...)
+	ids, err := s.d.AddTables(r.Context(), []*blend.Table{t}, s.ingestOptions(0)...)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -365,7 +355,7 @@ func (s *Service) handleIngestDir(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	opts := s.ingestOptions(req.Workers, req.BatchSize)
+	opts := s.ingestOptions(req.BatchSize)
 	if req.SkipBad {
 		opts = append(opts, blend.WithSkipBadFiles())
 	}

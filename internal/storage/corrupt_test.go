@@ -12,9 +12,24 @@ import (
 	"blend/internal/berr"
 )
 
+// loadBytes writes raw index bytes to path and loads them whole: MapFile,
+// then every shard decoded through LoadShards, then Close. It returns the
+// first error.
+func loadBytes(t *testing.T, path string, data []byte) error {
+	t.Helper()
+	writeBytes(t, path, data)
+	s, err := MapFile(path)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	_, err = s.LoadShards()
+	return err
+}
+
 // TestLoadTruncatedNeverPanics injects failure by truncating a valid index
-// file at every prefix length: Load must return an error (or, never, a
-// silently wrong store) without panicking.
+// file at every prefix length: loading it whole must return an error (or,
+// never, a silently wrong store) without panicking.
 func TestLoadTruncatedNeverPanics(t *testing.T) {
 	var buf bytes.Buffer
 	orig := Build(lakeFixture(), 1)
@@ -22,6 +37,7 @@ func TestLoadTruncatedNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "trunc.blend")
 	step := 1
 	if len(full) > 2048 {
 		step = len(full) / 2048 // cap the loop for big fixtures
@@ -33,20 +49,20 @@ func TestLoadTruncatedNeverPanics(t *testing.T) {
 					t.Fatalf("Load panicked on %d-byte prefix: %v", n, r)
 				}
 			}()
-			if _, err := Load(bytes.NewReader(full[:n])); err == nil {
-				t.Fatalf("Load accepted a %d-byte truncation of a %d-byte file", n, len(full))
+			if err := loadBytes(t, path, full[:n]); err == nil {
+				t.Fatalf("loaded a %d-byte truncation of a %d-byte file", n, len(full))
 			}
 		}(n)
 	}
 	// The untruncated file still loads.
-	if _, err := Load(bytes.NewReader(full)); err != nil {
+	if err := loadBytes(t, path, full); err != nil {
 		t.Fatalf("full file failed to load: %v", err)
 	}
 }
 
-// TestLoadBitFlips flips single bytes across the header region; Load must
-// never panic (it may succeed when the flip lands in benign payload bytes,
-// e.g. inside a value string).
+// TestLoadBitFlips flips single bytes across the header region; loading
+// the file whole must never panic (it may succeed when the flip lands in
+// benign payload bytes, e.g. inside a value string).
 func TestLoadBitFlips(t *testing.T) {
 	var buf bytes.Buffer
 	orig := Build(lakeFixture(), 1)
@@ -54,6 +70,7 @@ func TestLoadBitFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "flip.blend")
 	limit := len(full)
 	if limit > 512 {
 		limit = 512
@@ -67,12 +84,12 @@ func TestLoadBitFlips(t *testing.T) {
 					t.Fatalf("Load panicked with byte %d flipped: %v", i, r)
 				}
 			}()
-			_, _ = Load(bytes.NewReader(mutated))
+			_ = loadBytes(t, path, mutated)
 		}(i)
 	}
 }
 
-// writeBytes dumps raw index bytes to a file for the path-based loaders.
+// writeBytes dumps raw index bytes to a file for the path-based readers.
 func writeBytes(t *testing.T, path string, data []byte) {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -194,19 +211,13 @@ func corruptShard0(t *testing.T) (data []byte, dir string) {
 }
 
 // TestMappedCorruptSectionPanicsTyped flips a byte inside a shard's body
-// section. The footer stays valid, so MapFile succeeds; eager Load of the
-// same bytes must return an error (it checks section CRCs up front), and
-// the mapped store must panic with a typed bad-index error on first touch
-// of the poisoned shard — the read accessors have no error returns, and a
-// CRC mismatch after open means the file changed underneath the mapping.
+// section. The footer stays valid, so MapFile succeeds; LoadShards must
+// return a typed bad-index error (it has an error return), and the mapped
+// store must panic with the same typed error on every touch of the
+// poisoned shard — the read accessors have no error returns, and a CRC
+// mismatch after open means the file changed underneath the mapping.
 func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
 	data, dir := corruptShard0(t)
-
-	// Eager load checks every section CRC before returning.
-	if _, err := Load(bytes.NewReader(data)); err == nil {
-		t.Fatal("eager Load accepted a corrupt dict section")
-	}
-
 	bad := filepath.Join(dir, "bad.blend")
 	writeBytes(t, bad, data)
 	idx, err := MapFile(bad)
@@ -214,6 +225,16 @@ func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
 		t.Fatalf("MapFile rejected a file with a valid footer: %v", err)
 	}
 	defer idx.Close()
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("LoadShards panicked: %v", r)
+			}
+		}()
+		if _, err := idx.LoadShards(); !errors.Is(err, berr.ErrBadIndex) {
+			t.Fatalf("LoadShards error = %v, want ErrBadIndex", err)
+		}
+	}()
 	touch := func() (r any) {
 		defer func() { r = recover() }()
 		idx.Value(0) // global entry 0 lives in shard 0
@@ -265,7 +286,7 @@ func TestMappedCorruptSectionSaveFails(t *testing.T) {
 	}
 }
 
-// TestRetiredFormatsRejected feeds every loader hand-built headers of
+// TestRetiredFormatsRejected feeds every reader hand-built headers of
 // retired or unknown formats: v1–v3 files, a v4 file written with the row
 // layout, and an unknown version. Each must fail with a typed bad-index
 // error — naming the retired format and how to rebuild, where there is one
@@ -296,14 +317,15 @@ func TestRetiredFormatsRejected(t *testing.T) {
 		name string
 		open func(path string) (any, error)
 	}{
-		{"Load", func(path string) (any, error) {
-			data, err := os.ReadFile(path)
+		// LoadFile is the whole-file load of the stats command.
+		{"LoadFile", func(path string) (any, error) {
+			s, err := MapFile(path)
 			if err != nil {
 				return nil, err
 			}
-			return Load(bytes.NewReader(data))
+			defer s.Close()
+			return s.LoadShards()
 		}},
-		{"LoadFile", func(path string) (any, error) { return LoadFile(path) }},
 		{"MapFile", func(path string) (any, error) { return MapFile(path) }},
 		{"InspectFile", func(path string) (any, error) { return InspectFile(path) }},
 	}

@@ -83,7 +83,7 @@ func (s *ShardedStore) ownShard(sh int) {
 
 // CloneAddTablesBatch derives an index with tables appended and returns
 // their global ids in input order; see addTablesBatch.
-func (s *ShardedStore) CloneAddTablesBatch(tables []*table.Table, workers int) (*ShardedStore, []int32) {
+func (s *ShardedStore) CloneAddTablesBatch(tables []*table.Table) (*ShardedStore, []int32) {
 	cp := s.cowClone()
 	touched := make(map[int]struct{})
 	for _, t := range tables {
@@ -92,7 +92,7 @@ func (s *ShardedStore) CloneAddTablesBatch(tables []*table.Table, workers int) (
 	for sh := range touched {
 		cp.ownShard(sh)
 	}
-	return cp, cp.addTablesBatch(tables, workers)
+	return cp, cp.addTablesBatch(tables)
 }
 
 // CloneRemoveTable derives an index with one table tombstoned; see

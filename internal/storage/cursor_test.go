@@ -96,9 +96,11 @@ func cursorLake() []*table.Table {
 
 // TestPostingCursorMatchesBruteForce checks the cursor against a scan over
 // the per-entry accessors for every dictionary value and a missing one,
-// across shard counts, heap-built / eagerly loaded / mapped stores, with
-// and without a tombstone: Postings against the whole entry range, and
-// ShardPostings of every shard against that shard's global range.
+// across shard counts, with and without a tombstone, on a built store and
+// on its saved file mapped two ways: loaded whole up front (LoadShards, as
+// the stats command does) and decoded lazily on the cursor's first touch.
+// Postings are checked against the whole entry range, and ShardPostings of
+// every shard against that shard's global range.
 func TestPostingCursorMatchesBruteForce(t *testing.T) {
 	lake := cursorLake()
 	for _, shards := range []int{1, 3, 4} {
@@ -111,8 +113,11 @@ func TestPostingCursorMatchesBruteForce(t *testing.T) {
 				}
 			}
 			path := saveTemp(t, heap, "cursor.blend")
-			eager, err := LoadFile(path)
+			loaded, err := MapFile(path)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := loaded.LoadShards(); err != nil {
 				t.Fatal(err)
 			}
 			mapped, err := MapFile(path)
@@ -122,7 +127,7 @@ func TestPostingCursorMatchesBruteForce(t *testing.T) {
 			for _, src := range []struct {
 				name string
 				s    *ShardedStore
-			}{{"heap", heap}, {"loadfile", eager}, {"mapfile", mapped}} {
+			}{{"heap", heap}, {"loadfile", loaded}, {"mapfile", mapped}} {
 				t.Run(fmt.Sprintf("shards=%d/dead=%v/%s", shards, dead, src.name), func(t *testing.T) {
 					values := map[string]bool{"no-such-value": true}
 					for i := int32(0); i < int32(src.s.NumEntries()); i++ {
@@ -158,6 +163,7 @@ func TestPostingCursorMatchesBruteForce(t *testing.T) {
 					}
 				})
 			}
+			loaded.Close()
 			mapped.Close()
 		}
 	}

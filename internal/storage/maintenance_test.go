@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -56,10 +55,10 @@ func TestAddTablesBatchMatchesSequential(t *testing.T) {
 			var seqIDs []int32
 			for _, tb := range batch {
 				var ids []int32
-				seq, ids = seq.CloneAddTablesBatch([]*table.Table{tb}, 1)
+				seq, ids = seq.CloneAddTablesBatch([]*table.Table{tb})
 				seqIDs = append(seqIDs, ids...)
 			}
-			bat, batIDs := Build(lakeFixture(), shards).CloneAddTablesBatch(batch, 4)
+			bat, batIDs := Build(lakeFixture(), shards).CloneAddTablesBatch(batch)
 			if !reflect.DeepEqual(seqIDs, batIDs) {
 				t.Fatalf("batch ids %v != sequential ids %v", batIDs, seqIDs)
 			}
@@ -199,14 +198,7 @@ func TestPersistRoundTripsTombstones(t *testing.T) {
 			base := Build(widerLake(), shards)
 			victim := base.TableIDByName("W3")
 			orig := mustRemove(t, base, victim)
-			var buf bytes.Buffer
-			if err := orig.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := Load(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
+			loaded := reopen(t, orig)
 			if loaded.Tombstones() != 1 {
 				t.Fatalf("loaded tombstones = %d, want 1", loaded.Tombstones())
 			}
@@ -233,7 +225,7 @@ func TestPersistRoundTripsTombstones(t *testing.T) {
 
 func TestAddAfterRemoveKeepsIdsDisjoint(t *testing.T) {
 	base := Build(lakeFixture(), 2)
-	s, ids := mustRemove(t, base, base.TableIDByName("T1")).CloneAddTablesBatch(batchLake("N", 3), 2)
+	s, ids := mustRemove(t, base, base.TableIDByName("T1")).CloneAddTablesBatch(batchLake("N", 3))
 	for _, id := range ids {
 		if !s.TableAlive(id) {
 			t.Fatalf("new table %d not alive", id)

@@ -11,11 +11,11 @@ import (
 
 // Binary persistence for the AllTables index. Save writes the segmented v4
 // format described in segment.go: per-shard, per-section segments behind a
-// footer directory, varint/delta-compressed, designed so MapFile can
-// memory-map the file and decode shards lazily. Load, LoadFile and MapFile
-// read v4 only; files written in the retired v1–v3 formats, or with the
-// retired row layout, fail with a typed bad-index error that says how to
-// rebuild them.
+// footer directory, varint/delta-compressed, so MapFile can memory-map the
+// file and decode shards lazily. MapFile is the only reader and reads v4
+// only; files written in the retired v1–v3 formats, or with the retired
+// row layout, fail with a typed bad-index error that says how to rebuild
+// them.
 
 const (
 	persistMagic = "BLND"
@@ -31,17 +31,12 @@ const rebuildHint = "rebuild it with `blend index -lake DIR -out FILE`"
 // the shard count, the global table directory, and per-shard tombstones.
 // A one-shard index is written as the monolithic kind, any other as the
 // sharded kind. On a lazily mapped store this first materializes every
-// shard (a full save must serialize every shard anyway); a shard that
-// fails its integrity checks fails the save with a typed bad-index error
-// before anything is written.
+// shard (see LoadShards); a shard that fails its integrity checks fails
+// the save with a typed bad-index error before anything is written.
 func (s *ShardedStore) Save(w io.Writer) error {
-	shards := make([]*Store, len(s.shards))
-	for i := range shards {
-		st, err := s.loadShard(i)
-		if err != nil {
-			return err
-		}
-		shards[i] = st
+	shards, err := s.LoadShards()
+	if err != nil {
+		return err
 	}
 	return writeSegmented(w, shards, s.refs)
 }
@@ -89,33 +84,6 @@ func replaceFile(path string, write func(*os.File) error) (*os.File, error) {
 		return nil, err
 	}
 	return f, syncDir(dir)
-}
-
-// Load reads a v4 index previously written by Save and decodes every shard
-// eagerly. Unreadable, corrupt, or retired-format inputs report typed
-// bad-index errors.
-func Load(r io.Reader) (*ShardedStore, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, berr.Wrap(berr.CodeBadIndex, "storage.load", err)
-	}
-	idx, err := loadSegmented(data)
-	if err != nil {
-		return nil, berr.Wrap(berr.CodeBadIndex, "storage.load", err)
-	}
-	return idx, nil
-}
-
-// LoadFile reads a v4 index from a file, decoding everything eagerly. A
-// missing or unreadable file reports a typed bad-index error wrapping the
-// underlying cause, so errors.Is(err, fs.ErrNotExist) still works.
-func LoadFile(path string) (*ShardedStore, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, berr.Wrap(berr.CodeBadIndex, "storage.open", err)
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // MapFile opens a v4 index file for serving. The file is memory-mapped:

@@ -1,8 +1,8 @@
 package storage
 
 // Tests for the segmented v4 persistence format and its memory-mapped
-// lazy-load path: differential lazy-vs-eager coverage across shard counts,
-// residency accounting, committed v4 files from earlier releases,
+// lazy-load path: differential mapped-vs-built coverage across shard
+// counts, residency accounting, committed v4 files from earlier releases,
 // property-based round trips, maintenance ops on mapped stores, and the
 // footer-directory inspection API.
 
@@ -36,6 +36,18 @@ func saveTemp(t *testing.T, s *ShardedStore, name string) string {
 	return path
 }
 
+// reopen round-trips s through a temp file and MapFile; the mapping is
+// released when the test ends.
+func reopen(t *testing.T, s *ShardedStore) *ShardedStore {
+	t.Helper()
+	back, err := MapFile(saveTemp(t, s, "reopen.blend"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { back.Close() })
+	return back
+}
+
 // readerProbe compares the cheap whole-index read surfaces of two stores.
 func readerProbe(t *testing.T, want, got *ShardedStore, label string) {
 	t.Helper()
@@ -67,25 +79,19 @@ func readerProbe(t *testing.T, want, got *ShardedStore, label string) {
 	}
 }
 
-// TestMapFileMatchesEagerLoad is the core differential: the same v4 file
-// read back eagerly (LoadFile) and lazily (MapFile) must expose identical
-// content through every read surface, across shard counts.
-func TestMapFileMatchesEagerLoad(t *testing.T) {
+// TestMapFileMatchesBuild is the core differential: a v4 file read back
+// lazily (MapFile) must expose the content of the built store that saved
+// it through every read surface, across shard counts.
+func TestMapFileMatchesBuild(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("Column/shards=%d", shards), func(t *testing.T) {
 			orig := Build(widerLake(), shards)
-			path := saveTemp(t, orig, "lake.blend")
-			eager, err := LoadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mapped, err := MapFile(path)
+			mapped, err := MapFile(saveTemp(t, orig, "lake.blend"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer mapped.Close()
-			readerProbe(t, orig, eager, "eager")
-			readerProbe(t, eager, mapped, "mapped")
+			readerProbe(t, orig, mapped, "mapped")
 		})
 	}
 }
@@ -112,11 +118,7 @@ func TestMapFileMonolithicKind(t *testing.T) {
 	if kind := buf.Bytes()[8]; kind != persistKindMonolithic {
 		t.Fatalf("re-saved one-shard index has kind %d, want monolithic", kind)
 	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readerProbe(t, orig, back, "resaved")
+	readerProbe(t, orig, reopen(t, mapped), "resaved")
 }
 
 // fixtureLake is the lake behind the committed v4 files in testdata/:
@@ -162,11 +164,6 @@ func TestV4FixturesStillOpen(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), raw) {
 			t.Fatalf("%s: saving the same index no longer reproduces the file byte for byte", tc.file)
 		}
-		eager, err := LoadFile(path)
-		if err != nil {
-			t.Fatalf("%s: LoadFile: %v", tc.file, err)
-		}
-		readerProbe(t, tc.want, eager, tc.file+" eager")
 		mapped, err := MapFile(path)
 		if err != nil {
 			t.Fatalf("%s: MapFile: %v", tc.file, err)
@@ -231,15 +228,7 @@ func TestSegmentedQuickRoundTrip(t *testing.T) {
 		}
 		tb.InferKinds()
 		orig := Build([]*table.Table{tb}, 2)
-		var v4 bytes.Buffer
-		if err := orig.Save(&v4); err != nil {
-			return false
-		}
-		back, err := Load(&v4)
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(storeTuples(orig), storeTuples(back))
+		return reflect.DeepEqual(storeTuples(orig), storeTuples(reopen(t, orig)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -247,16 +236,11 @@ func TestSegmentedQuickRoundTrip(t *testing.T) {
 }
 
 // TestMaintenanceOnMappedStore runs every mutating op against a lazily
-// mapped store and an eagerly loaded twin; the stores must stay
+// mapped store and the built store it was saved from; the two must stay
 // indistinguishable through add, remove, compact, and a save/reload.
 func TestMaintenanceOnMappedStore(t *testing.T) {
-	orig := Build(batchLake("M", 12), 4)
-	path := saveTemp(t, orig, "maint.blend")
-	eager, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := MapFile(path)
+	built := Build(batchLake("M", 12), 4)
+	mapped, err := MapFile(saveTemp(t, built, "maint.blend"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,44 +248,36 @@ func TestMaintenanceOnMappedStore(t *testing.T) {
 
 	check := func(step string) {
 		t.Helper()
-		if !reflect.DeepEqual(storeTuples(eager), storeTuples(mapped)) {
-			t.Fatalf("after %s: mapped store diverged from eager twin", step)
+		if !reflect.DeepEqual(storeTuples(built), storeTuples(mapped)) {
+			t.Fatalf("after %s: mapped store diverged from the built one", step)
 		}
-		if eager.Tombstones() != mapped.Tombstones() {
-			t.Fatalf("after %s: tombstones %d vs %d", step, eager.Tombstones(), mapped.Tombstones())
+		if built.Tombstones() != mapped.Tombstones() {
+			t.Fatalf("after %s: tombstones %d vs %d", step, built.Tombstones(), mapped.Tombstones())
 		}
 	}
 
 	extra := batchLake("N", 5)
-	eager, _ = eager.CloneAddTablesBatch(extra, 2)
-	mapped, _ = mapped.CloneAddTablesBatch(extra, 2)
+	built, _ = built.CloneAddTablesBatch(extra)
+	mapped, _ = mapped.CloneAddTablesBatch(extra)
 	check("CloneAddTablesBatch")
 
 	victim := mapped.TableIDByName("M03")
 	if victim < 0 {
 		t.Fatal("victim table missing")
 	}
-	eager = mustRemove(t, eager, victim)
+	built = mustRemove(t, built, victim)
 	mapped = mustRemove(t, mapped, victim)
 	check("CloneRemoveTable")
 
 	var e, m int
-	eager, e = eager.CloneCompact()
+	built, e = built.CloneCompact()
 	mapped, m = mapped.CloneCompact()
 	if e != m {
 		t.Fatalf("CloneCompact removed %d vs %d", e, m)
 	}
 	check("CloneCompact")
 
-	var buf bytes.Buffer
-	if err := mapped.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(storeTuples(eager), storeTuples(back)) {
+	if !reflect.DeepEqual(storeTuples(built), storeTuples(reopen(t, mapped))) {
 		t.Fatal("mapped store save/reload diverged")
 	}
 }
@@ -319,7 +295,7 @@ func TestSaveOverOwnMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	s, _ := idx.CloneAddTablesBatch(batchLake("T", 4), 2)
+	s, _ := idx.CloneAddTablesBatch(batchLake("T", 4))
 	if err := s.SaveFile(path); err != nil { // no shard is resident yet beyond the touched ones
 		t.Fatal(err)
 	}

@@ -536,26 +536,3 @@ func (sf *segFile) lazyIndex() *ShardedStore {
 	s.recomputeBase()
 	return s
 }
-
-// loadSegmented is the eager v4 path used by Load/LoadFile: decode every
-// shard up front from an in-memory copy of the file.
-func loadSegmented(data []byte) (*ShardedStore, error) {
-	sf, err := parseSegFile(data)
-	if err != nil {
-		return nil, err
-	}
-	s := &ShardedStore{
-		shards:    make([]*Store, len(sf.shards)),
-		refs:      sf.refs,
-		globalTID: sf.globalTID,
-	}
-	for i := range s.shards {
-		sh, err := sf.materializeShard(i)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		s.shards[i] = sh
-	}
-	s.recomputeBase()
-	return s, nil
-}

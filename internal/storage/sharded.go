@@ -62,7 +62,7 @@ type shardSlot struct {
 // returns, and a section whose CRC no longer matches means the file was
 // corrupted underneath a running process, which is not a state to limp
 // through. Structural problems (bad footer, bad offsets) are caught
-// eagerly by MapFile instead.
+// up front by MapFile instead.
 func (s *ShardedStore) shard(i int) *Store {
 	if st := s.shards[i]; st != nil {
 		return st
@@ -75,7 +75,7 @@ func (s *ShardedStore) shard(i int) *Store {
 }
 
 // loadShard is shard returning the typed bad-index error instead of
-// panicking with it, for callers that have an error return (Save).
+// panicking with it, for callers that have an error return.
 func (s *ShardedStore) loadShard(i int) (*Store, error) {
 	if st := s.shards[i]; st != nil {
 		return st, nil
@@ -94,6 +94,22 @@ func (s *ShardedStore) loadShard(i int) (*Store, error) {
 		return nil, berr.New(berr.CodeBadIndex, "storage.mmap", "shard %d: %v", i, sl.err)
 	}
 	return sl.st, nil
+}
+
+// LoadShards returns every shard, first materializing those of a mapped
+// store still untouched — the exact whole-index reads (Save, the CLI's
+// stats) need all of them. The first shard that fails its integrity
+// checks returns its typed bad-index error instead of panicking.
+func (s *ShardedStore) LoadShards() ([]*Store, error) {
+	shards := make([]*Store, len(s.shards))
+	for i := range shards {
+		st, err := s.loadShard(i)
+		if err != nil {
+			return nil, err
+		}
+		shards[i] = st
+	}
+	return shards, nil
 }
 
 // residentShard returns shard i only if it is already heap-resident, nil
@@ -122,7 +138,7 @@ func (s *ShardedStore) shardEntries(i int) int {
 }
 
 // ResidentShards counts the shards currently materialized on the heap;
-// equal to NumShards for eagerly loaded or built stores.
+// equal to NumShards for built stores.
 func (s *ShardedStore) ResidentShards() int {
 	if s.slots == nil {
 		return len(s.shards)
@@ -137,7 +153,7 @@ func (s *ShardedStore) ResidentShards() int {
 }
 
 // MappedBytes reports the size of the memory-mapped file backing this
-// store, 0 when heap-built or eagerly loaded.
+// store, 0 when heap-built.
 func (s *ShardedStore) MappedBytes() int64 {
 	if s.seg == nil {
 		return 0
@@ -161,7 +177,7 @@ type shardRef struct {
 }
 
 // MaxShards caps the partition count, so every index Build can produce is
-// also one Load accepts (the loader rejects counts above this as
+// also one MapFile accepts (the reader rejects counts above this as
 // corruption).
 const MaxShards = 1 << 12
 
@@ -439,7 +455,8 @@ func (s *ShardedStore) SizeBytes() int64 {
 // (dictionary, postings, numeric cells, per-table averages) cover only the
 // shards already materialized, so that a stats probe of a mapped serving
 // process does not drag the whole index onto the heap. ResidentShards and
-// MappedBytes make the coverage explicit.
+// MappedBytes make the coverage explicit; LoadShards first makes every
+// figure exact.
 func (s *ShardedStore) ComputeStats() Stats {
 	st := Stats{
 		Shards:         len(s.shards),
@@ -490,11 +507,10 @@ func (s *ShardedStore) ComputeStats() Stats {
 // write-path counterpart of the per-shard read fan-out. Tables are grouped
 // by their hash shard first; each shard's group is then appended by one
 // goroutine (dictionaries and postings are shard-local, so the appends
-// share no state), bounded by workers (<= 0 means GOMAXPROCS). The global
-// directory and entry offsets are refreshed once for the whole batch. Not
-// safe for use concurrent with readers: CloneAddTablesBatch is the public
-// path.
-func (s *ShardedStore) addTablesBatch(tables []*table.Table, workers int) []int32 {
+// share no state), GOMAXPROCS of them at a time. The global directory and
+// entry offsets are refreshed once for the whole batch. Not safe for use
+// concurrent with readers: CloneAddTablesBatch is the public path.
+func (s *ShardedStore) addTablesBatch(tables []*table.Table) []int32 {
 	if len(tables) == 0 {
 		return nil
 	}
@@ -509,10 +525,7 @@ func (s *ShardedStore) addTablesBatch(tables []*table.Table, workers int) []int3
 		s.globalTID[sh] = append(s.globalTID[sh], g)
 		perShard[sh] = append(perShard[sh], t)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for sh, group := range perShard {
 		if len(group) == 0 {

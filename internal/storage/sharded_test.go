@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -204,14 +203,7 @@ func TestShardPostings(t *testing.T) {
 
 func TestShardedPersistRoundTrip(t *testing.T) {
 	orig := Build(widerLake(), 3)
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := reopen(t, orig)
 	if back.NumShards() != 3 {
 		t.Fatalf("shard count = %d after round trip", back.NumShards())
 	}
@@ -228,8 +220,8 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	nt := table.New("postload", "A", "B")
 	nt.MustAppendRow("zz-postload", "1")
 	nt.InferKinds()
-	origNext, ids1 := orig.CloneAddTablesBatch([]*table.Table{nt}, 1)
-	backNext, ids2 := back.CloneAddTablesBatch([]*table.Table{nt}, 1)
+	origNext, ids1 := orig.CloneAddTablesBatch([]*table.Table{nt})
+	backNext, ids2 := back.CloneAddTablesBatch([]*table.Table{nt})
 	if ids1[0] != ids2[0] {
 		t.Fatalf("add after load assigned id %d, fresh store %d", ids2[0], ids1[0])
 	}
@@ -272,14 +264,7 @@ func TestBuildShardedClampsShardCount(t *testing.T) {
 	if s.NumShards() != MaxShards {
 		t.Fatalf("NumShards = %d, want clamp to %d", s.NumShards(), MaxShards)
 	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("index built at the cap failed to reload: %v", err)
-	}
+	back := reopen(t, s)
 	if back.NumShards() != MaxShards {
 		t.Fatal("shard count lost on round trip")
 	}

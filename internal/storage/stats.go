@@ -19,9 +19,9 @@ type Stats struct {
 
 	// Lazily mapped (v4) indexes report how much of the lake is actually
 	// on the heap versus still just memory-mapped file pages. For
-	// heap-built or eagerly loaded indexes ResidentShards == Shards and
-	// MappedBytes == 0. Content scans above cover resident shards only,
-	// so a stats probe never forces the whole index resident.
+	// heap-built indexes ResidentShards == Shards and MappedBytes == 0.
+	// Content scans above cover resident shards only, so a stats probe
+	// never forces the whole index resident.
 	ResidentShards int
 	MappedBytes    int64
 }

@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"bytes"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -159,14 +159,7 @@ func TestReconstructTable(t *testing.T) {
 
 func TestPersistRoundTrip(t *testing.T) {
 	orig := Build(lakeFixture(), 1)
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := reopen(t, orig)
 	if back.NumEntries() != orig.NumEntries() || back.NumTables() != orig.NumTables() {
 		t.Fatal("counts differ after round trip")
 	}
@@ -196,20 +189,22 @@ func TestPersistFiles(t *testing.T) {
 	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadFile(path)
+	back, err := MapFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
 	if back.NumEntries() != orig.NumEntries() {
 		t.Fatal("file round trip lost entries")
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not an index"))); err == nil {
+	path := filepath.Join(t.TempDir(), "garbage.blend")
+	if err := loadBytes(t, path, []byte("not an index")); err == nil {
 		t.Fatal("want error for bad magic")
 	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if err := loadBytes(t, path, nil); err == nil {
 		t.Fatal("want error for empty input")
 	}
 }
@@ -230,14 +225,7 @@ func TestPersistQuickRoundTrip(t *testing.T) {
 		}
 		tb.InferKinds()
 		orig := Build([]*table.Table{tb}, 1)
-		var buf bytes.Buffer
-		if err := orig.Save(&buf); err != nil {
-			return false
-		}
-		back, err := Load(&buf)
-		if err != nil {
-			return false
-		}
+		back := reopen(t, orig)
 		if back.NumEntries() != orig.NumEntries() {
 			return false
 		}
@@ -260,7 +248,7 @@ func TestAddTableIncremental(t *testing.T) {
 	nt.MustAppendRow("Legal", "12")
 	nt.MustAppendRow("HR", "44")
 	nt.InferKinds()
-	s, ids := orig.CloneAddTablesBatch([]*table.Table{nt}, 1)
+	s, ids := orig.CloneAddTablesBatch([]*table.Table{nt})
 	tid := ids[0]
 	if int(tid) != before {
 		t.Fatalf("new table id = %d, want %d", tid, before)
@@ -299,15 +287,8 @@ func TestAddTableIncremental(t *testing.T) {
 func TestAddTableThenPersist(t *testing.T) {
 	nt := table.New("T4", "A")
 	nt.MustAppendRow("zz-new-value")
-	s, _ := Build(lakeFixture(), 1).CloneAddTablesBatch([]*table.Table{nt}, 1)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := Build(lakeFixture(), 1).CloneAddTablesBatch([]*table.Table{nt})
+	back := reopen(t, s)
 	if back.Frequency("zz-new-value") != 1 {
 		t.Fatal("incrementally added value lost on round trip")
 	}

@@ -1,11 +1,14 @@
 package blend
 
-// End-to-end differential coverage for the mmap open path: a saved index
-// opened with the default lazy mapping and with WithMmap(false) must be
-// indistinguishable through the public query and maintenance surfaces.
+// End-to-end differential coverage for the mapped open path: a saved index
+// reopened with OpenIndex must be indistinguishable, through the public
+// query and maintenance surfaces, from the in-memory index it was saved
+// from. The built reference never decodes a file, so it shares no code
+// with the path under test.
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -13,21 +16,24 @@ import (
 	"blend/internal/datalake"
 )
 
-// mmapLakePath builds a moderately sized sharded lake, saves it, and
-// returns the index path plus a seeker-friendly sample of its vocabulary.
-func mmapLakePath(t *testing.T) (string, []string) {
-	t.Helper()
+// mmapLake is a moderately sized lake plus a seeker-friendly sample of its
+// vocabulary.
+func mmapLake() ([]*Table, []string) {
 	lake := datalake.GenJoinLake(datalake.JoinLakeConfig{
 		Name: "mmap-e2e", NumTables: 24, ColsPerTable: 4, RowsPerTable: 40,
 		VocabSize: 1200, Seed: 41,
 	})
-	d := IndexTables(ColumnStore, lake.Tables, WithShards(4))
+	return lake.Tables, lake.Vocab[:6]
+}
+
+// saveIndexTemp saves d to a fresh file and returns its path.
+func saveIndexTemp(t *testing.T, d *Discovery) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "lake.blend")
 	if err := d.SaveIndex(path); err != nil {
 		t.Fatal(err)
 	}
-	vals := lake.Vocab[:6]
-	return path, vals
+	return path
 }
 
 func runMmapPlan(t *testing.T, d *Discovery, vals []string) *Result {
@@ -44,94 +50,92 @@ func runMmapPlan(t *testing.T, d *Discovery, vals []string) *Result {
 	return res
 }
 
-// TestOpenIndexMmapMatchesEager runs the same seekers and plan against
-// both open modes and compares rankings, then applies the same
-// maintenance sequence to both and compares again across a save/reopen.
-func TestOpenIndexMmapMatchesEager(t *testing.T) {
-	path, vals := mmapLakePath(t)
-	eager, err := OpenIndex(path, WithMmap(false))
-	if err != nil {
-		t.Fatal(err)
+// sameAnswers fails unless got answers the SC, KW and MC seekers and the
+// Union plan over them exactly as want does, scores included.
+func sameAnswers(t *testing.T, step string, want, got *Discovery, vals []string) {
+	t.Helper()
+	if want.NumTables() != got.NumTables() || want.LiveTables() != got.LiveTables() ||
+		want.NumShards() != got.NumShards() {
+		t.Fatalf("%s: shape: want %d/%d/%d tables/live/shards, got %d/%d/%d", step,
+			want.NumTables(), want.LiveTables(), want.NumShards(),
+			got.NumTables(), got.LiveTables(), got.NumShards())
 	}
-	mapped, err := OpenIndex(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-
-	if eager.NumTables() != mapped.NumTables() || eager.NumShards() != mapped.NumShards() {
-		t.Fatalf("shape: eager %d/%d tables/shards, mapped %d/%d",
-			eager.NumTables(), eager.NumShards(), mapped.NumTables(), mapped.NumShards())
-	}
-	st := mapped.Stats()
-	if st.MappedBytes <= 0 {
-		t.Fatalf("mapped index reports MappedBytes = %d", st.MappedBytes)
-	}
-	if eager.Stats().MappedBytes != 0 {
-		t.Fatal("eager index reports a mapping")
-	}
-
 	for _, s := range []Seeker{SC(vals[:3], 8), KW(vals[3:], 8), MC([][]string{{vals[0], vals[1]}}, 8)} {
-		want, err := eager.Seek(context.Background(), s)
+		w, err := want.Seek(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := mapped.Seek(context.Background(), s)
+		g, err := got.Seek(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("seeker results diverge: eager %v, mapped %v", want, got)
+		if len(w) == 0 {
+			t.Fatalf("%s: %v finds nothing; the differential would be vacuous", step, s)
+		}
+		if !reflect.DeepEqual(w, g) {
+			t.Fatalf("%s: %v diverges: want %v, got %v", step, s, w, g)
 		}
 	}
-	if w, g := runMmapPlan(t, eager, vals), runMmapPlan(t, mapped, vals); !reflect.DeepEqual(w.Tables, g.Tables) {
-		t.Fatalf("plan results diverge: eager %v, mapped %v", w.Tables, g.Tables)
+	w, g := runMmapPlan(t, want, vals), runMmapPlan(t, got, vals)
+	if !reflect.DeepEqual(w.Tables, g.Tables) || !reflect.DeepEqual(w.Output, g.Output) {
+		t.Fatalf("%s: plan diverges: want %v %v, got %v %v", step, w.Tables, w.Output, g.Tables, g.Output)
 	}
+}
 
-	// Maintenance parity: add, remove, compact on both, re-query.
-	extra := datalake.GenJoinLake(datalake.JoinLakeConfig{
-		Name: "mmap-extra", NumTables: 6, ColsPerTable: 4, RowsPerTable: 20,
-		VocabSize: 1200, Seed: 42,
-	}).Tables
-	if _, err := eager.AddTables(context.Background(), extra); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mapped.AddTables(context.Background(), extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := eager.RemoveTable(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := mapped.RemoveTable(3); err != nil {
-		t.Fatal(err)
-	}
-	if e, m := eager.Compact(), mapped.Compact(); e != m {
-		t.Fatalf("Compact removed %d vs %d", e, m)
-	}
-	if w, g := runMmapPlan(t, eager, vals), runMmapPlan(t, mapped, vals); !reflect.DeepEqual(w.Tables, g.Tables) {
-		t.Fatalf("post-maintenance plan results diverge: eager %v, mapped %v", w.Tables, g.Tables)
-	}
+// TestOpenIndexMatchesBuilt opens a saved index and checks it against the
+// built index the file was saved from, at 1 and 4 shards: as opened, after
+// the same add/remove/compact sequence on both, and after the mutated
+// mapped index is saved and reopened.
+func TestOpenIndexMatchesBuilt(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			tables, vals := mmapLake()
+			built := IndexTables(ColumnStore, tables, WithShards(shards))
+			mapped, err := OpenIndex(saveIndexTemp(t, built))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mapped.Close()
+			if st := mapped.Stats(); st.MappedBytes <= 0 {
+				t.Fatalf("mapped index reports MappedBytes = %d", st.MappedBytes)
+			}
+			sameAnswers(t, "opened", built, mapped, vals)
 
-	// The mutated mapped index persists and reopens identically.
-	path2 := filepath.Join(t.TempDir(), "lake2.blend")
-	if err := mapped.SaveIndex(path2); err != nil {
-		t.Fatal(err)
-	}
-	back, err := OpenIndex(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	if w, g := runMmapPlan(t, eager, vals), runMmapPlan(t, back, vals); !reflect.DeepEqual(w.Tables, g.Tables) {
-		t.Fatalf("reopened plan results diverge: eager %v, reopened %v", w.Tables, g.Tables)
+			extra := datalake.GenJoinLake(datalake.JoinLakeConfig{
+				Name: "mmap-extra", NumTables: 6, ColsPerTable: 4, RowsPerTable: 20,
+				VocabSize: 1200, Seed: 42,
+			}).Tables
+			compacted := make([]int, 2)
+			for i, d := range []*Discovery{built, mapped} {
+				if _, err := d.AddTables(context.Background(), extra); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.RemoveTable(3); err != nil {
+					t.Fatal(err)
+				}
+				compacted[i] = d.Compact()
+			}
+			if compacted[0] != 1 || compacted[1] != 1 {
+				t.Fatalf("Compact removed %v tables, want 1 each", compacted)
+			}
+			sameAnswers(t, "maintained", built, mapped, vals)
+
+			back, err := OpenIndex(saveIndexTemp(t, mapped))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer back.Close()
+			sameAnswers(t, "reopened", built, back, vals)
+		})
 	}
 }
 
 // TestOpenIndexCloseIdempotent checks Close is safe to call twice and on
-// eagerly opened indexes (where there is no mapping to release).
+// built indexes (where there is no mapping to release).
 func TestOpenIndexCloseIdempotent(t *testing.T) {
-	path, _ := mmapLakePath(t)
-	mapped, err := OpenIndex(path)
+	tables, _ := mmapLake()
+	built := IndexTables(ColumnStore, tables, WithShards(4))
+	mapped, err := OpenIndex(saveIndexTemp(t, built))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +145,7 @@ func TestOpenIndexCloseIdempotent(t *testing.T) {
 	if err := mapped.Close(); err != nil {
 		t.Fatal(err)
 	}
-	eager, err := OpenIndex(path, WithMmap(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eager.Close(); err != nil {
+	if err := built.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
