@@ -123,9 +123,10 @@ func TestOptionsCompose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range [][]RunOption{
-		{WithMaxWorkers(4)},
-		{WithMaxWorkers(0), WithExplain()},
-		{WithDeadline(time.Minute), WithMaxWorkers(2)},
+		{WithExplain()},
+		{WithDeadline(time.Minute)},
+		{WithDeadline(time.Minute), WithExplain()},
+		{WithAsOf(d.Generation()), WithExplain()},
 	} {
 		res, err := d.Run(context.Background(), p, opts...)
 		if err != nil {
@@ -183,7 +184,7 @@ func TestConcurrentAddTableAndQueries(t *testing.T) {
 				p.MustAddSeeker("sc", SC(deps, 5))
 				p.MustAddSeeker("kw", KW([]string{"Firenze"}, 5))
 				p.MustAddCombiner("u", Union(5), "sc", "kw")
-				if _, err := d.Run(context.Background(), p, WithMaxWorkers(2)); err != nil {
+				if _, err := d.Run(context.Background(), p); err != nil {
 					errs <- err
 					return
 				}

@@ -352,27 +352,17 @@ func benchFanOutPlan(i int) *Plan {
 
 func seekerName(j int) string { return string(rune('a' + j)) }
 
-// benchmarkPlanWorkers measures the scheduler at a fixed pool size —
-// worker-scaling for the concurrent plan scheduler (sequential engine as
-// the w=0 baseline).
-func benchmarkPlanWorkers(b *testing.B, workers int, parallel bool) {
+// BenchmarkPlanScheduler measures a four-seeker Union plan on the sharded
+// index; the scheduler runs it GOMAXPROCS-wide (set -cpu to vary it).
+func BenchmarkPlanScheduler(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var opts []RunOption
-		if parallel {
-			opts = append(opts, WithMaxWorkers(workers))
-		}
-		if _, err := benchLake.sharded.Run(context.Background(), benchFanOutPlan(i), opts...); err != nil {
+		if _, err := benchLake.sharded.Run(context.Background(), benchFanOutPlan(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkPlanSequential(b *testing.B)        { benchmarkPlanWorkers(b, 0, false) }
-func BenchmarkPlanSchedulerWorkers1(b *testing.B) { benchmarkPlanWorkers(b, 1, true) }
-func BenchmarkPlanSchedulerWorkers2(b *testing.B) { benchmarkPlanWorkers(b, 2, true) }
-func BenchmarkPlanSchedulerWorkers4(b *testing.B) { benchmarkPlanWorkers(b, 4, true) }
 
 // BenchmarkIndexPersistSharded measures v2 serialization.
 func BenchmarkIndexPersistSharded(b *testing.B) {

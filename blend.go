@@ -276,7 +276,10 @@ func (d *Discovery) EnableWAL(path string) (func() error, error) {
 			continue
 		}
 		if rec.IsCompact() {
-			d.engine.Compact()
+			if _, err := d.engine.Compact(); err != nil {
+				wal.Close()
+				return nil, fmt.Errorf("blend: replay wal %s: %w", path, err)
+			}
 		}
 	}
 	d.engine.SetJournal(wal)
@@ -284,10 +287,13 @@ func (d *Discovery) EnableWAL(path string) (func() error, error) {
 }
 
 // Run executes a plan under the given context — the single query entry
-// point of API v2. With no options the two-phase optimizer is enabled and
-// execution is sequential; functional options tune the call:
+// point of API v2. With no options the two-phase optimizer is enabled;
+// functional options tune the call:
 //
-//	res, err := d.Run(ctx, plan, blend.WithMaxWorkers(8), blend.WithDeadline(time.Second))
+//	res, err := d.Run(ctx, plan, blend.WithExplain(), blend.WithDeadline(time.Second))
+//
+// Every plan runs on the concurrent DAG scheduler with GOMAXPROCS workers;
+// results are identical to a one-at-a-time execution.
 //
 // Cancellation is honored between scheduler tasks, execution-group
 // members, and per-shard index scans; on cancellation the error matches
@@ -314,8 +320,7 @@ func (d *Discovery) Run(ctx context.Context, p *Plan, opts ...RunOption) (*Resul
 
 // Seek executes a single seeker outside any plan under the given context
 // and returns the scored tables. It accepts the same options as Run
-// (WithAsOf included); WithoutOptimizer and WithMaxWorkers are no-ops for
-// a single operator.
+// (WithAsOf included); WithoutOptimizer is a no-op for a single operator.
 func (d *Discovery) Seek(ctx context.Context, s Seeker, opts ...RunOption) (Hits, error) {
 	cfg, _ := coreOptions(opts)
 	if cfg.deadline > 0 {

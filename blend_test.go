@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"testing"
@@ -349,21 +350,55 @@ func TestAddTableRejectsWithoutPublishing(t *testing.T) {
 	unchanged("journal failure")
 }
 
+// TestCompactRejectsWithoutPublishing asserts that a journal append
+// failure during Compact returns a typed internal error wrapping the cause
+// instead of panicking, with the generation, the table count and the
+// pending tombstone unchanged; the compaction succeeds once the journal
+// accepts it.
+func TestCompactRejectsWithoutPublishing(t *testing.T) {
+	d := IndexTables(ColumnStore, fig1Tables())
+	if err := d.RemoveTable(0); err != nil {
+		t.Fatal(err)
+	}
+	gen, tables := d.Generation(), d.NumTables()
+	diskFull := errors.New("no space left on device")
+	d.Engine().SetJournal(failingJournal{err: diskFull})
+	n, err := d.Compact()
+	if n != 0 || !errors.Is(err, ErrInternal) || !errors.Is(err, diskFull) {
+		t.Fatalf("journal failure: Compact = %d, %v; want 0 and ErrInternal wrapping the cause", n, err)
+	}
+	if d.Generation() != gen || d.NumTables() != tables || d.Stats().Tombstones != 1 {
+		t.Fatalf("journal failure published: generation %d, tables %d, tombstones %d; want %d, %d, 1",
+			d.Generation(), d.NumTables(), d.Stats().Tombstones, gen, tables)
+	}
+	d.Engine().SetJournal(nil)
+	if n, err := d.Compact(); err != nil || n != 1 {
+		t.Fatalf("Compact after the journal recovered = %d, %v; want 1", n, err)
+	}
+}
+
+// TestParallelPublicAPI runs a union-search plan with one scheduler worker
+// and with four (the width is GOMAXPROCS): the answer and every node's
+// hits must not depend on it.
 func TestParallelPublicAPI(t *testing.T) {
 	d := IndexTables(ColumnStore, fig1Tables())
 	q := NewTable("q", "Lead", "Year", "Team")
 	q.MustAppendRow("Firenze", "2024", "HR")
 	p := UnionSearchPlan(q, 100, 5)
-	seq, err := d.Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
+	runAt := func(width int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+		res, err := d.Run(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	par, err := d.Run(context.Background(), p, WithMaxWorkers(0))
-	if err != nil {
-		t.Fatal(err)
+	one, four := runAt(1), runAt(4)
+	if len(one.Tables) == 0 || !reflect.DeepEqual(one.Tables, four.Tables) {
+		t.Fatalf("GOMAXPROCS 4 %v != GOMAXPROCS 1 %v", four.Tables, one.Tables)
 	}
-	if !reflect.DeepEqual(seq.Tables, par.Tables) {
-		t.Fatalf("parallel %v != sequential %v", par.Tables, seq.Tables)
+	if !reflect.DeepEqual(one.NodeHits, four.NodeHits) {
+		t.Fatal("NodeHits depend on the scheduler width")
 	}
 }
 
@@ -447,15 +482,15 @@ func TestShardedIndexPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := shard.Run(context.Background(), p, WithMaxWorkers(4))
+	got, err := shard.Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ref.Tables, got.Tables) {
-		t.Fatalf("sharded parallel run %v != monolithic %v", got.Tables, ref.Tables)
+		t.Fatalf("sharded run %v != monolithic %v", got.Tables, ref.Tables)
 	}
 	if !reflect.DeepEqual(ref.NodeHits, got.NodeHits) {
-		t.Fatal("sharded parallel NodeHits differ from monolithic sequential")
+		t.Fatal("sharded NodeHits differ from monolithic")
 	}
 }
 

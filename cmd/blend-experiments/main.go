@@ -23,11 +23,9 @@ func main() {
 	exp := flag.String("exp", "", "experiment id to run (default: all)")
 	scaleFlag := flag.String("scale", "small", "workload scale: small or full")
 	shards := flag.Int("shards", experiments.Shards, "shard count for the sharding experiment")
-	workers := flag.Int("workers", experiments.Workers, "scheduler worker pool size (0 = GOMAXPROCS)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 	experiments.Shards = *shards
-	experiments.Workers = *workers
 
 	if *list {
 		for _, e := range experiments.All() {

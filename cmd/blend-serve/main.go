@@ -23,12 +23,13 @@
 //
 // Usage:
 //
-//	blend-serve -index lake.blend [-addr :8080] [-timeout 30s] [-workers N] [-cache N]
+//	blend-serve -index lake.blend [-addr :8080] [-timeout 30s] [-cache N]
 //	blend-serve -lake DIR [-shards N] ...
 //	blend-serve ... [-allow-dir-ingest] [-ingest-batch N]
 //
 // An -index file is memory-mapped and its shards decode on first touch;
-// ingest parses and inserts GOMAXPROCS-wide.
+// every plan runs on the library's concurrent scheduler, and ingest parses
+// and inserts, GOMAXPROCS-wide.
 package main
 
 import (
@@ -67,7 +68,6 @@ func run(args []string) error {
 	shards := fs.Int("shards", 1, "hash-partition a -lake index across N shards")
 	addr := fs.String("addr", ":8080", "listen address")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request execution bound (0 = none)")
-	workers := fs.Int("workers", 0, "run every plan on the concurrent scheduler with this worker bound (0 = sequential unless the request opts in)")
 	cache := fs.Int("cache", 512, "seeker result cache entries, invalidated on index mutation (0 = disabled)")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown drain period")
 	allowDirIngest := fs.Bool("allow-dir-ingest", false, "allow POST /v1/tables to bulk-load CSV directories from the server's filesystem (off by default: it lets any client read server-side CSV files)")
@@ -111,7 +111,6 @@ func run(args []string) error {
 
 	svc := service.New(d, service.Options{
 		DefaultTimeout:  *timeout,
-		MaxWorkers:      *workers,
 		AllowDirIngest:  *allowDirIngest,
 		IngestBatchSize: *ingestBatch,
 	})

@@ -118,8 +118,8 @@ func usage() {
   blend seek  -index FILE -op sc|kw -values v1,v2,...    single-column / keyword search
   blend seek  -index FILE -op mc -tuples "a|b,c|d"       multi-column join search
   blend sql   -index FILE -query "SELECT ..."            raw SQL on AllTables
-  blend plan  -index FILE -file plan.json [-no-opt] [-parallel] [-workers N] [-timeout D] [-explain] [-no-native]
-                                                         run a JSON discovery plan
+  blend plan  -index FILE -file plan.json [-no-opt] [-timeout D] [-explain] [-profile] [-no-native] [-as-of G]
+                                                         run a JSON discovery plan (GOMAXPROCS-wide)
   blend stats -index FILE                                index statistics
   blend demo                                             run the paper's Example 1
 seek, sql, and plan memory-map the index file and decode each shard on
@@ -181,8 +181,6 @@ func cmdPlan(args []string) error {
 	index := fs.String("index", "", "index file built by `blend index`")
 	file := fs.String("file", "", "JSON plan document")
 	noOpt := fs.Bool("no-opt", false, "disable the optimizer (B-NO)")
-	parallel := fs.Bool("parallel", false, "execute the plan on the concurrent DAG scheduler")
-	workers := fs.Int("workers", 0, "worker pool size for -parallel (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "abort the plan after this duration (0 = none)")
 	profile := fs.Bool("profile", false, "print a per-node execution profile")
 	explain := fs.Bool("explain", false, "print the SQL executed per seeker, rewrites included")
@@ -210,9 +208,6 @@ func cmdPlan(args []string) error {
 	var opts []blend.RunOption
 	if *noOpt {
 		opts = append(opts, blend.WithoutOptimizer())
-	}
-	if *parallel || *workers > 0 {
-		opts = append(opts, blend.WithMaxWorkers(*workers))
 	}
 	if *timeout > 0 {
 		opts = append(opts, blend.WithDeadline(*timeout))

@@ -200,8 +200,10 @@ func (d *Discovery) RemoveTable(id int32) error { return d.engine.RemoveTable(id
 
 // Compact physically reclaims every removed table's entries and returns
 // how many tables were compacted away. Table ids are reassigned
-// contiguously — re-resolve held ids with TableIDByName afterwards.
-func (d *Discovery) Compact() int { return d.engine.Compact() }
+// contiguously — re-resolve held ids with TableIDByName afterwards. When
+// the write-ahead log cannot record the compaction, Compact returns
+// ErrInternal wrapping the cause and publishes nothing.
+func (d *Discovery) Compact() (int, error) { return d.engine.Compact() }
 
 // TableIDByName resolves a live table name to its current id, or -1. Ids
 // are stable between compactions; names are stable forever.

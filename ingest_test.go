@@ -268,8 +268,8 @@ func TestRemoveCompactPersistLoadRoundTrip(t *testing.T) {
 		}
 		wantHits[i] = d.TableNames(hits)
 	}
-	if got := d.Compact(); got != 1 {
-		t.Fatalf("Compact = %d", got)
+	if got, err := d.Compact(); err != nil || got != 1 {
+		t.Fatalf("Compact = %d, %v", got, err)
 	}
 	compacted := filepath.Join(t.TempDir(), "compacted.blend")
 	if err := d.SaveIndex(compacted); err != nil {

@@ -715,11 +715,8 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 	p.MustAddSeeker("sc", NewSC(departments, 10))
 	p.MustAddSeeker("mc", NewMC([][]string{{"HR", "Firenze"}}, 10))
 	p.MustAddCombiner("all", NewUnion(10), "kw", "sc", "mc")
-	seq, err := e.Run(context.Background(), p, RunOptions{Optimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := e.Run(context.Background(), p, RunOptions{Optimize: true, Parallel: true})
+	seq := runReference(t, e, p, RunOptions{Optimize: true})
+	par, err := e.Run(context.Background(), p, RunOptions{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -732,14 +729,14 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 }
 
 func TestParallelKeepsRewriteDependencies(t *testing.T) {
-	// A Difference plan still runs its subtrahend before its minuend even
-	// in parallel mode, and the rewrite still applies.
+	// On the scheduler a Difference plan still runs its subtrahend before
+	// its minuend, and the rewrite still applies.
 	e := fig1Engine()
 	p := NewPlan()
 	p.MustAddSeeker("pos", NewMC([][]string{{"HR", "Firenze"}}, 10))
 	p.MustAddSeeker("neg", NewMC([][]string{{"IT", "Tom Riddle"}}, 10))
 	p.MustAddCombiner("diff", NewDifference(10), "pos", "neg")
-	res, err := e.Run(context.Background(), p, RunOptions{Optimize: true, Parallel: true})
+	res, err := e.Run(context.Background(), p, RunOptions{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,24 +744,24 @@ func TestParallelKeepsRewriteDependencies(t *testing.T) {
 		t.Fatalf("tables = %v", res.Tables)
 	}
 	if !res.Stats["pos"].Rewritten {
-		t.Fatal("minuend lost its rewrite in parallel mode")
+		t.Fatal("minuend lost its rewrite on the scheduler")
 	}
 }
 
 func TestParallelIntersectGroupStaysSequential(t *testing.T) {
 	// Execution-group members must keep their ranked, rewritten pipeline
-	// even when Parallel is requested.
+	// on the scheduler.
 	e := fig1Engine()
 	p := NewPlan()
 	p.MustAddSeeker("kw", NewKW([]string{"Firenze"}, 10))
 	p.MustAddSeeker("mc", NewMC([][]string{{"HR", "Firenze"}}, 10))
 	p.MustAddCombiner("i", NewIntersect(10), "kw", "mc")
-	res, err := e.Run(context.Background(), p, RunOptions{Optimize: true, Parallel: true})
+	res, err := e.Run(context.Background(), p, RunOptions{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stats["mc"].Rewritten {
-		t.Fatal("group member lost its rewrite in parallel mode")
+		t.Fatal("group member lost its rewrite on the scheduler")
 	}
 	if !reflect.DeepEqual(res.SeekerOrder, []string{"kw", "mc"}) {
 		t.Fatalf("group order broken: %v", res.SeekerOrder)

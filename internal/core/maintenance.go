@@ -123,18 +123,19 @@ func (e *Engine) RemoveTable(tid int32) error {
 // mapping (if any) closes once the last retained or pinned generation
 // using it is released. Callers holding ids from before the compaction
 // must re-resolve them by name. A lake without tombstones returns 0
-// without publishing. A journal append failure panics with a typed error
-// (the compaction is already built and durability was promised).
-func (e *Engine) Compact() int {
+// without publishing. A journal append failure returns a typed internal
+// error wrapping the cause, with nothing published and the generation
+// unchanged.
+func (e *Engine) Compact() (int, error) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	next, removed := e.snap.Load().store.CloneCompact()
 	if removed == 0 {
-		return 0
+		return 0, nil
 	}
 	if e.journal != nil {
 		if err := e.journal.Compact(); err != nil {
-			panic(berr.Wrap(berr.CodeInternal, "engine.wal", err))
+			return 0, berr.Wrap(berr.CodeInternal, "engine.wal", err)
 		}
 	}
 	// The rebuilt store starts a fresh lineage: new snapshots lease its
@@ -148,7 +149,7 @@ func (e *Engine) Compact() int {
 	e.maint.Compactions++
 	e.maint.TablesCompacted += uint64(removed)
 	e.maintMu.Unlock()
-	return removed
+	return removed, nil
 }
 
 // liveNamesLocked returns the cached live table-name set, building it

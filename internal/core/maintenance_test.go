@@ -149,8 +149,8 @@ func TestBatchCachePurgeOncePerBatch(t *testing.T) {
 
 	// Compact needs no special casing: its publish moves the window too,
 	// and the pre-compaction entry dies with its generation.
-	if e.Compact() != 1 {
-		t.Fatal("compact must reclaim the tombstone")
+	if n, err := e.Compact(); err != nil || n != 1 {
+		t.Fatalf("compact must reclaim the tombstone: %d, %v", n, err)
 	}
 	if cs := e.ResultCacheStats(); cs.Invalidations != 3 || cs.Entries != 0 {
 		t.Fatalf("compact must sweep: %+v", cs)
@@ -236,8 +236,8 @@ func TestNativeSQLEquivalenceAfterRemoveCompact(t *testing.T) {
 			}
 			check("post-remove")
 			for _, e := range []*Engine{native, sql} {
-				if got := e.Compact(); got != 2 {
-					t.Fatalf("Compact = %d, want 2", got)
+				if got, err := e.Compact(); err != nil || got != 2 {
+					t.Fatalf("Compact = %d, %v; want 2", got, err)
 				}
 			}
 			check("post-compact")
@@ -260,7 +260,9 @@ func TestLiveTablesExcludesTombstones(t *testing.T) {
 	if e.LiveTables() != 5 || e.NumTables() != 6 {
 		t.Fatalf("post-remove: live=%d total=%d", e.LiveTables(), e.NumTables())
 	}
-	e.Compact()
+	if _, err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	if e.LiveTables() != 5 || e.NumTables() != 5 {
 		t.Fatalf("post-compact: live=%d total=%d", e.LiveTables(), e.NumTables())
 	}
@@ -320,7 +322,9 @@ func TestMaintenanceConcurrentWithQueries(t *testing.T) {
 	if err := e.RemoveTable(1); err != nil {
 		t.Fatal(err)
 	}
-	e.Compact()
+	if _, err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	close(stop)
 	<-done
 	if e.MaintStats().TablesRemoved != 1 {

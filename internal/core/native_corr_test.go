@@ -154,8 +154,8 @@ func TestNativeCorrEquivalenceAfterRemoveCompact(t *testing.T) {
 			}
 			check("post-remove")
 			for _, e := range []*Engine{native, sql} {
-				if got := e.Compact(); got != 2 {
-					t.Fatalf("Compact = %d, want 2", got)
+				if got, err := e.Compact(); err != nil || got != 2 {
+					t.Fatalf("Compact = %d, %v; want 2", got, err)
 				}
 			}
 			check("post-compact")

@@ -22,19 +22,6 @@ type RunOptions struct {
 	// to run random and oracle orders). Ids absent from the slice keep
 	// their ranked position.
 	ForcedOrder []string
-	// Parallel executes the plan on the concurrent DAG scheduler: every
-	// node — free seekers, execution groups, Difference-rewrite chains,
-	// and combiners — becomes a task dispatched to a bounded worker pool
-	// as soon as its dependencies resolve. Seekers are pure reads, so
-	// NodeHits are identical to sequential execution; only the wall-clock
-	// completion order varies (SeekerOrder stays deterministic, see
-	// PlanResult). Sub-plans joined by Union or Counter combiners, like
-	// the multi-objective plan of Listing 4, gain the most.
-	Parallel bool
-	// MaxWorkers bounds the scheduler's worker pool (and therefore how
-	// many seekers run concurrently). Zero or negative means GOMAXPROCS.
-	// Ignored without Parallel.
-	MaxWorkers int
 	// Explain records, per seeker node, the exact SQL statement executed
 	// against the AllTables relation — including any optimizer rewrite
 	// predicates — into PlanResult.SQLByNode.
@@ -69,21 +56,20 @@ type PlanResult struct {
 	// RunOptions.Explain; per-run stats always carry the same facts in
 	// Stats[id].Path / Stats[id].CacheHit.
 	PathByNode map[string]string
-	// SeekerOrder is the deterministic seeker execution order: the order
-	// the sequential engine executes (topological order with execution
-	// groups expanded at their ranked positions and Difference
-	// subtrahends hoisted before their rewritten minuends). Under
-	// Parallel the same order is reported even though seekers complete
+	// SeekerOrder is the deterministic seeker order: topological order
+	// with execution groups expanded at their ranked positions and
+	// Difference subtrahends hoisted before their rewritten minuends —
+	// the order a one-at-a-time resolver would execute. It is the same on
+	// every run of a plan, although the scheduler completes seekers
 	// concurrently; see CompletionOrder for what actually happened.
 	SeekerOrder []string
-	// CompletionOrder records the order seekers actually finished in.
-	// Sequential runs match SeekerOrder; Parallel runs are
-	// timing-dependent and nondeterministic.
+	// CompletionOrder records the order seekers actually finished in. It
+	// is timing-dependent whenever independent seekers overlap.
 	CompletionOrder []string
 	// PeakConcurrency is the maximum number of seekers observed running
 	// simultaneously — worker-pool instrumentation for verifying that a
-	// parallel plan actually overlapped its independent seekers (1 for
-	// sequential runs).
+	// plan actually overlapped its independent seekers. It never exceeds
+	// GOMAXPROCS.
 	PeakConcurrency int
 	// Duration is the total wall-clock execution time, including
 	// optimization overhead (the paper reports optimizer time as part of
@@ -127,11 +113,36 @@ func (e *Engine) runPinned(ctx context.Context, sn *snapshot, p *Plan, opts RunO
 	if err := ctx.Err(); err != nil {
 		return nil, berr.FromContext("plan.run", err)
 	}
-	topo, err := p.validate()
+	ex, topo, err := newPlanExec(&view{Engine: e, sn: sn}, p, opts)
 	if err != nil {
 		return nil, err
 	}
-	v := &view{Engine: e, sn: sn}
+	if err := ex.runScheduled(ctx, topo); err != nil {
+		// Only type as canceled/deadline when the failure actually came
+		// from the context; an unrelated seeker error racing with
+		// cancellation keeps its own classification.
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, berr.FromContext("plan.run", err)
+		}
+		return nil, err
+	}
+	res := ex.res
+	res.SeekerOrder = ex.emissionOrder(topo)
+	res.CompletionOrder = ex.completion
+	res.PeakConcurrency = int(ex.peak)
+	res.Output = res.NodeHits[p.output]
+	res.Tables = ex.v.tableNames(res.Output)
+	res.Duration = time.Since(start)
+	return res, nil
+}
+
+// newPlanExec validates p and prepares its execution against v, returning
+// the plan's topological order alongside.
+func newPlanExec(v *view, p *Plan, opts RunOptions) (*planExec, []string, error) {
+	topo, err := p.validate()
+	if err != nil {
+		return nil, nil, err
+	}
 	res := &PlanResult{
 		NodeHits: make(map[string]Hits, len(p.nodes)),
 		Stats:    make(map[string]RunStats),
@@ -169,8 +180,8 @@ func (e *Engine) runPinned(ctx context.Context, sn *snapshot, p *Plan, opts RunO
 	}
 
 	// Rank execution-group members up front: ranking needs only index
-	// statistics, never intermediate results, so both execution modes
-	// (and the deterministic SeekerOrder) share one ranking.
+	// statistics, never intermediate results, so the scheduler and the
+	// deterministic SeekerOrder share one ranking.
 	rankedOf := make(map[string][]string, len(groups))
 	for gi := range groups {
 		order := v.rankSeekers(p, groups[gi].members)
@@ -180,7 +191,7 @@ func (e *Engine) runPinned(ctx context.Context, sn *snapshot, p *Plan, opts RunO
 		rankedOf[groups[gi].combiner] = order
 	}
 
-	ex := &planExec{
+	return &planExec{
 		v:           v,
 		p:           p,
 		res:         res,
@@ -189,28 +200,7 @@ func (e *Engine) runPinned(ctx context.Context, sn *snapshot, p *Plan, opts RunO
 		groupOf:     groupOf,
 		excludeFrom: excludeFrom,
 		rankedOf:    rankedOf,
-	}
-	if opts.Parallel {
-		err = ex.runScheduled(ctx, topo, opts.MaxWorkers)
-	} else {
-		err = ex.runSequential(ctx, topo)
-	}
-	if err != nil {
-		// Only type as canceled/deadline when the failure actually came
-		// from the context; an unrelated seeker error racing with
-		// cancellation keeps its own classification.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, berr.FromContext("plan.run", err)
-		}
-		return nil, err
-	}
-	res.SeekerOrder = ex.emissionOrder(topo)
-	res.CompletionOrder = ex.completion
-	res.PeakConcurrency = int(ex.peak)
-	res.Output = res.NodeHits[p.output]
-	res.Tables = v.tableNames(res.Output)
-	res.Duration = time.Since(start)
-	return res, nil
+	}, topo, nil
 }
 
 // RunSeeker executes a single seeker outside any plan under the given

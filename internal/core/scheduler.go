@@ -10,10 +10,10 @@ import (
 	"blend/internal/berr"
 )
 
-// planExec carries the shared state of one plan execution. Both execution
-// modes — the sequential resolver and the concurrent DAG scheduler — run
-// through the same node helpers, so their NodeHits are computed by
-// identical code and differ only in dispatch order.
+// planExec carries the shared state of one plan execution. The DAG
+// scheduler dispatches the node helpers below; the package tests' one-at-a-
+// time reference resolver runs the same helpers, so its NodeHits are
+// computed by identical code and differ only in dispatch order.
 type planExec struct {
 	v   *view
 	p   *Plan
@@ -75,14 +75,6 @@ func (x *planExec) hitsOf(id string) Hits {
 	return x.res.NodeHits[id]
 }
 
-// done reports whether a node already has a result.
-func (x *planExec) done(id string) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	_, ok := x.res.NodeHits[id]
-	return ok
-}
-
 // runGroup executes an execution group's members in ranked order, each
 // seeker after the first restricted to the tables found so far (the
 // Intersection rewrite rule). The chain is inherently sequential — every
@@ -122,51 +114,6 @@ func (x *planExec) runCombiner(ctx context.Context, id string) error {
 	return nil
 }
 
-// runSequential resolves nodes depth-first in topological order — the
-// reference execution whose results the scheduler must reproduce bit for
-// bit.
-func (x *planExec) runSequential(ctx context.Context, topo []string) error {
-	var resolve func(id string) error
-	resolve = func(id string) error {
-		if x.done(id) {
-			return nil
-		}
-		n := x.p.nodes[id]
-		if n.isSeeker() {
-			if g := x.groupOf[id]; g != nil {
-				return x.runGroup(ctx, g)
-			}
-			if sub, ok := x.excludeFrom[id]; ok {
-				if err := resolve(sub); err != nil {
-					return err
-				}
-				return x.runSeeker(ctx, id, ExcludeTables(x.hitsOf(sub).TableIDs()))
-			}
-			return x.runSeeker(ctx, id, NoRewrite)
-		}
-		// Combiner: resolve inputs first. For Difference the subtrahend
-		// resolves before the minuend so its result can rewrite the
-		// minuend's SQL.
-		if x.optimize && n.combiner.Kind() == Difference && len(n.inputs) == 2 {
-			if err := resolve(n.inputs[1]); err != nil {
-				return err
-			}
-		}
-		for _, in := range n.inputs {
-			if err := resolve(in); err != nil {
-				return err
-			}
-		}
-		return x.runCombiner(ctx, id)
-	}
-	for _, id := range topo {
-		if err := resolve(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // schedTask is one node of the execution DAG handed to the worker pool.
 type schedTask struct {
 	run        func() error
@@ -177,7 +124,8 @@ type schedTask struct {
 // runScheduled executes the plan as a task DAG on a bounded worker pool:
 // free seekers, execution groups, Difference-rewrite chains, and combiners
 // each become one task, dispatched the moment their dependencies resolve.
-func (x *planExec) runScheduled(ctx context.Context, topo []string, maxWorkers int) error {
+// Seekers are pure reads, so NodeHits do not depend on dispatch order.
+func (x *planExec) runScheduled(ctx context.Context, topo []string) error {
 	taskOf := make(map[string]*schedTask, len(topo))
 	var tasks []*schedTask
 	newTask := func(run func() error) *schedTask {
@@ -236,22 +184,19 @@ func (x *planExec) runScheduled(ctx context.Context, topo []string, maxWorkers i
 			dep(taskOf[in], taskOf[id])
 		}
 	}
-	return runTaskPool(ctx, tasks, maxWorkers)
+	return runTaskPool(ctx, tasks)
 }
 
-// runTaskPool drains a task DAG with a bounded number of workers. On the
-// first task error (or context cancellation) remaining tasks are skipped
-// but still drained, so the pool always terminates; the first error wins.
-func runTaskPool(ctx context.Context, tasks []*schedTask, maxWorkers int) error {
+// runTaskPool drains a task DAG with GOMAXPROCS workers (fewer when there
+// are fewer tasks) — the width the engine's shard fan-out and ingest also
+// use. On the first task error (or context cancellation) remaining tasks
+// are skipped but still drained, so the pool always terminates; the first
+// error wins.
+func runTaskPool(ctx context.Context, tasks []*schedTask) error {
 	if len(tasks) == 0 {
 		return nil
 	}
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
-	if maxWorkers > len(tasks) {
-		maxWorkers = len(tasks)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(tasks))
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -299,7 +244,7 @@ func runTaskPool(ctx context.Context, tasks []*schedTask, maxWorkers int) error 
 		return t.run()
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < maxWorkers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -324,10 +269,10 @@ func runTaskPool(ctx context.Context, tasks []*schedTask, maxWorkers int) error 
 	return ctx.Err()
 }
 
-// emissionOrder computes the deterministic SeekerOrder: a dry run of the
-// sequential resolver that records which seeker would execute when, without
-// touching the index. Both execution modes report this order, so plan
-// diagnostics are stable under concurrency.
+// emissionOrder computes the deterministic SeekerOrder: a dry run of a
+// one-at-a-time depth-first resolver that records which seeker it would
+// execute when, without touching the index, so plan diagnostics are stable
+// under concurrency.
 func (x *planExec) emissionOrder(topo []string) []string {
 	done := make(map[string]bool, len(x.p.nodes))
 	order := make([]string, 0, len(x.p.nodes))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -71,32 +72,127 @@ func randomMixedPlan(rng *rand.Rand) *Plan {
 	return p
 }
 
-// TestSchedulerMatchesSequential property-tests the core invariant: the
-// concurrent scheduler must produce NodeHits identical to sequential
-// execution, with and without the optimizer, on plans mixing execution
-// groups, Difference rewrites, and Union/Counter fan-outs.
-func TestSchedulerMatchesSequential(t *testing.T) {
-	e := NewEngine(storage.Build(schedLake(42, 14), 1))
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 20; trial++ {
-		p := randomMixedPlan(rng)
-		for _, optimize := range []bool{false, true} {
-			seq, err := e.Run(context.Background(), p, RunOptions{Optimize: optimize})
-			if err != nil {
-				t.Fatal(err)
+// The sequential reference: Engine.Run always executes on the DAG
+// scheduler, and the tests below check it against this one-at-a-time
+// depth-first resolver over the same node helpers.
+
+// done reports whether a node already has a result.
+func (x *planExec) done(id string) bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	_, ok := x.res.NodeHits[id]
+	return ok
+}
+
+// runSequential resolves nodes depth-first in topological order — the
+// reference execution whose results the scheduler must reproduce bit for
+// bit.
+func (x *planExec) runSequential(ctx context.Context, topo []string) error {
+	var resolve func(id string) error
+	resolve = func(id string) error {
+		if x.done(id) {
+			return nil
+		}
+		n := x.p.nodes[id]
+		if n.isSeeker() {
+			if g := x.groupOf[id]; g != nil {
+				return x.runGroup(ctx, g)
 			}
-			par, err := e.Run(context.Background(), p, RunOptions{Optimize: optimize, Parallel: true, MaxWorkers: 4})
-			if err != nil {
-				t.Fatal(err)
+			if sub, ok := x.excludeFrom[id]; ok {
+				if err := resolve(sub); err != nil {
+					return err
+				}
+				return x.runSeeker(ctx, id, ExcludeTables(x.hitsOf(sub).TableIDs()))
 			}
-			if !reflect.DeepEqual(seq.NodeHits, par.NodeHits) {
-				t.Fatalf("trial %d optimize=%v: NodeHits differ\nseq: %v\npar: %v",
-					trial, optimize, seq.NodeHits, par.NodeHits)
-			}
-			if !reflect.DeepEqual(seq.Tables, par.Tables) {
-				t.Fatalf("trial %d optimize=%v: output differs", trial, optimize)
+			return x.runSeeker(ctx, id, NoRewrite)
+		}
+		// Combiner: resolve inputs first. For Difference the subtrahend
+		// resolves before the minuend so its result can rewrite the
+		// minuend's SQL.
+		if x.optimize && n.combiner.Kind() == Difference && len(n.inputs) == 2 {
+			if err := resolve(n.inputs[1]); err != nil {
+				return err
 			}
 		}
+		for _, in := range n.inputs {
+			if err := resolve(in); err != nil {
+				return err
+			}
+		}
+		return x.runCombiner(ctx, id)
+	}
+	for _, id := range topo {
+		if err := resolve(id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runReference executes p like Engine.Run against the current generation,
+// but with the sequential resolver instead of the scheduler. The result
+// carries NodeHits, Tables, SeekerOrder and CompletionOrder.
+func runReference(t *testing.T, e *Engine, p *Plan, opts RunOptions) *PlanResult {
+	t.Helper()
+	sn, err := e.pinAt(opts.AsOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.unpin(sn)
+	ex, topo, err := newPlanExec(&view{Engine: e, sn: sn}, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.runSequential(context.Background(), topo); err != nil {
+		t.Fatal(err)
+	}
+	res := ex.res
+	res.SeekerOrder = ex.emissionOrder(topo)
+	res.CompletionOrder = ex.completion
+	res.Tables = ex.v.tableNames(res.NodeHits[p.output])
+	return res
+}
+
+// withGOMAXPROCS sets the scheduler's width (GOMAXPROCS) to n for the rest
+// of the test and restores it afterwards.
+func withGOMAXPROCS(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// schedulerWidths are the GOMAXPROCS values the differential tests run
+// the scheduler at: a single worker, and four.
+var schedulerWidths = []int{1, 4}
+
+// TestSchedulerMatchesSequential property-tests the core invariant: the
+// scheduler must produce NodeHits identical to the sequential reference,
+// with and without the optimizer, at one worker and at four, on plans
+// mixing execution groups, Difference rewrites, and Union/Counter
+// fan-outs.
+func TestSchedulerMatchesSequential(t *testing.T) {
+	e := NewEngine(storage.Build(schedLake(42, 14), 1))
+	for _, width := range schedulerWidths {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", width), func(t *testing.T) {
+			withGOMAXPROCS(t, width)
+			rng := rand.New(rand.NewSource(43))
+			for trial := 0; trial < 20; trial++ {
+				p := randomMixedPlan(rng)
+				for _, optimize := range []bool{false, true} {
+					seq := runReference(t, e, p, RunOptions{Optimize: optimize})
+					par, err := e.Run(context.Background(), p, RunOptions{Optimize: optimize})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(seq.NodeHits, par.NodeHits) {
+						t.Fatalf("trial %d optimize=%v: NodeHits differ\nseq: %v\npar: %v",
+							trial, optimize, seq.NodeHits, par.NodeHits)
+					}
+					if !reflect.DeepEqual(seq.Tables, par.Tables) {
+						t.Fatalf("trial %d optimize=%v: output differs", trial, optimize)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -106,49 +202,53 @@ func TestSchedulerMatchesSequentialSharded(t *testing.T) {
 	lake := schedLake(77, 14)
 	mono := NewEngine(storage.Build(lake, 1))
 	shard := NewEngine(storage.Build(lake, 4))
-	rng := rand.New(rand.NewSource(78))
-	for trial := 0; trial < 10; trial++ {
-		p := randomMixedPlan(rng)
-		ref, err := mono.Run(context.Background(), p, RunOptions{Optimize: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := shard.Run(context.Background(), p, RunOptions{Optimize: true, Parallel: true, MaxWorkers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ref.NodeHits, got.NodeHits) {
-			t.Fatalf("trial %d: sharded parallel NodeHits differ from monolithic sequential", trial)
-		}
+	for _, width := range schedulerWidths {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", width), func(t *testing.T) {
+			withGOMAXPROCS(t, width)
+			rng := rand.New(rand.NewSource(78))
+			for trial := 0; trial < 10; trial++ {
+				p := randomMixedPlan(rng)
+				ref := runReference(t, mono, p, RunOptions{Optimize: true})
+				got, err := shard.Run(context.Background(), p, RunOptions{Optimize: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ref.NodeHits, got.NodeHits) {
+					t.Fatalf("trial %d: sharded scheduled NodeHits differ from monolithic sequential", trial)
+				}
+			}
+		})
 	}
 }
 
 // TestSeekerOrderDeterministicUnderParallel covers the SeekerOrder
-// contract: identical across repeated parallel runs and equal to the
-// sequential order, even though completion order varies.
+// contract: identical across repeated scheduled runs and equal to the
+// sequential reference's order, even though completion order varies.
 func TestSeekerOrderDeterministicUnderParallel(t *testing.T) {
 	e := NewEngine(storage.Build(schedLake(7, 12), 1))
 	p := randomMixedPlan(rand.New(rand.NewSource(8)))
-	seq, err := e.Run(context.Background(), p, RunOptions{Optimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runReference(t, e, p, RunOptions{Optimize: true})
 	if !reflect.DeepEqual(seq.SeekerOrder, seq.CompletionOrder) {
 		t.Fatalf("sequential SeekerOrder %v must match its completion order %v",
 			seq.SeekerOrder, seq.CompletionOrder)
 	}
-	for i := 0; i < 5; i++ {
-		par, err := e.Run(context.Background(), p, RunOptions{Optimize: true, Parallel: true, MaxWorkers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(par.SeekerOrder, seq.SeekerOrder) {
-			t.Fatalf("parallel SeekerOrder %v != sequential %v", par.SeekerOrder, seq.SeekerOrder)
-		}
-		if len(par.CompletionOrder) != len(seq.CompletionOrder) {
-			t.Fatalf("parallel completed %d seekers, want %d",
-				len(par.CompletionOrder), len(seq.CompletionOrder))
-		}
+	for _, width := range schedulerWidths {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", width), func(t *testing.T) {
+			withGOMAXPROCS(t, width)
+			for i := 0; i < 5; i++ {
+				par, err := e.Run(context.Background(), p, RunOptions{Optimize: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(par.SeekerOrder, seq.SeekerOrder) {
+					t.Fatalf("scheduled SeekerOrder %v != sequential %v", par.SeekerOrder, seq.SeekerOrder)
+				}
+				if len(par.CompletionOrder) != len(seq.CompletionOrder) {
+					t.Fatalf("scheduled run completed %d seekers, want %d",
+						len(par.CompletionOrder), len(seq.CompletionOrder))
+				}
+			}
+		})
 	}
 }
 
@@ -176,10 +276,11 @@ func (s *blockingSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, Ru
 
 // TestIndependentSeekersRunConcurrently is the acceptance check: four
 // independent seekers on a 4-shard index must overlap in time under the
-// scheduler. Each seeker blocks until all four have started, so the test
-// deadlocks (and times out) if the pool serializes them; the worker-pool
-// instrumentation must report the overlap.
+// scheduler at GOMAXPROCS 4. Each seeker blocks until all four have
+// started, so the test deadlocks (and times out) if the pool serializes
+// them; the worker-pool instrumentation must report the overlap.
 func TestIndependentSeekersRunConcurrently(t *testing.T) {
+	withGOMAXPROCS(t, 4)
 	e := NewEngine(storage.Build(schedLake(11, 12), 4))
 	started := make(chan string, 4)
 	release := make(chan struct{})
@@ -196,7 +297,7 @@ func TestIndependentSeekersRunConcurrently(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := e.Run(context.Background(), p, RunOptions{Parallel: true, MaxWorkers: 4})
+		res, err := e.Run(context.Background(), p, RunOptions{})
 		done <- outcome{res, err}
 	}()
 	// All four seekers must reach their barrier while blocked — only
@@ -213,8 +314,8 @@ func TestIndependentSeekersRunConcurrently(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	if out.res.PeakConcurrency != 4 {
-		t.Fatalf("PeakConcurrency = %d, want 4", out.res.PeakConcurrency)
+	if want := min(4, runtime.GOMAXPROCS(0)); out.res.PeakConcurrency != want {
+		t.Fatalf("PeakConcurrency = %d, want %d", out.res.PeakConcurrency, want)
 	}
 }
 
@@ -226,21 +327,20 @@ func TestRunPreCancelledContext(t *testing.T) {
 	p.MustAddSeeker("kw", NewKW(departments, 5))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, parallel := range []bool{false, true} {
-		start := time.Now()
-		_, err := e.Run(ctx, p, RunOptions{Optimize: true, Parallel: parallel})
-		if err == nil {
-			t.Fatalf("parallel=%v: pre-cancelled context must fail", parallel)
-		}
-		if time.Since(start) > 2*time.Second {
-			t.Fatalf("parallel=%v: cancellation not prompt", parallel)
-		}
+	start := time.Now()
+	if _, err := e.Run(ctx, p, RunOptions{Optimize: true}); err == nil {
+		t.Fatal("pre-cancelled context must fail")
+	}
+	if time.Since(start) > 2*time.Second {
+		t.Fatal("cancellation not prompt")
 	}
 }
 
 // TestRunCancelMidPlan cancels while seekers are blocked mid-execution;
-// Run must return the context error instead of hanging.
+// Run must return the context error instead of hanging. Both seekers block
+// at once, so the scheduler needs two workers.
 func TestRunCancelMidPlan(t *testing.T) {
+	withGOMAXPROCS(t, 2)
 	e := fig1Engine()
 	started := make(chan string, 2)
 	release := make(chan struct{}) // never closed: only ctx can unblock
@@ -252,7 +352,7 @@ func TestRunCancelMidPlan(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.Run(ctx, p, RunOptions{Parallel: true, MaxWorkers: 2})
+		_, err := e.Run(ctx, p, RunOptions{})
 		done <- err
 	}()
 	<-started
@@ -321,8 +421,9 @@ func TestShardedEngineSeekersMatchMonolithic(t *testing.T) {
 // TestSchedulerRunsEachTaskOnce guards the pool-seeding race: under heavy
 // fan-out with fast tasks, every seeker must execute exactly once (no
 // double enqueue when a dependent becomes ready while initial tasks are
-// still being seeded).
+// still being seeded), and no more than GOMAXPROCS seekers may overlap.
 func TestSchedulerRunsEachTaskOnce(t *testing.T) {
+	withGOMAXPROCS(t, 4)
 	e := NewEngine(storage.Build(schedLake(3, 10), 1))
 	p := NewPlan()
 	ids := make([]string, 0, 12)
@@ -335,9 +436,14 @@ func TestSchedulerRunsEachTaskOnce(t *testing.T) {
 	p.MustAddCombiner("u2", NewUnion(10), ids[6:]...)
 	p.MustAddCombiner("all", NewCounter(10), "u1", "u2")
 	for trial := 0; trial < 30; trial++ {
-		res, err := e.Run(context.Background(), p, RunOptions{Parallel: true, MaxWorkers: 8})
+		res, err := e.Run(context.Background(), p, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The seekers are too fast to guarantee an overlap, so the pool
+		// width is asserted as a bound.
+		if limit := min(4, runtime.GOMAXPROCS(0)); res.PeakConcurrency < 1 || res.PeakConcurrency > limit {
+			t.Fatalf("trial %d: PeakConcurrency = %d, want 1..%d", trial, res.PeakConcurrency, limit)
 		}
 		if len(res.CompletionOrder) != len(ids) {
 			t.Fatalf("trial %d: %d completions for %d seekers: %v",

@@ -4,7 +4,6 @@ import (
 	"context"
 	"reflect"
 	"runtime"
-	"sort"
 	"time"
 
 	"blend"
@@ -15,17 +14,12 @@ import (
 // blend-experiments CLI overrides it with -shards.
 var Shards = 4
 
-// Workers is the scheduler worker-pool size exercised by the sharding
-// experiment (0 = GOMAXPROCS); the CLI overrides it with -workers.
-var Workers = 0
-
 // RunSharding measures the production-scaling extension: the same seeker
-// workload against a monolithic index versus a hash-partitioned one with
-// concurrent shard scans, and the same multi-seeker plan on the sequential
-// engine versus the DAG scheduler at increasing worker counts. It also
-// verifies, per configuration, that results are identical to the
-// monolithic sequential reference — the invariant the scheduler and the
-// shard merge are built around.
+// workload, and the same multi-seeker plan on the DAG scheduler (at
+// GOMAXPROCS width, like every plan), against a monolithic index versus a
+// hash-partitioned one with concurrent shard scans. It also verifies that
+// the sharded results are identical to the monolithic ones — the
+// invariant the shard merge is built around.
 func RunSharding(ctx context.Context, scale Scale) *Report {
 	r := &Report{ID: "sharding", Title: "Extension: sharded AllTables + concurrent plan scheduler"}
 	lake := datalake.GenJoinLake(datalake.JoinLakeConfig{
@@ -73,26 +67,18 @@ func RunSharding(ctx context.Context, scale Scale) *Report {
 		p.MustAddCombiner("any", blend.Union(10), "sc0", "sc1", "kw", "sc3")
 		return p
 	}
-	ref, err := shard.Run(ctx, mkPlan())
+	ref, err := mono.Run(ctx, mkPlan())
 	if err != nil {
 		panic(err)
 	}
-	r.Printf("4-seeker Union plan on the %d-shard index:", Shards)
-	r.Printf("  sequential         %10v", ref.Duration.Round(time.Microsecond))
-	maxW := Workers
-	if maxW <= 0 {
-		maxW = runtime.GOMAXPROCS(0)
+	res, err := shard.Run(ctx, mkPlan())
+	if err != nil {
+		panic(err)
 	}
-	workerSteps := []int{1, 2, maxW}
-	sort.Ints(workerSteps)
-	for _, w := range workerSteps {
-		res, err := shard.Run(ctx, mkPlan(), blend.WithMaxWorkers(w))
-		if err != nil {
-			panic(err)
-		}
-		same := reflect.DeepEqual(res.NodeHits, ref.NodeHits)
-		r.Printf("  scheduler w=%-3d    %10v   peak concurrency %d, identical results: %v",
-			w, res.Duration.Round(time.Microsecond), res.PeakConcurrency, same)
-	}
+	r.Printf("4-seeker Union plan on the scheduler (GOMAXPROCS %d):", runtime.GOMAXPROCS(0))
+	r.Printf("  monolithic         %10v", ref.Duration.Round(time.Microsecond))
+	r.Printf("  %d shards           %10v   peak concurrency %d, identical results: %v",
+		Shards, res.Duration.Round(time.Microsecond), res.PeakConcurrency,
+		reflect.DeepEqual(res.NodeHits, ref.NodeHits))
 	return r
 }

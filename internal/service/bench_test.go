@@ -33,8 +33,8 @@ func benchDiscovery(nTables, shards int) *blend.Discovery {
 }
 
 // benchQueryBody is a three-seeker plan with a Union head: independent
-// sub-trees, so the scheduler overlaps them under max_workers.
-func benchQueryBody(workers int) string {
+// sub-trees, so the scheduler overlaps them.
+func benchQueryBody() string {
 	var vals []string
 	for i := 0; i < 24; i++ {
 		vals = append(vals, fmt.Sprintf("%q", fmt.Sprintf("city_%03d", i*7%200)))
@@ -46,9 +46,8 @@ func benchQueryBody(workers int) string {
 	    {"id": "kw", "seeker": {"kind": "kw", "values": [%s], "k": 10}},
 	    {"id": "mc", "seeker": {"kind": "mc", "tuples": [["city_007","code_007"]], "k": 10}},
 	    {"id": "any", "combiner": {"kind": "union", "k": 10}, "inputs": ["sc", "kw", "mc"]}
-	  ]},
-	  "options": {"max_workers": %d}
-	}`, list, list, workers)
+	  ]}
+	}`, list, list)
 }
 
 // BenchmarkServeQuery is the end-to-end service benchmark: concurrent
@@ -57,17 +56,17 @@ func benchQueryBody(workers int) string {
 // encode). Run with -cpu to scale client concurrency.
 func BenchmarkServeQuery(b *testing.B) {
 	for _, cfg := range []struct {
-		name            string
-		shards, workers int
+		name   string
+		shards int
 	}{
-		{"mono-seq", 1, 0},
-		{"sharded4-workers4", 4, 4},
+		{"mono", 1},
+		{"sharded4", 4},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			srv := newTestServer(b, benchDiscovery(120, cfg.shards))
 			client := srv.Client()
 			client.Timeout = 30 * time.Second
-			body := benchQueryBody(cfg.workers)
+			body := benchQueryBody()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {

@@ -41,12 +41,6 @@ type SQLRequest struct {
 
 // RunOptionsDTO mirrors the library's functional options on the wire.
 type RunOptionsDTO struct {
-	// MaxWorkers > 0 executes the plan on the concurrent DAG scheduler
-	// with that worker-pool bound. 0 (or omitted) falls back to the
-	// server's configured default; negative explicitly requests the
-	// server's width. Plans run sequentially only when neither side
-	// asks for workers.
-	MaxWorkers int `json:"max_workers,omitempty"`
 	// TimeoutMillis bounds this request's execution; capped by (and
 	// defaulting to) the server's per-request timeout.
 	TimeoutMillis int `json:"timeout_millis,omitempty"`

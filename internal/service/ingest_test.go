@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -243,5 +244,47 @@ func TestServiceRemoveAndCompact(t *testing.T) {
 	}
 	if d.NumTables() != 2 || d.Stats().Tombstones != 0 {
 		t.Fatalf("post-compact lake: %d tables, %d tombstones", d.NumTables(), d.Stats().Tombstones)
+	}
+}
+
+// failingJournal is a write-ahead log whose every append fails.
+type failingJournal struct{}
+
+func (failingJournal) AddTables([]*blend.Table) error { return errDiskFull }
+func (failingJournal) RemoveTable(int32) error        { return errDiskFull }
+func (failingJournal) Compact() error                 { return errDiskFull }
+func (failingJournal) Checkpoint(uint64) error        { return errDiskFull }
+
+var errDiskFull = errors.New("no space left on device")
+
+// TestServiceCompactJournalFailure: when the write-ahead log cannot record
+// a compaction, POST /v1/compact answers 500 internal and the server keeps
+// serving the unchanged generation.
+func TestServiceCompactJournalFailure(t *testing.T) {
+	d := fig1Discovery()
+	srv := newIngestServer(t, d, Options{})
+	if err := d.RemoveTable(d.TableIDByName("T2")); err != nil {
+		t.Fatal(err)
+	}
+	gen := d.Generation()
+	d.Engine().SetJournal(failingJournal{})
+	resp, body := doReq(t, "POST", srv.URL+"/v1/compact", "application/json", "")
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("compact status %d, want 500: %s", resp.StatusCode, body)
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil {
+		t.Fatal(err)
+	}
+	if eb.Error.Code != "internal" || !strings.Contains(eb.Error.Detail, errDiskFull.Error()) {
+		t.Fatalf("error = %+v, want internal naming the cause", eb.Error)
+	}
+	if d.Generation() != gen || d.Stats().Tombstones != 1 {
+		t.Fatalf("failed compaction published: generation %d (want %d), %d tombstones",
+			d.Generation(), gen, d.Stats().Tombstones)
+	}
+	resp, _ = doReq(t, "GET", srv.URL+"/healthz", "", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after failed compaction: %d", resp.StatusCode)
 	}
 }

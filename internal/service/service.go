@@ -13,18 +13,19 @@ import (
 	"blend/internal/berr"
 )
 
-// Options configure a Service.
+// maxSQLRows caps /v1/sql responses; a request's max_rows may lower it.
+const maxSQLRows = 1000
+
+// maxUploadBytes caps the request body of a CSV upload (64 MiB).
+const maxUploadBytes = 64 << 20
+
+// Options configure a Service. Plans need no execution settings: the
+// library runs every plan on its scheduler at GOMAXPROCS width.
 type Options struct {
 	// DefaultTimeout bounds every request's execution; a request's
 	// timeout_millis may shorten but never extend it. Zero means no
 	// server-side bound.
 	DefaultTimeout time.Duration
-	// MaxWorkers, when positive, runs every plan on the concurrent DAG
-	// scheduler with this worker-pool bound unless the request picks its
-	// own width. Zero leaves unconfigured requests sequential.
-	MaxWorkers int
-	// MaxSQLRows caps /v1/sql responses (default 1000).
-	MaxSQLRows int
 	// AllowDirIngest enables the server-side directory form of
 	// POST /v1/tables (JSON {"dir": …}), which makes the server read CSV
 	// files from its own filesystem. CSV uploads are always enabled.
@@ -32,9 +33,6 @@ type Options struct {
 	// IngestBatchSize is the default number of tables per atomic commit
 	// batch (0 = the library default).
 	IngestBatchSize int
-	// MaxUploadBytes caps the request body of a CSV upload (default
-	// 64 MiB).
-	MaxUploadBytes int64
 }
 
 // Service exposes one Discovery over HTTP: the versioned discovery API of
@@ -50,12 +48,6 @@ type Service struct {
 
 // New wraps a Discovery for serving.
 func New(d *blend.Discovery, opts Options) *Service {
-	if opts.MaxSQLRows <= 0 {
-		opts.MaxSQLRows = 1000
-	}
-	if opts.MaxUploadBytes <= 0 {
-		opts.MaxUploadBytes = 64 << 20
-	}
 	return &Service{d: d, opts: opts}
 }
 
@@ -107,23 +99,11 @@ func (s *Service) requestContext(r *http.Request, dto *RunOptionsDTO) (context.C
 	return r.Context(), func() {}
 }
 
-// runOptions folds a DTO into library run options. Worker resolution: a
-// positive request value wins, a zero (or absent) one falls back to the
-// server's -workers default, and a negative one explicitly asks for the
-// server's width; only when both request and server are unset does the
-// plan run sequentially.
-func (s *Service) runOptions(dto *RunOptionsDTO) []blend.RunOption {
+// runOptions folds a DTO into library run options.
+func runOptions(dto *RunOptionsDTO) []blend.RunOption {
 	var opts []blend.RunOption
 	if dto != nil && dto.NoOptimize {
 		opts = append(opts, blend.WithoutOptimizer())
-	}
-	switch {
-	case dto != nil && dto.MaxWorkers > 0:
-		opts = append(opts, blend.WithMaxWorkers(dto.MaxWorkers))
-	case dto != nil && dto.MaxWorkers < 0:
-		opts = append(opts, blend.WithMaxWorkers(s.opts.MaxWorkers))
-	case s.opts.MaxWorkers > 0:
-		opts = append(opts, blend.WithMaxWorkers(s.opts.MaxWorkers))
 	}
 	if dto != nil && dto.Explain {
 		opts = append(opts, blend.WithExplain())
@@ -151,7 +131,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req.Options)
 	defer cancel()
-	res, err := s.d.Run(ctx, plan, s.runOptions(req.Options)...)
+	res, err := s.d.Run(ctx, plan, runOptions(req.Options)...)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -222,8 +202,8 @@ func (s *Service) handleSQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	limit := req.MaxRows
-	if limit <= 0 || limit > s.opts.MaxSQLRows {
-		limit = s.opts.MaxSQLRows
+	if limit <= 0 || limit > maxSQLRows {
+		limit = maxSQLRows
 	}
 	resp := SQLResponse{Columns: res.Columns(), TotalRows: res.NumRows(), Rows: [][]string{}}
 	for i := 0; i < res.NumRows() && i < limit; i++ {
@@ -320,7 +300,7 @@ func (s *Service) handleIngestCSV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	t, err := blend.ReadCSV(name, http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
+	t, err := blend.ReadCSV(name, http.MaxBytesReader(w, r.Body, maxUploadBytes))
 	if err != nil {
 		writeError(w, berr.New(berr.CodeBadRequest, "service.ingest", "parse csv upload: %v", err))
 		return
@@ -389,7 +369,12 @@ func (s *Service) handleRemoveTable(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleCompact(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, CompactResponse{RemovedTables: s.d.Compact()})
+	removed, err := s.d.Compact()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, CompactResponse{RemovedTables: removed})
 }
 
 // perSec converts a count over a duration into a rate (0 when either is).

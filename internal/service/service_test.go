@@ -115,10 +115,10 @@ func TestQueryMatchesInProcessRun(t *testing.T) {
 }
 
 // TestQueryConcurrentRequests exercises concurrent request handling over
-// a sharded store with the parallel scheduler.
+// a sharded store, every plan on the scheduler.
 func TestQueryConcurrentRequests(t *testing.T) {
 	srv := newTestServer(t, fig1Discovery(blend.WithShards(2)))
-	body := fmt.Sprintf(`{"plan": %s, "options": {"max_workers": 4, "explain": true}}`, example1Plan)
+	body := fmt.Sprintf(`{"plan": %s, "options": {"explain": true}}`, example1Plan)
 	type result struct {
 		qr  QueryResponse
 		err error
@@ -153,6 +153,25 @@ func TestQueryConcurrentRequests(t *testing.T) {
 		if len(res.qr.SQLByNode) != 3 {
 			t.Fatalf("explain missing: %+v", res.qr.SQLByNode)
 		}
+	}
+}
+
+// TestQueryRejectsMaxWorkers pins the wire contract: every plan runs on
+// the scheduler at the server's GOMAXPROCS width, so a body still carrying
+// the retired "max_workers" option is an unknown field — 400 bad_request.
+func TestQueryRejectsMaxWorkers(t *testing.T) {
+	srv := newTestServer(t, fig1Discovery())
+	resp, raw := postJSON(t, srv.URL+"/v1/query",
+		fmt.Sprintf(`{"plan": %s, "options": {"max_workers": 4}}`, example1Plan))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, raw)
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(raw, &eb); err != nil {
+		t.Fatal(err)
+	}
+	if eb.Error.Code != "bad_request" || !strings.Contains(eb.Error.Detail, `unknown field "max_workers"`) {
+		t.Fatalf("error = %+v, want bad_request naming the unknown field", eb.Error)
 	}
 }
 

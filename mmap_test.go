@@ -113,7 +113,11 @@ func TestOpenIndexMatchesBuilt(t *testing.T) {
 				if err := d.RemoveTable(3); err != nil {
 					t.Fatal(err)
 				}
-				compacted[i] = d.Compact()
+				n, err := d.Compact()
+				if err != nil {
+					t.Fatal(err)
+				}
+				compacted[i] = n
 			}
 			if compacted[0] != 1 || compacted[1] != 1 {
 				t.Fatalf("Compact removed %v tables, want 1 each", compacted)

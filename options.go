@@ -9,33 +9,20 @@ import (
 // RunOption tunes one Run or Seek call. Options compose orthogonally:
 //
 //	res, err := d.Run(ctx, plan,
-//		blend.WithMaxWorkers(8),
 //		blend.WithDeadline(2*time.Second),
 //		blend.WithExplain())
 //
-// The zero configuration (no options) runs the plan sequentially with the
-// two-phase optimizer enabled — the paper's default BLEND configuration.
+// The zero configuration (no options) runs the plan with the two-phase
+// optimizer enabled — the paper's default BLEND configuration. Every plan
+// runs on the concurrent DAG scheduler at GOMAXPROCS width; no option
+// changes how it executes.
 type RunOption func(*runConfig)
 
 type runConfig struct {
 	noOptimize bool
-	parallel   bool
-	maxWorkers int
 	deadline   time.Duration
 	explain    bool
 	asOf       uint64
-}
-
-// WithMaxWorkers executes the plan on the concurrent DAG scheduler with a
-// worker pool of n (n <= 0 means GOMAXPROCS). Seekers are pure reads, so
-// results are identical to sequential execution; only wall-clock
-// completion order varies. Plans whose sub-trees are independent — union
-// search, multi-objective discovery — gain the most.
-func WithMaxWorkers(n int) RunOption {
-	return func(c *runConfig) {
-		c.parallel = true
-		c.maxWorkers = n
-	}
 }
 
 // WithDeadline bounds the call's wall-clock time: the run's context is
@@ -80,10 +67,8 @@ func coreOptions(opts []RunOption) (runConfig, core.RunOptions) {
 		o(&cfg)
 	}
 	return cfg, core.RunOptions{
-		Optimize:   !cfg.noOptimize,
-		Parallel:   cfg.parallel,
-		MaxWorkers: cfg.maxWorkers,
-		Explain:    cfg.explain,
-		AsOf:       cfg.asOf,
+		Optimize: !cfg.noOptimize,
+		Explain:  cfg.explain,
+		AsOf:     cfg.asOf,
 	}
 }
