@@ -48,8 +48,6 @@ type (
 	Hits = core.Hits
 	// TableHit is one scored table.
 	TableHit = core.TableHit
-	// RunOptions tunes plan execution.
-	RunOptions = core.RunOptions
 	// CacheStats summarizes the engine's seeker result cache.
 	CacheStats = core.CacheStats
 )
@@ -85,7 +83,7 @@ func NewPlan() *Plan { return core.NewPlan() }
 func ParsePlanJSON(r io.Reader) (*Plan, error) { return core.ParsePlanJSON(r) }
 
 // EncodePlanJSON writes a plan as its JSON document. Plans containing
-// user-defined seekers or combiners cannot be encoded.
+// user-defined combiners cannot be encoded.
 func EncodePlanJSON(p *Plan, w io.Writer) error { return core.EncodePlanJSON(p, w) }
 
 // ParseSeekerJSON decodes one standalone seeker document — the "seeker"
@@ -292,56 +290,39 @@ func (d *Discovery) EnableWAL(path string) (func() error, error) {
 //
 //	res, err := d.Run(ctx, plan, blend.WithExplain(), blend.WithDeadline(time.Second))
 //
+// Run pins one generation — the current one, or retained generation g
+// under WithAsOf(g) — exactly as SnapshotAt does, runs the plan through
+// Snapshot.Run, and unpins it. Ingestion never blocks it and is never
+// blocked by it, so it is safe for concurrent use. A generation outside
+// the retention window fails with ErrGenerationGone, and a closed
+// Discovery with its closed error, before anything executes.
+//
 // Every plan runs on the concurrent DAG scheduler with GOMAXPROCS workers;
-// results are identical to a one-at-a-time execution.
-//
-// Cancellation is honored between scheduler tasks, execution-group
-// members, and per-shard index scans; on cancellation the error matches
-// blend.ErrCanceled (or blend.ErrDeadlineExceeded) under errors.Is, and
-// also wraps the context's own error.
-//
-// Run pins one generation snapshot at entry and executes lock-free against
-// it, so it is safe for concurrent use — including concurrently with
-// ingestion, which never blocks it (and is never blocked by it).
-// WithAsOf(g) pins retained historical generation g instead (time travel);
-// a generation outside the retention window fails with ErrGenerationGone.
+// results are identical to a one-at-a-time execution. Cancellation is
+// honored between scheduler tasks, execution-group members, and per-shard
+// index scans; on cancellation the error matches blend.ErrCanceled (or
+// blend.ErrDeadlineExceeded) under errors.Is, and also wraps the
+// context's own error.
 func (d *Discovery) Run(ctx context.Context, p *Plan, opts ...RunOption) (*Result, error) {
-	cfg, copts := coreOptions(opts)
-	if cfg.deadline > 0 {
-		var cancel context.CancelFunc
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
-		defer cancel()
+	s, err := d.SnapshotAt(fold(opts).asOf)
+	if err != nil {
+		return nil, err
 	}
-	return d.engine.Run(ctx, p, copts)
+	defer s.Release()
+	return s.Run(ctx, p, opts...)
 }
 
-// Seek executes a single seeker outside any plan under the given context
-// and returns the scored tables. It accepts the same options as Run
-// (WithAsOf included); WithoutOptimizer is a no-op for a single operator.
+// Seek executes a single seeker outside any plan and returns the scored
+// tables. It pins a generation as Run does (WithAsOf included) and runs
+// through Snapshot.Seek; WithoutOptimizer and WithExplain are no-ops for
+// a single operator.
 func (d *Discovery) Seek(ctx context.Context, s Seeker, opts ...RunOption) (Hits, error) {
-	cfg, _ := coreOptions(opts)
-	if cfg.deadline > 0 {
-		var cancel context.CancelFunc
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
-		defer cancel()
+	sn, err := d.SnapshotAt(fold(opts).asOf)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.asOf > 0 {
-		sn, err := d.engine.SnapshotAt(cfg.asOf)
-		if err != nil {
-			return nil, err
-		}
-		defer sn.Release()
-		hits, _, err := sn.RunSeeker(ctx, s)
-		return hits, err
-	}
-	hits, _, err := d.engine.RunSeeker(ctx, s)
-	return hits, err
+	defer sn.Release()
+	return sn.Seek(ctx, s, opts...)
 }
 
 // Snapshot pins the current index generation and returns a handle whose
@@ -350,22 +331,17 @@ func (d *Discovery) Seek(ctx context.Context, s Seeker, opts ...RunOption) (Hits
 // consistent lake. Release the handle when done; a retained generation's
 // resources are freed only after both the retention window moves past it
 // and the last handle releases it.
-func (d *Discovery) Snapshot() (*Snapshot, error) {
-	sn, err := d.engine.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{sn: sn, d: d}, nil
-}
+func (d *Discovery) Snapshot() (*Snapshot, error) { return d.SnapshotAt(0) }
 
 // SnapshotAt pins retained historical generation gen (0 means current).
-// Generations outside the retention window fail with ErrGenerationGone.
+// Generations outside the retention window fail with ErrGenerationGone;
+// after Close every generation fails with the closed error.
 func (d *Discovery) SnapshotAt(gen uint64) (*Snapshot, error) {
 	sn, err := d.engine.SnapshotAt(gen)
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{sn: sn, d: d}, nil
+	return &Snapshot{sn: sn}, nil
 }
 
 // Snapshot is a pinned generation of the index: a read-only, immutable
@@ -374,40 +350,26 @@ func (d *Discovery) SnapshotAt(gen uint64) (*Snapshot, error) {
 // Discovery.Snapshot or Discovery.SnapshotAt; Release it exactly once.
 type Snapshot struct {
 	sn *core.Snapshot
-	d  *Discovery
 }
 
 // Generation reports the pinned generation number.
 func (s *Snapshot) Generation() uint64 { return s.sn.Generation() }
 
-// Run executes a plan against the pinned generation. It accepts the same
-// options as Discovery.Run, except WithAsOf, which is ignored — the handle
-// already fixes the generation.
+// Run executes a plan against the pinned generation — the one plan path
+// Discovery.Run also takes. It accepts the same options, except WithAsOf,
+// which is ignored: the handle already fixes the generation. It fails
+// once the handle is released or its Discovery closed.
 func (s *Snapshot) Run(ctx context.Context, p *Plan, opts ...RunOption) (*Result, error) {
-	cfg, copts := coreOptions(opts)
-	copts.AsOf = 0
-	if cfg.deadline > 0 {
-		var cancel context.CancelFunc
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
-		defer cancel()
-	}
-	return s.sn.Run(ctx, p, copts)
+	ctx, cfg, cancel := apply(ctx, opts)
+	defer cancel()
+	return s.sn.Run(ctx, p, core.RunOptions{Optimize: !cfg.noOptimize, Explain: cfg.explain})
 }
 
-// Seek executes a single seeker against the pinned generation.
+// Seek executes a single seeker against the pinned generation — the one
+// seeker path Discovery.Seek also takes; WithAsOf is ignored.
 func (s *Snapshot) Seek(ctx context.Context, seeker Seeker, opts ...RunOption) (Hits, error) {
-	cfg, _ := coreOptions(opts)
-	if cfg.deadline > 0 {
-		var cancel context.CancelFunc
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
-		defer cancel()
-	}
+	ctx, _, cancel := apply(ctx, opts)
+	defer cancel()
 	hits, _, err := s.sn.RunSeeker(ctx, seeker)
 	return hits, err
 }

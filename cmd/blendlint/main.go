@@ -1,31 +1,19 @@
 // Command blendlint runs BLEND's in-tree invariant suite (see
 // internal/lint): berrcheck, ctxflow, lockguard, mmapref, poolcheck.
 //
-// Standalone (what make lint uses):
+// Usage (make lint and make lint-fix run the first two):
 //
 //	blendlint ./...                 # analyze packages, report findings
 //	blendlint -fix ./...            # additionally apply suggested fixes
 //	blendlint -only berrcheck ./... # run a subset of the suite
 //	blendlint -list                 # describe the analyzers
-//
-// The binary also speaks the vet unitchecker protocol (-V=full version
-// handshake plus JSON .cfg package units), so it works as
-//
-//	go vet -vettool=$(which blendlint) ./...
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
 	"go/format"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -34,24 +22,10 @@ import (
 )
 
 func main() {
-	// Vet protocol: `blendlint -V=full` prints an identity line keyed to
-	// the executable's content so go vet can cache results.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
-		fmt.Println(versionLine())
-		return
-	}
-	// Vet protocol: `blendlint -flags` describes tool flags; the suite
-	// takes none through vet, so the set is empty.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-
 	var (
 		fixFlag  = flag.Bool("fix", false, "apply suggested fixes (berrcheck rewrites)")
 		onlyFlag = flag.String("only", "", "comma-separated analyzer subset to run")
 		listFlag = flag.Bool("list", false, "list the analyzers and exit")
-		pkgsFlag = flag.String("berrcheck.pkgs", "", "comma-separated import-path suffixes berrcheck applies to (default: the typed-error packages)")
 	)
 	flag.Parse()
 
@@ -60,9 +34,6 @@ func main() {
 			fmt.Printf("%s: %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *pkgsFlag != "" {
-		lint.BerrcheckPackages = strings.Split(*pkgsFlag, ",")
 	}
 	analyzers := lint.All()
 	if *onlyFlag != "" {
@@ -76,27 +47,11 @@ func main() {
 			analyzers = append(analyzers, a)
 		}
 	}
-
-	args := flag.Args()
-	// Vet protocol: a single *.cfg argument is a unitchecker package unit.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnit(args[0], analyzers))
-	}
-	os.Exit(runStandalone(args, analyzers, *fixFlag))
+	os.Exit(run(flag.Args(), analyzers, *fixFlag))
 }
 
-func versionLine() string {
-	sum := [sha256.Size]byte{}
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum = sha256.Sum256(data)
-		}
-	}
-	return fmt.Sprintf("blendlint version devel buildID=%x", sum[:8])
-}
-
-// runStandalone loads patterns with the go tool and runs the suite.
-func runStandalone(patterns []string, analyzers []*lint.Analyzer, fix bool) int {
+// run loads patterns with the go tool and runs the suite.
+func run(patterns []string, analyzers []*lint.Analyzer, fix bool) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "blendlint:", err)
@@ -177,123 +132,4 @@ func applyFixes(fset *token.FileSet, diags []lint.Diagnostic) ([]string, error) 
 	}
 	sort.Strings(files)
 	return files, nil
-}
-
-// vetConfig is the subset of vet's unitchecker JSON config blendlint
-// reads.
-type vetConfig struct {
-	ID          string
-	Dir         string
-	ImportPath  string
-	GoVersion   string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-}
-
-// runUnit analyzes one vet package unit described by a .cfg file.
-func runUnit(cfgFile string, analyzers []*lint.Analyzer) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "blendlint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "blendlint: parsing %s: %v\n", cfgFile, err)
-		return 2
-	}
-	// The suite exports no facts, but vet requires the output file.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "blendlint:", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var syntax []*ast.File
-	for _, f := range cfg.GoFiles {
-		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "blendlint:", err)
-			return 2
-		}
-		syntax = append(syntax, af)
-	}
-	info := lint.NewInfo()
-	conf := &types.Config{
-		Importer: newUnitImporter(fset, &cfg),
-		Error:    func(error) {},
-	}
-	if cfg.GoVersion != "" {
-		conf.GoVersion = cfg.GoVersion
-	}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, syntax, info)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "blendlint: typecheck %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	pkg := &lint.Package{
-		PkgPath: cfg.ImportPath,
-		Name:    tpkg.Name(),
-		Dir:     cfg.Dir,
-		GoFiles: cfg.GoFiles,
-		Syntax:  syntax,
-		Types:   tpkg,
-		Info:    info,
-	}
-	diags, err := lint.Run([]*lint.Package{pkg}, fset, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "blendlint:", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// unitImporter resolves imports through the vet config's vendor map and
-// per-package export data files. One gc importer instance serves the
-// whole unit: the importer's internal cache is what unifies a package
-// imported both directly and transitively through another package's
-// export data — per-import instances would produce two distinct
-// types.Package values for the same path ("context.Context does not
-// implement context.Context").
-type unitImporter struct {
-	cfg *vetConfig
-	gc  types.Importer
-}
-
-func newUnitImporter(fset *token.FileSet, cfg *vetConfig) *unitImporter {
-	lookup := func(p string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[p]; ok {
-			p = mapped
-		}
-		file, ok := cfg.PackageFile[p]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", p)
-		}
-		return os.Open(file)
-	}
-	return &unitImporter{cfg: cfg, gc: importer.ForCompiler(fset, "gc", lookup)}
-}
-
-func (u *unitImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if mapped, ok := u.cfg.ImportMap[path]; ok {
-		path = mapped
-	}
-	return u.gc.Import(path)
 }

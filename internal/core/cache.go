@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/list"
-	"context"
 	"strconv"
 	"strings"
 	"sync"
@@ -161,26 +160,17 @@ func appendLenPrefixed(sb *strings.Builder, s string) {
 }
 
 // seekerFingerprint renders a deterministic, collision-free identity for
-// the built-in relational seeker kinds — SC, KW, MC, and Correlation are
-// all cache-eligible, including the correlation seeker's native fast
-// path (the sampled h that shapes its result is part of the cache key,
-// see cacheKey). The second result is false for anything else, which is
-// then never cached:
-//
-//   - user-defined seekers may close over mutable state a fingerprint
-//     cannot see, so memoizing them would be unsound;
-//   - the semantic seeker is already served by the engine's HNSW side
-//     index, which carries its own generation-based invalidation, and its
-//     tunables (Probe, MinSupport) change results without changing the
-//     query values — caching it would buy little and risk serving a hit
-//     computed under different knobs.
+// the relational seeker kinds — SC, KW, MC and Correlation (the sampled h
+// that shapes a correlation result is part of the cache key, see
+// cacheKey). It returns false for the semantic seeker, which is never
+// cached: its embedding index is already built once per generation, and
+// leaving it out keeps the cache's capacity and hit counts to the
+// posting-list kinds.
 func seekerFingerprint(sb *strings.Builder, s Seeker) bool {
 	switch x := s.(type) {
 	case *SCSeeker:
 		sb.WriteString("sc|")
 		sb.WriteString(strconv.Itoa(x.K))
-		sb.WriteByte('|')
-		sb.WriteString(strconv.Itoa(x.MinOverlap))
 		sb.WriteByte('|')
 		for _, v := range x.Values {
 			appendLenPrefixed(sb, v)
@@ -188,8 +178,6 @@ func seekerFingerprint(sb *strings.Builder, s Seeker) bool {
 	case *KWSeeker:
 		sb.WriteString("kw|")
 		sb.WriteString(strconv.Itoa(x.K))
-		sb.WriteByte('|')
-		sb.WriteString(strconv.Itoa(x.MinOverlap))
 		sb.WriteByte('|')
 		for _, v := range x.Keywords {
 			appendLenPrefixed(sb, v)
@@ -242,28 +230,4 @@ func (v *view) cacheKey(s Seeker, rw Rewrite) (string, bool) {
 		sb.WriteByte(',')
 	}
 	return sb.String(), true
-}
-
-// runSeekerCached executes a seeker through the result cache: a hit
-// returns the memoized top-k (with CacheHit set and the original path
-// preserved); a miss executes the seeker and stores its result. With no
-// cache configured it is a plain dispatch. The generation embedded in the
-// key is the pinned snapshot's, so it cannot move mid-run.
-func (v *view) runSeekerCached(ctx context.Context, s Seeker, rw Rewrite) (Hits, RunStats, error) {
-	cache := v.cache.Load()
-	if cache == nil {
-		return s.run(ctx, v, rw)
-	}
-	key, cacheable := v.cacheKey(s, rw)
-	if !cacheable {
-		return s.run(ctx, v, rw)
-	}
-	if hits, path, ok := cache.get(key); ok {
-		return hits, RunStats{Kind: s.Kind(), Rewritten: rw.active(), Path: path, CacheHit: true}, nil
-	}
-	hits, stats, err := s.run(ctx, v, rw)
-	if err == nil {
-		cache.put(key, v.sn.gen, hits, stats.Path)
-	}
-	return hits, stats, err
 }

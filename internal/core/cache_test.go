@@ -57,10 +57,10 @@ func TestResultCacheHit(t *testing.T) {
 	}
 	v, releaseV := testView(t, e)
 	defer releaseV()
-	if _, st5, err := v.runSeekerCached(context.Background(), s, ExcludeTables([]int32{0})); err != nil || st5.CacheHit {
+	if _, st5, err := v.seek(context.Background(), s, ExcludeTables([]int32{0})); err != nil || st5.CacheHit {
 		t.Fatalf("rewritten run must miss (err %v)", err)
 	}
-	if _, st6, err := v.runSeekerCached(context.Background(), s, ExcludeTables([]int32{0})); err != nil || !st6.CacheHit {
+	if _, st6, err := v.seek(context.Background(), s, ExcludeTables([]int32{0})); err != nil || !st6.CacheHit {
 		t.Fatalf("repeated rewritten run must hit (err %v)", err)
 	}
 }

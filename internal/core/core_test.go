@@ -821,37 +821,6 @@ func TestPlanResultProfilePaths(t *testing.T) {
 	}
 }
 
-func TestSCSeekerMinOverlap(t *testing.T) {
-	e := fig1Engine()
-	s := NewSC(departments, 10)
-	s.MinOverlap = 6 // T1 overlaps only 5 departments
-	hits, _, err := e.RunSeeker(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 {
-		t.Fatalf("min-overlap hits = %v", e.TableNames(hits))
-	}
-	for _, h := range hits {
-		if h.Score < 6 {
-			t.Fatalf("threshold leaked: %v", hits)
-		}
-	}
-}
-
-func TestKWSeekerMinOverlap(t *testing.T) {
-	e := fig1Engine()
-	s := NewKW([]string{"Firenze", "2024"}, 10)
-	s.MinOverlap = 2 // only T3 matches both
-	hits, _, err := e.RunSeeker(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 1 || e.Store().TableName(hits[0].TableID) != "T3" {
-		t.Fatalf("hits = %v", e.TableNames(hits))
-	}
-}
-
 func TestDifferenceWithCombinerMinuend(t *testing.T) {
 	// The minuend is itself a combiner: no rewrite applies, but the
 	// result must still be correct under optimization.

@@ -159,7 +159,7 @@ func (e *Engine) ExecRawSQL(ctx context.Context, sql string) (*minisql.Result, e
 	if err := ctx.Err(); err != nil {
 		return nil, berr.FromContext("sql.exec", err)
 	}
-	sn, err := e.pin()
+	sn, err := e.pin(0)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,7 @@ func (e *Engine) ExecRawSQL(ctx context.Context, sql string) (*minisql.Result, e
 // ExplainRawSQL renders the execution plan of one SQL statement against
 // the unified relation.
 func (e *Engine) ExplainRawSQL(sql string) (string, error) {
-	sn, err := e.pin()
+	sn, err := e.pin(0)
 	if err != nil {
 		return "", err
 	}
@@ -180,7 +180,7 @@ func (e *Engine) ExplainRawSQL(sql string) (string, error) {
 
 // ComputeStats summarizes the current generation of the index.
 func (e *Engine) ComputeStats() storage.Stats {
-	sn, err := e.pin()
+	sn, err := e.pin(0)
 	if err != nil {
 		return storage.Stats{}
 	}
@@ -192,7 +192,7 @@ func (e *Engine) ComputeStats() storage.Stats {
 // included — the bound for id-space iteration. See LiveTables for the
 // discoverable-table count.
 func (e *Engine) NumTables() int {
-	sn, err := e.pin()
+	sn, err := e.pin(0)
 	if err != nil {
 		return 0
 	}
@@ -203,7 +203,7 @@ func (e *Engine) NumTables() int {
 // LiveTables reports the number of discoverable tables: allocated ids
 // minus removed-but-not-compacted tombstones.
 func (e *Engine) LiveTables() int {
-	sn, err := e.pin()
+	sn, err := e.pin(0)
 	if err != nil {
 		return 0
 	}
@@ -214,7 +214,7 @@ func (e *Engine) LiveTables() int {
 // ReconstructTable materializes one indexed table, or nil when the id is
 // out of range.
 func (e *Engine) ReconstructTable(tid int32) *table.Table {
-	sn, err := e.pin()
+	sn, err := e.pin(0)
 	if err != nil {
 		return nil
 	}
@@ -227,7 +227,7 @@ func (e *Engine) ReconstructTable(tid int32) *table.Table {
 
 // SizeBytes estimates the resident size of the unified index.
 func (e *Engine) SizeBytes() int64 {
-	sn, err := e.pin()
+	sn, err := e.pin(0)
 	if err != nil {
 		return 0
 	}
@@ -254,22 +254,19 @@ func (e *Engine) SaveFile(path string) error {
 	return nil
 }
 
-// execSQL runs a seeker's SQL against the AllTables relation of the view's
-// pinned snapshot and times it. A context already canceled fails before
-// the statement starts; the executor does not interrupt it mid-flight.
-func (v *view) execSQL(ctx context.Context, sql string) (*minisql.Result, time.Duration, error) {
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+// sampleH is the correlation sample size in effect: SampleH, or
+// DefaultSampleH when unset.
+func (e *Engine) sampleH() int {
+	if e.SampleH <= 0 {
+		return DefaultSampleH
 	}
-	res, err := minisql.ExecSQL(v.sn.cat, sql)
-	return res, time.Since(start), err
+	return e.SampleH
 }
 
 // TableNames maps hits to table names, preserving order, against the
 // current generation.
 func (e *Engine) TableNames(h Hits) []string {
-	sn, err := e.pin()
+	sn, err := e.pin(0)
 	if err != nil {
 		return make([]string, len(h))
 	}

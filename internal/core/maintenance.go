@@ -180,7 +180,7 @@ func (e *Engine) MaintStats() MaintStats {
 // absent) against the current generation — the stable way to re-find a
 // table across compactions, which reassign ids.
 func (e *Engine) TableIDByName(name string) int32 {
-	sn, err := e.pin()
+	sn, err := e.pin(0)
 	if err != nil {
 		return -1
 	}

@@ -233,10 +233,10 @@ func dedupeValues(values []string) []string {
 
 // scanShardOverlap executes the overlap aggregation against shard sh of s
 // and returns its top-k hits (best first) plus the number of aggregation
-// groups that passed the minOverlap threshold (the rows the equivalent
-// GROUP BY would have produced on this shard).
+// groups (the rows the equivalent GROUP BY would have produced on this
+// shard).
 func scanShardOverlap(ctx context.Context, s *storage.ShardedStore, sh int, values []string,
-	k, minOverlap int, perColumn bool, f *tableFilter, numTables int) (Hits, scanCounts, error) {
+	k int, perColumn bool, f *tableFilter, numTables int) (Hits, scanCounts, error) {
 
 	sc := grabScratch(numTables)
 	defer sc.release()
@@ -269,17 +269,12 @@ func scanShardOverlap(ctx context.Context, s *storage.ShardedStore, sh int, valu
 		}
 	}
 
-	groups := 0
+	groups := len(sc.touched)
 	if perColumn {
 		// Reduce (table, column) cells to the best column per table — the
-		// application-level cut the SQL path performs with dedupeBest. The
-		// HAVING threshold applies per group, but a table survives iff its
-		// best group does, so thresholding the maximum is equivalent.
+		// application-level cut the SQL path performs with dedupeBest.
+		groups = len(sc.groups)
 		for key, g := range sc.groups {
-			if minOverlap > 0 && int(g.count) < minOverlap {
-				continue
-			}
-			groups++
 			tid := int32(key >> 32)
 			if g.count > sc.count[tid] {
 				if sc.count[tid] == 0 {
@@ -292,14 +287,7 @@ func scanShardOverlap(ctx context.Context, s *storage.ShardedStore, sh int, valu
 
 	heap := topkHeap{k: k}
 	for _, tid := range sc.touched {
-		n := sc.count[tid]
-		if !perColumn {
-			if minOverlap > 0 && int(n) < minOverlap {
-				continue
-			}
-			groups++
-		}
-		heap.offer(TableHit{TableID: tid, Score: float64(n)})
+		heap.offer(TableHit{TableID: tid, Score: float64(sc.count[tid])})
 	}
 	return heap.sorted(), scanCounts{sqlRows: groups}, nil
 }
@@ -308,14 +296,14 @@ func scanShardOverlap(ctx context.Context, s *storage.ShardedStore, sh int, valu
 // native fast path. The returned sqlRows count equals RunStats.SQLRows of
 // the SQL path: the rows the generated SQL returns.
 func (v *view) runNativeOverlap(ctx context.Context, values []string,
-	k, minOverlap int, perColumn bool, rw Rewrite) (Hits, scanCounts, error) {
+	k int, perColumn bool, rw Rewrite) (Hits, scanCounts, error) {
 
 	values = dedupeValues(values)
 	f := compileFilter(rw)
 	store := v.sn.store
 	numTables := store.NumTables()
 	hits, c, err := v.runShards(ctx, k, func(ctx context.Context, sh int) (Hits, scanCounts, error) {
-		return scanShardOverlap(ctx, store, sh, values, k, minOverlap, perColumn, &f, numTables)
+		return scanShardOverlap(ctx, store, sh, values, k, perColumn, &f, numTables)
 	})
 	if !perColumn && k >= 0 && c.sqlRows > k {
 		// The KW SQL ends in LIMIT k over all groups of the one relation;

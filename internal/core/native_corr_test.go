@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"blend/internal/datalake"
@@ -72,10 +71,10 @@ func TestNativeCorrSQLEquivalence(t *testing.T) {
 	}
 }
 
-// TestNativeCorrEmptyAndDegenerate pins the edge cases: no keys
-// short-circuits before path selection, all-empty keys degenerate
-// identically on both paths, and a key vocabulary absent from the lake
-// returns the SQL path's empty-but-non-nil hits.
+// TestNativeCorrEmptyAndDegenerate pins the edge cases: no keys yields
+// nil hits on both paths, all-empty keys degenerate identically on both
+// paths, and a key vocabulary absent from the lake returns the SQL path's
+// empty-but-non-nil hits.
 func TestNativeCorrEmptyAndDegenerate(t *testing.T) {
 	bench := datalake.GenCorrBenchmark(datalake.CorrConfig{
 		Name: "cdeg", NumTables: 4, Rows: 20, CorrelatedShare: 0.5,
@@ -92,27 +91,11 @@ func TestNativeCorrEmptyAndDegenerate(t *testing.T) {
 		{"all-empty-keys", []string{"", "", ""}, []float64{1, 2, 3}},
 		{"absent-vocab", []string{"no_such_a", "no_such_b"}, []float64{1, 2}},
 	} {
-		s := NewCorrelation(tc.keys, tc.targets, 5)
-		nh, _, err := runDirect(ctx, native, s, NoRewrite)
-		if err != nil {
-			t.Fatalf("%s: native: %v", tc.name, err)
-		}
-		sh, _, err := runDirect(ctx, sql, s, NoRewrite)
-		if err != nil {
-			t.Fatalf("%s: sql: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(nh, sh) {
-			t.Fatalf("%s: paths disagree: native %v sql %v", tc.name, nh, sh)
-		}
+		runBoth(t, native, sql, NewCorrelation(tc.keys, tc.targets, 5), NoRewrite, tc.name)
 	}
 
-	s := NewCorrelation(nil, nil, 5)
-	hits, stats, err := runDirect(ctx, native, s, NoRewrite)
-	if err != nil || hits != nil {
-		t.Fatalf("no-keys run = (%v, %v), want (nil, nil)", hits, err)
-	}
-	if stats.SQLRows != 0 {
-		t.Fatalf("no-keys SQLRows = %d", stats.SQLRows)
+	if hits := runBoth(t, native, sql, NewCorrelation(nil, nil, 5), NoRewrite, "no-keys"); hits != nil {
+		t.Fatalf("no-keys hits = %v, want nil", hits)
 	}
 
 	// A canceled context fails the native fan-out promptly.

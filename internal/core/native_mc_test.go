@@ -11,44 +11,6 @@ import (
 	"blend/internal/storage"
 )
 
-// runBothMC executes one MC seeker on both engines and asserts identical
-// hits, path attribution, and — unlike the generic runBoth — parity of the
-// full validation funnel: SQLRows (the rows Listing 2's join produces),
-// Candidates (rows surviving the XASH filter), and Validated (rows
-// surviving exact validation) must match between the native executor and
-// the SQL interpreter.
-func runBothMC(t *testing.T, native, sql *Engine, s *MCSeeker, rw Rewrite, label string) Hits {
-	t.Helper()
-	ctx := context.Background()
-	nh, nst, err := runDirect(ctx, native, s, rw)
-	if err != nil {
-		t.Fatalf("%s: native run: %v", label, err)
-	}
-	sh, sst, err := runDirect(ctx, sql, s, rw)
-	if err != nil {
-		t.Fatalf("%s: sql run: %v", label, err)
-	}
-	if nst.Path != PathNative {
-		t.Fatalf("%s: native engine reported path %q", label, nst.Path)
-	}
-	if sst.Path != PathSQL {
-		t.Fatalf("%s: sql engine reported path %q", label, sst.Path)
-	}
-	if !reflect.DeepEqual(nh, sh) {
-		t.Fatalf("%s: paths disagree\n native: %v\n    sql: %v", label, nh, sh)
-	}
-	if nst.SQLRows != sst.SQLRows {
-		t.Fatalf("%s: SQLRows %d (native) vs %d (sql)", label, nst.SQLRows, sst.SQLRows)
-	}
-	if nst.Candidates != sst.Candidates {
-		t.Fatalf("%s: Candidates %d (native) vs %d (sql)", label, nst.Candidates, sst.Candidates)
-	}
-	if nst.Validated != sst.Validated {
-		t.Fatalf("%s: Validated %d (native) vs %d (sql)", label, nst.Validated, sst.Validated)
-	}
-	return nh
-}
-
 // mcQueryTuples draws a mixed MC input: planted rows from a real lake
 // table (guaranteed hits) plus noise tuples assembled from the vocabulary
 // (mostly XASH-prunable misses), so every stage of the funnel is
@@ -94,7 +56,7 @@ func TestNativeMCSQLEquivalence(t *testing.T) {
 				}
 				label := fmt.Sprintf("trial %d (tuples=%d width=%d k=%d rw=%d)",
 					trial, len(tuples), width, k, rw.mode)
-				runBothMC(t, native, sql, NewMC(tuples, k), rw, label)
+				runBoth(t, native, sql, NewMC(tuples, k), rw, label)
 			}
 		})
 	}
@@ -118,7 +80,7 @@ func TestNativeMCEquivalenceAfterRemoveCompact(t *testing.T) {
 					width := 1 + rng.Intn(3)
 					tuples := mcQueryTuples(rng, lake, 1+rng.Intn(5), width)
 					label := fmt.Sprintf("%s trial %d", stage, trial)
-					runBothMC(t, native, sql, NewMC(tuples, 1+rng.Intn(10)), NoRewrite, label)
+					runBoth(t, native, sql, NewMC(tuples, 1+rng.Intn(10)), NoRewrite, label)
 				}
 			}
 			check("pre-remove")
@@ -211,7 +173,7 @@ func TestNativeMCEdgeShapes(t *testing.T) {
 		{"no-match", [][]string{{"nonexistent-a", "nonexistent-b"}}},
 	}
 	for _, tc := range cases {
-		runBothMC(t, native, sql, NewMC(tc.tuples, 10), NoRewrite, tc.name)
+		runBoth(t, native, sql, NewMC(tc.tuples, 10), NoRewrite, tc.name)
 	}
 	// All-empty column: the native path must return the SQL path's empty
 	// result without scanning.

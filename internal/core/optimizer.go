@@ -2,23 +2,6 @@ package core
 
 import "sort"
 
-// nativeServes reports whether the engine's native posting-list executor
-// will serve the given seeker kind. With every relational seeker family
-// (KW, SC, MC, C) served natively, the minisql interpreter is reachable
-// only through NoNativeExec (-no-native) or raw SQL; the semantic seeker
-// runs on its ANN side-index regardless of this switch.
-func (e *Engine) nativeServes(k SeekerKind) bool {
-	if e.NoNativeExec {
-		return false
-	}
-	switch k {
-	case KW, SC, MC, C:
-		return true
-	default:
-		return false
-	}
-}
-
 // ruleRank orders seeker kinds per the rule-based optimizer (§VII-B):
 // Rule 1 — the keyword seeker always executes first; Rule 2 — the MC seeker
 // always executes last; Rule 3 — SC is prioritized over C.

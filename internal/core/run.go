@@ -9,9 +9,10 @@ import (
 )
 
 // RunOptions tune plan execution. The context is NOT part of the options:
-// Engine.Run and Engine.RunSeeker take it as their first parameter, so
-// cancellation composes the same way across the library, the CLI, and the
-// HTTP service.
+// Run and RunSeeker take it as their first parameter, so cancellation
+// composes the same way across the library, the CLI, and the HTTP service.
+// Neither is the generation: a plan runs on the current one through
+// Engine.Run, or on a retained one through a SnapshotAt handle.
 type RunOptions struct {
 	// Optimize enables the two-phase optimizer (execution-group
 	// reordering + query rewriting). Disabled it reproduces B-NO, the
@@ -26,13 +27,6 @@ type RunOptions struct {
 	// against the AllTables relation — including any optimizer rewrite
 	// predicates — into PlanResult.SQLByNode.
 	Explain bool
-
-	// AsOf executes the plan against retained historical generation AsOf
-	// instead of the current snapshot (time travel). Zero means current. A
-	// generation outside the retention window fails with a typed
-	// generation-gone error before any seeker runs. Ignored by
-	// Snapshot.Run, where the handle already fixes the generation.
-	AsOf uint64
 }
 
 // PlanResult is the outcome of executing a discovery plan.
@@ -77,63 +71,27 @@ type PlanResult struct {
 	Duration time.Duration
 }
 
-// Run executes the plan under the given context with explicit options —
-// the single execution entry point of the engine. A nil ctx means
-// context.Background(). On cancellation the returned error carries the
-// typed canceled/deadline code and wraps the context's error; partial
-// results are discarded.
-//
-// Run pins one generation snapshot at entry (RunOptions.AsOf selects a
-// retained historical one; zero means current) and executes lock-free
-// against it, so it is safe to call concurrently with other runs and with
-// index mutations — neither side ever waits for the other.
+// Run executes the plan against the current generation: it pins it, runs
+// the plan through Snapshot.Run, and unpins it. The pinned generation
+// is read lock-free, so Run is safe to call concurrently with other runs
+// and with index mutations — neither side ever waits for the other.
 func (e *Engine) Run(ctx context.Context, p *Plan, opts RunOptions) (*PlanResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, berr.FromContext("plan.run", err)
-	}
-	sn, err := e.pinAt(opts.AsOf)
+	s, err := e.SnapshotAt(0)
 	if err != nil {
 		return nil, err
 	}
-	defer e.unpin(sn)
-	return e.runPinned(ctx, sn, p, opts)
+	defer s.Release()
+	return s.Run(ctx, p, opts)
 }
 
-// runPinned is Run against an already pinned snapshot; the caller owns the
-// pin for the duration of the call (Engine.Run pins per call, Snapshot.Run
-// holds one for the handle's lifetime).
-func (e *Engine) runPinned(ctx context.Context, sn *snapshot, p *Plan, opts RunOptions) (*PlanResult, error) {
-	start := time.Now()
-	if ctx == nil {
-		ctx = context.Background()
+// contextError types an execution failure that came from the context as
+// canceled/deadline under op; an unrelated error racing with cancellation
+// keeps its own classification.
+func contextError(op string, err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return berr.FromContext(op, err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, berr.FromContext("plan.run", err)
-	}
-	ex, topo, err := newPlanExec(&view{Engine: e, sn: sn}, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := ex.runScheduled(ctx, topo); err != nil {
-		// Only type as canceled/deadline when the failure actually came
-		// from the context; an unrelated seeker error racing with
-		// cancellation keeps its own classification.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, berr.FromContext("plan.run", err)
-		}
-		return nil, err
-	}
-	res := ex.res
-	res.SeekerOrder = ex.emissionOrder(topo)
-	res.CompletionOrder = ex.completion
-	res.PeakConcurrency = int(ex.peak)
-	res.Output = res.NodeHits[p.output]
-	res.Tables = ex.v.tableNames(res.Output)
-	res.Duration = time.Since(start)
-	return res, nil
+	return err
 }
 
 // newPlanExec validates p and prepares its execution against v, returning
@@ -203,33 +161,16 @@ func newPlanExec(v *view, p *Plan, opts RunOptions) (*planExec, []string, error)
 	}, topo, nil
 }
 
-// RunSeeker executes a single seeker outside any plan under the given
-// context (the "simple task" mode of §VII-A). A nil ctx means
-// context.Background(). Like Run, it pins the current generation once at
-// entry and executes lock-free against it.
+// RunSeeker executes a single seeker outside any plan against the
+// current generation (the "simple task" mode of §VII-A): pin, run through
+// Snapshot.RunSeeker, unpin.
 func (e *Engine) RunSeeker(ctx context.Context, s Seeker) (Hits, RunStats, error) {
-	sn, err := e.pin()
+	sn, err := e.SnapshotAt(0)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	defer e.unpin(sn)
-	return e.runSeekerPinned(ctx, sn, s)
-}
-
-// runSeekerPinned is RunSeeker against an already pinned snapshot.
-func (e *Engine) runSeekerPinned(ctx context.Context, sn *snapshot, s Seeker) (Hits, RunStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, RunStats{}, berr.FromContext("seeker.run", err)
-	}
-	v := &view{Engine: e, sn: sn}
-	hits, stats, err := v.runSeekerCached(ctx, s, NoRewrite)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return nil, stats, berr.FromContext("seeker.run", err)
-	}
-	return hits, stats, err
+	defer sn.Release()
+	return sn.RunSeeker(ctx, s)
 }
 
 // applyForcedOrder reorders ranked ids so that ids listed in forced appear

@@ -45,7 +45,7 @@ func (x *planExec) runSeeker(ctx context.Context, id string, rw Rewrite) error {
 			break
 		}
 	}
-	hits, stats, err := x.v.runSeekerCached(ctx, n.seeker, rw)
+	hits, stats, err := x.v.seek(ctx, n.seeker, rw)
 	atomic.AddInt32(&x.inFlight, -1)
 	if err != nil {
 		// Wrap preserves an inner typed code (and errors.Is through Err),

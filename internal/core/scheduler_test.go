@@ -134,7 +134,7 @@ func (x *planExec) runSequential(ctx context.Context, topo []string) error {
 // carries NodeHits, Tables, SeekerOrder and CompletionOrder.
 func runReference(t *testing.T, e *Engine, p *Plan, opts RunOptions) *PlanResult {
 	t.Helper()
-	sn, err := e.pinAt(opts.AsOf)
+	sn, err := e.pin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,14 +264,18 @@ func (s *blockingSeeker) Kind() SeekerKind                       { return KW }
 func (s *blockingSeeker) TopK() int                              { return 1 }
 func (s *blockingSeeker) estimate(*storage.ShardedStore) float64 { return 1 }
 func (s *blockingSeeker) SQL(Rewrite) string                     { return "" }
-func (s *blockingSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats, error) {
+func (s *blockingSeeker) empty() bool                            { return false }
+func (s *blockingSeeker) native(ctx context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
 	s.started <- s.id
 	select {
 	case <-s.release:
-		return Hits{{TableID: 0, Score: 1}}, RunStats{Kind: KW}, nil
+		return Hits{{TableID: 0, Score: 1}}, scanCounts{}, nil
 	case <-ctx.Done():
-		return nil, RunStats{}, ctx.Err()
+		return nil, scanCounts{}, ctx.Err()
 	}
+}
+func (s *blockingSeeker) oracle(ctx context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
+	return s.native(ctx, v, rw)
 }
 
 // TestIndependentSeekersRunConcurrently is the acceptance check: four

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"blend/internal/minisql"
 	"blend/internal/qcr"
 	"blend/internal/storage"
 	"blend/internal/xash"
@@ -78,7 +79,9 @@ type RunStats struct {
 }
 
 // Seeker is a low-level search operator: given an input Q it returns the
-// top-k most relevant tables (§IV-A).
+// top-k most relevant tables (§IV-A). The kinds in this package are the
+// only implementations: view.seek runs every one of them, and each kind
+// supplies just its two executors.
 type Seeker interface {
 	// Kind reports the seeker type, which drives rule-based ranking.
 	Kind() SeekerKind
@@ -91,11 +94,81 @@ type Seeker interface {
 	// SQL renders the seeker's (first-phase) SQL statement with the given
 	// rewrite predicate injected, as the optimizer would execute it.
 	SQL(rw Rewrite) string
-	// run executes the seeker against a view — one pinned generation
-	// snapshot plus the engine's execution knobs. The context cancels
-	// index scans between shards; implementations must return promptly
-	// once it is done.
-	run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats, error)
+	// empty reports an input with nothing to look up; it yields no hits
+	// on every path without executing.
+	empty() bool
+	// native executes the seeker on its fast path (posting-list scans;
+	// the embedding index for Semantic). The context cancels index scans
+	// between values and shards.
+	native(ctx context.Context, v *view, rw Rewrite) (Hits, scanCounts, error)
+	// oracle executes the seeker's SQL on the minisql interpreter, the
+	// NoNativeExec path the native one is checked against.
+	oracle(ctx context.Context, v *view, rw Rewrite) (Hits, scanCounts, error)
+}
+
+// seek is the one dispatcher of the read path: it serves s from the
+// result cache when it can, otherwise picks the execution path (ANN for
+// Semantic, SQL under NoNativeExec, native for the rest), times the call
+// and fills RunStats from the kind's scanCounts. A cache hit reports the
+// path that produced the entry. The cache key embeds the pinned
+// snapshot's generation, so it cannot move mid-run.
+func (v *view) seek(ctx context.Context, s Seeker, rw Rewrite) (Hits, RunStats, error) {
+	stats := RunStats{Kind: s.Kind(), Rewritten: rw.active(), Path: PathNative}
+	cache := v.cache.Load()
+	key, cacheable := "", false
+	if cache != nil {
+		key, cacheable = v.cacheKey(s, rw)
+	}
+	if cacheable {
+		if hits, path, ok := cache.get(key); ok {
+			stats.Path, stats.CacheHit = path, true
+			return hits, stats, nil
+		}
+	}
+	exec := s.native
+	switch {
+	case stats.Kind == Semantic:
+		stats.Path = PathANN
+	case v.NoNativeExec:
+		stats.Path, exec = PathSQL, s.oracle
+	}
+	var hits Hits
+	if !s.empty() {
+		if err := ctx.Err(); err != nil {
+			return nil, stats, err
+		}
+		start := time.Now()
+		h, c, err := exec(ctx, v, rw)
+		if err != nil {
+			return nil, stats, err
+		}
+		hits, stats.Duration = h, time.Since(start)
+		stats.SQLRows, stats.Candidates, stats.Validated = c.sqlRows, c.candidates, c.validated
+	}
+	if cacheable {
+		cache.put(key, v.sn.gen, hits, stats.Path)
+	}
+	return hits, stats, nil
+}
+
+// scoredSQL executes a statement whose rows are (TableId, score) pairs —
+// the SQL form of the SC, KW and correlation seekers — and reduces them
+// to the best |score| per table, top k first.
+func (v *view) scoredSQL(sql string, k int) (Hits, scanCounts, error) {
+	res, err := minisql.ExecSQL(v.sn.cat, sql)
+	if err != nil {
+		return nil, scanCounts{}, err
+	}
+	hits := make(Hits, 0, res.NumRows())
+	for i := 0; i < res.NumRows(); i++ {
+		tid, _ := res.Cell(i, 0).AsInt()
+		score, _ := res.Cell(i, 1).AsFloat()
+		if score < 0 {
+			score = -score
+		}
+		hits = append(hits, TableHit{TableID: int32(tid), Score: score})
+	}
+	return topK(dedupeBest(hits), k), scanCounts{sqlRows: res.NumRows()}, nil
 }
 
 // Rewrite is the combiner-dependent predicate the optimizer injects into a
@@ -183,10 +256,6 @@ func distinct(values []string) []string {
 type SCSeeker struct {
 	Values []string
 	K      int
-	// MinOverlap, when positive, drops tables overlapping on fewer than
-	// this many distinct values (a HAVING threshold on Listing 1's GROUP
-	// BY — useful to cut long low-overlap tails from join candidates).
-	MinOverlap int
 }
 
 // NewSC builds a single-column seeker over the input column's values.
@@ -209,44 +278,19 @@ func (s *SCSeeker) estimate(store *storage.ShardedStore) float64 {
 // a LIMIT on column groups could starve tables ranked below duplicated
 // (table, column) pairs.
 func (s *SCSeeker) SQL(rw Rewrite) string {
-	sql := "SELECT TableId, COUNT(DISTINCT CellValue) AS overlap FROM AllTables" +
+	return "SELECT TableId, COUNT(DISTINCT CellValue) AS overlap FROM AllTables" +
 		" WHERE CellValue IN (" + quoteList(s.Values) + ")" + rw.predicate("TableId") +
-		" GROUP BY TableId, ColumnId"
-	if s.MinOverlap > 0 {
-		sql += fmt.Sprintf(" HAVING COUNT(DISTINCT CellValue) >= %d", s.MinOverlap)
-	}
-	return sql + " ORDER BY overlap DESC, TableId ASC"
+		" GROUP BY TableId, ColumnId ORDER BY overlap DESC, TableId ASC"
 }
 
-func (s *SCSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats, error) {
-	stats := RunStats{Kind: SC, Rewritten: rw.active(), Path: PathSQL}
-	if len(s.Values) == 0 {
-		return nil, stats, nil
-	}
-	if v.nativeServes(SC) {
-		start := time.Now()
-		hits, c, err := v.runNativeOverlap(ctx, s.Values, s.K, s.MinOverlap, true, rw)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Path = PathNative
-		stats.Duration = time.Since(start)
-		stats.SQLRows = c.sqlRows
-		return hits, stats, nil
-	}
-	res, dur, err := v.execSQL(ctx, s.SQL(rw))
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Duration = dur
-	stats.SQLRows = res.NumRows()
-	hits := make(Hits, 0, res.NumRows())
-	for i := 0; i < res.NumRows(); i++ {
-		tid, _ := res.Cell(i, 0).AsInt()
-		overlap, _ := res.Cell(i, 1).AsFloat()
-		hits = append(hits, TableHit{TableID: int32(tid), Score: overlap})
-	}
-	return topK(dedupeBest(hits), s.K), stats, nil
+func (s *SCSeeker) empty() bool { return len(s.Values) == 0 }
+
+func (s *SCSeeker) native(ctx context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
+	return v.runNativeOverlap(ctx, s.Values, s.K, true, rw)
+}
+
+func (s *SCSeeker) oracle(_ context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
+	return v.scoredSQL(s.SQL(rw), s.K)
 }
 
 // KWSeeker finds tables overlapping a keyword set anywhere in the table
@@ -254,9 +298,6 @@ func (s *SCSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats
 type KWSeeker struct {
 	Keywords []string
 	K        int
-	// MinOverlap, when positive, drops tables matching fewer than this
-	// many distinct keywords.
-	MinOverlap int
 }
 
 // NewKW builds a keyword seeker.
@@ -278,49 +319,21 @@ func (s *KWSeeker) estimate(store *storage.ShardedStore) float64 {
 func (s *KWSeeker) SQL(rw Rewrite) string {
 	sql := "SELECT TableId, COUNT(DISTINCT CellValue) AS overlap FROM AllTables" +
 		" WHERE CellValue IN (" + quoteList(s.Keywords) + ")" + rw.predicate("TableId") +
-		" GROUP BY TableId"
-	if s.MinOverlap > 0 {
-		sql += fmt.Sprintf(" HAVING COUNT(DISTINCT CellValue) >= %d", s.MinOverlap)
-	}
-	sql += " ORDER BY overlap DESC, TableId ASC"
+		" GROUP BY TableId ORDER BY overlap DESC, TableId ASC"
 	if s.K >= 0 {
 		sql += fmt.Sprintf(" LIMIT %d", s.K)
 	}
 	return sql
 }
 
-func (s *KWSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats, error) {
-	stats := RunStats{Kind: KW, Rewritten: rw.active(), Path: PathSQL}
-	if len(s.Keywords) == 0 {
-		return nil, stats, nil
-	}
-	if v.nativeServes(KW) {
-		start := time.Now()
-		hits, c, err := v.runNativeOverlap(ctx, s.Keywords, s.K, s.MinOverlap, false, rw)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Path = PathNative
-		stats.Duration = time.Since(start)
-		stats.SQLRows = c.sqlRows
-		return hits, stats, nil
-	}
-	res, dur, err := v.execSQL(ctx, s.SQL(rw))
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Duration = dur
-	stats.SQLRows = res.NumRows()
-	hits := make(Hits, 0, res.NumRows())
-	for i := 0; i < res.NumRows(); i++ {
-		tid, _ := res.Cell(i, 0).AsInt()
-		overlap, _ := res.Cell(i, 1).AsFloat()
-		hits = append(hits, TableHit{TableID: int32(tid), Score: overlap})
-	}
-	// The SQL already groups per table, but each shard contributes its own
-	// top-k; re-rank across the merged partials (a no-op re-sort on a
-	// single shard, whose SQL ordered identically).
-	return topK(hits, s.K), stats, nil
+func (s *KWSeeker) empty() bool { return len(s.Keywords) == 0 }
+
+func (s *KWSeeker) native(ctx context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
+	return v.runNativeOverlap(ctx, s.Keywords, s.K, false, rw)
+}
+
+func (s *KWSeeker) oracle(_ context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
+	return v.scoredSQL(s.SQL(rw), s.K)
 }
 
 // ---------------------------------------------------------------- MC
@@ -410,32 +423,20 @@ func (s *MCSeeker) SQL(rw Rewrite) string {
 	return sb.String()
 }
 
-// run executes the MC seeker against the view's pinned snapshot (seekers
-// only run inside Engine.Run / Engine.RunSeeker).
-func (s *MCSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats, error) {
-	stats := RunStats{Kind: MC, Rewritten: rw.active(), Path: PathSQL}
-	if s.width() == 0 || len(s.Tuples) == 0 {
-		return nil, stats, nil
-	}
-	if v.nativeServes(MC) {
-		start := time.Now()
-		hits, c, err := v.runNativeMC(ctx, s, rw)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Path = PathNative
-		stats.Duration = time.Since(start)
-		stats.SQLRows = c.sqlRows
-		stats.Candidates = c.candidates
-		stats.Validated = c.validated
-		return hits, stats, nil
-	}
-	res, dur, err := v.execSQL(ctx, s.SQL(rw))
+func (s *MCSeeker) empty() bool { return s.width() == 0 }
+
+func (s *MCSeeker) native(ctx context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
+	return v.runNativeMC(ctx, s, rw)
+}
+
+// oracle runs Listing 2's join on the interpreter, then the XASH filter
+// and exact validation at the application level.
+func (s *MCSeeker) oracle(_ context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
+	res, err := minisql.ExecSQL(v.sn.cat, s.SQL(rw))
 	if err != nil {
-		return nil, stats, err
+		return nil, scanCounts{}, err
 	}
-	stats.Duration = dur
-	stats.SQLRows = res.NumRows()
+	c := scanCounts{sqlRows: res.NumRows()}
 
 	// Pre-hash the query tuples once.
 	tupleKeys := make([]xash.Key, len(s.Tuples))
@@ -446,7 +447,6 @@ func (s *MCSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats
 	type rowKey struct{ tid, rid int32 }
 	seen := make(map[rowKey]struct{}, res.NumRows())
 	matchedRows := make(map[int32]float64) // table id -> joinable row count
-	start := time.Now()
 	for i := 0; i < res.NumRows(); i++ {
 		tidI, _ := res.Cell(i, 0).AsInt()
 		ridI, _ := res.Cell(i, 1).AsInt()
@@ -469,7 +469,7 @@ func (s *MCSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats
 		if len(candidateTuples) == 0 {
 			continue
 		}
-		stats.Candidates++
+		c.candidates++
 
 		// Exact validation at the application level: every value of the
 		// tuple must occur in the candidate row.
@@ -498,17 +498,15 @@ func (s *MCSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats
 			}
 		}
 		if valid {
-			stats.Validated++
+			c.validated++
 			matchedRows[rk.tid]++
 		}
 	}
-	stats.Duration += time.Since(start)
-
 	hits := make(Hits, 0, len(matchedRows))
 	for tid, n := range matchedRows {
 		hits = append(hits, TableHit{TableID: tid, Score: n})
 	}
-	return topK(hits, s.K), stats, nil
+	return topK(hits, s.K), c, nil
 }
 
 // ---------------------------------------------------------------- C
@@ -598,45 +596,13 @@ func (s *CorrelationSeeker) sqlWithH(rw Rewrite, h int) string {
 		cond, h, quoteList(all), rw.predicate("TableId"), h)
 }
 
-func (s *CorrelationSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats, error) {
-	stats := RunStats{Kind: C, Rewritten: rw.active(), Path: PathSQL}
-	if len(s.Keys) == 0 {
-		return nil, stats, nil
-	}
-	h := v.SampleH
-	if h <= 0 {
-		h = DefaultSampleH
-	}
-	if v.nativeServes(C) {
-		k0, k1 := s.split()
-		if len(k0)+len(k1) > 0 {
-			start := time.Now()
-			hits, c, err := v.runNativeCorrelation(ctx, k0, k1, s.K, int32(h), rw)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Path = PathNative
-			stats.Duration = time.Since(start)
-			stats.SQLRows = c.sqlRows
-			return hits, stats, nil
-		}
-		// Every key is empty: fall through so both paths degenerate
-		// identically (the SQL renders `CellValue IN ()`).
-	}
-	res, dur, err := v.execSQL(ctx, s.sqlWithH(rw, h))
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Duration = dur
-	stats.SQLRows = res.NumRows()
-	hits := make(Hits, 0, res.NumRows())
-	for i := 0; i < res.NumRows(); i++ {
-		tid, _ := res.Cell(i, 0).AsInt()
-		score, _ := res.Cell(i, 1).AsFloat()
-		if score < 0 {
-			score = -score
-		}
-		hits = append(hits, TableHit{TableID: int32(tid), Score: score})
-	}
-	return topK(dedupeBest(hits), s.K), stats, nil
+func (s *CorrelationSeeker) empty() bool { return len(s.Keys) == 0 }
+
+func (s *CorrelationSeeker) native(ctx context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
+	k0, k1 := s.split()
+	return v.runNativeCorrelation(ctx, k0, k1, s.K, int32(v.sampleH()), rw)
+}
+
+func (s *CorrelationSeeker) oracle(_ context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
+	return v.scoredSQL(s.sqlWithH(rw, v.sampleH()), s.K)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"blend/internal/embed"
 	"blend/internal/hnsw"
@@ -24,16 +23,6 @@ type SemanticSeeker struct {
 	// Values is the query column content to embed.
 	Values []string
 	K      int
-	// Probe is how many ANN neighbours to fetch before table dedup and
-	// rewrite filtering; defaults to 4·K.
-	Probe int
-	// MinSupport, when positive, drops ANN candidates whose table shares
-	// fewer than MinSupport distinct query values with the lake — the
-	// native posting validation fused onto the ANN funnel. Zero (the
-	// default) keeps validation observational: support is still counted
-	// into RunStats.Validated, but no candidate is dropped, so results
-	// match a pure ANN search.
-	MinSupport int
 }
 
 // NewSemantic builds a semantic seeker over a query column's values.
@@ -57,30 +46,21 @@ func (s *SemanticSeeker) estimate(*storage.ShardedStore) float64 {
 // side-index, not the relational one; it has no SQL form.
 func (s *SemanticSeeker) SQL(Rewrite) string { return "" }
 
-func (s *SemanticSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, RunStats, error) {
-	stats := RunStats{Kind: Semantic, Rewritten: rw.active(), Path: PathANN}
-	if len(s.Values) == 0 {
-		return nil, stats, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	start := time.Now()
+func (s *SemanticSeeker) empty() bool { return len(s.Values) == 0 }
+
+// native searches the embedding index for 4·K neighbours, keeps the best
+// similarity per table that survives the rewrite post-filter, and counts
+// the funnel: Candidates are those tables, Validated the ones at least
+// one exact query value corroborates in the unified index. Validation
+// only feeds the counters; no candidate is dropped.
+func (s *SemanticSeeker) native(_ context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
 	idx := v.semanticIndex()
 	vec := embed.Column(s.Values)
 	if vec.IsZero() {
-		stats.Duration = time.Since(start)
-		return nil, stats, nil
+		return nil, scanCounts{}, nil
 	}
-	probe := s.Probe
-	if probe <= 0 {
-		probe = 4 * s.K
-	}
-	if probe < s.K {
-		probe = s.K
-	}
-	results := idx.ann.Search(vec, probe)
-	stats.SQLRows = len(results)
+	results := idx.ann.Search(vec, 4*s.K)
+	c := scanCounts{sqlRows: len(results)}
 
 	filter := compileFilter(rw)
 	best := make(map[int32]float64)
@@ -94,30 +74,22 @@ func (s *SemanticSeeker) run(ctx context.Context, v *view, rw Rewrite) (Hits, Ru
 			best[tid] = sim
 		}
 	}
-
-	// Native posting validation, fused onto the ANN funnel: Candidates is
-	// the distinct tables surviving the rewrite post-filter, Validated the
-	// subset syntactically supported by at least one exact query value in
-	// the unified index. With MinSupport set the unsupported candidates are
-	// dropped; otherwise validation only feeds the funnel counters.
-	stats.Candidates = len(best)
+	c.candidates = len(best)
 	support := v.semanticSupport(s.Values, best)
-	minSupport := s.MinSupport
-	for tid := range best {
-		if support[tid] > 0 {
-			stats.Validated++
-		}
-		if support[tid] < minSupport {
-			delete(best, tid)
-		}
-	}
-
 	hits := make(Hits, 0, len(best))
 	for tid, sim := range best {
+		if support[tid] > 0 {
+			c.validated++
+		}
 		hits = append(hits, TableHit{TableID: tid, Score: sim})
 	}
-	stats.Duration = time.Since(start)
-	return topK(hits, s.K), stats, nil
+	return topK(hits, s.K), c, nil
+}
+
+// oracle is the ANN search itself: the semantic seeker has no SQL form,
+// and view.seek never picks this path for it.
+func (s *SemanticSeeker) oracle(ctx context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
+	return s.native(ctx, v, rw)
 }
 
 // semanticSupport counts, for each ANN candidate table, how many distinct

@@ -58,11 +58,10 @@ func TestSemanticSeekerEmptyAndZeroInputs(t *testing.T) {
 	}
 }
 
-// TestSemanticFunnelAndMinSupport exercises the fused ANN + posting
-// validation: the funnel counters report how many candidate tables the
-// unified index corroborates, and MinSupport turns that corroboration
-// into a filter.
-func TestSemanticFunnelAndMinSupport(t *testing.T) {
+// TestSemanticFunnel exercises the fused ANN + posting validation: the
+// funnel counters report how many candidate tables the unified index
+// corroborates, and validation drops none of them.
+func TestSemanticFunnel(t *testing.T) {
 	e := NewEngine(storage.Build(semanticLake(), 1))
 	// "berlin" and "munich" exist verbatim in the cities table; "dresden"
 	// does not exist anywhere. The people table shares no query value.
@@ -76,36 +75,17 @@ func TestSemanticFunnelAndMinSupport(t *testing.T) {
 		t.Fatalf("path = %q, want %q", stats.Path, PathANN)
 	}
 	if stats.Candidates != len(hits) {
-		t.Fatalf("candidates = %d, hits = %d — default MinSupport must not drop", stats.Candidates, len(hits))
+		t.Fatalf("candidates = %d, hits = %d — validation must not drop", stats.Candidates, len(hits))
 	}
 	if stats.Validated != 1 {
 		t.Fatalf("validated = %d, want 1 (only cities shares query values)", stats.Validated)
 	}
 
-	// MinSupport 2 keeps cities (berlin + munich = support 2).
-	s := NewSemantic(q, 5)
-	s.MinSupport = 2
-	hits, stats, err = e.RunSeeker(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 1 || e.Store().TableName(hits[0].TableID) != "cities" {
-		t.Fatalf("MinSupport=2 hits = %v (%v)", hits, e.TableNames(hits))
-	}
-	if stats.Candidates < 1 || stats.Validated != 1 {
-		t.Fatalf("MinSupport=2 funnel = %+v", stats)
-	}
-
-	// MinSupport 3 exceeds any table's support and empties the result.
-	s = NewSemantic(q, 5)
-	s.MinSupport = 3
-	hits, _, err = e.RunSeeker(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 0 {
-		t.Fatalf("MinSupport=3 hits = %v", hits)
-	}
+	// NoNativeExec leaves the semantic seeker on its ANN path.
+	sql := NewEngine(storage.Build(semanticLake(), 1))
+	sql.NoNativeExec = true
+	runBoth(t, e, sql, NewSemantic(q, 5), NoRewrite, "semantic")
+	runBoth(t, e, sql, NewSemantic(nil, 5), NoRewrite, "semantic, no values")
 }
 
 func TestSemanticSeekerIndexReused(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"blend/internal/alltables"
 	"blend/internal/berr"
@@ -23,10 +24,10 @@ import (
 // readers never wait for ingestion and ingestion never waits for readers.
 //
 // The last few generations are retained (SetRetention) so callers can pin a
-// historical snapshot by number (time travel): RunOptions.AsOf or an
-// explicit Snapshot handle. Each retained generation holds one reference;
-// queries add theirs while they run. When the last reference to a snapshot
-// drops, its share of the backing file mapping is released.
+// historical snapshot by number (time travel) through SnapshotAt. Each
+// retained generation holds one reference; queries add theirs while they
+// run. When the last reference to a snapshot drops, its share of the
+// backing file mapping is released.
 
 // DefaultRetainedGenerations is how many published generations the engine
 // keeps pinnable for time travel unless SetRetention overrides it.
@@ -77,30 +78,35 @@ func (e *Engine) unpin(sn *snapshot) {
 	}
 }
 
-// pin resolves and references the current snapshot. It can loop: between
-// loading the pointer and taking the reference, a burst of publishes may
-// retire the loaded generation past the retention window; the reload then
-// observes a newer pointer. Fails only once the engine is closed.
-func (e *Engine) pin() (*snapshot, error) {
-	for {
+// errClosed is the error every pin and snapshot query returns once the
+// engine is closed.
+func errClosed() error {
+	return berr.New(berr.CodeInternal, "engine.snapshot", "engine is closed")
+}
+
+// pin references generation gen, with 0 meaning "current"; a closed
+// engine fails first, whatever gen is. The current generation can take a
+// few tries: between loading the pointer and taking the reference, a
+// burst of publishes may retire the loaded generation past the retention
+// window, and the reload then observes a newer pointer. A generation that
+// has fallen out of (or never entered) the retention window reports a
+// typed generation-gone error.
+func (e *Engine) pin(gen uint64) (*snapshot, error) {
+	for gen == 0 {
 		if e.closed.Load() {
-			return nil, berr.New(berr.CodeInternal, "engine.snapshot", "engine is closed")
+			return nil, errClosed()
 		}
 		if sn := e.snap.Load(); sn.tryPin() {
 			return sn, nil
 		}
 	}
-}
-
-// pinAt references generation gen, with 0 meaning "current". A generation
-// that has fallen out of (or never entered) the retention window reports a
-// typed generation-gone error.
-func (e *Engine) pinAt(gen uint64) (*snapshot, error) {
-	if gen == 0 {
-		return e.pin()
-	}
 	e.retainMu.Lock()
 	defer e.retainMu.Unlock()
+	// Checked under retainMu: Close marks the engine closed before it
+	// empties the retention list under the same lock.
+	if e.closed.Load() {
+		return nil, errClosed()
+	}
 	for _, sn := range e.retained {
 		if sn.gen == gen {
 			// The retention list's own reference keeps refs positive while
@@ -320,19 +326,11 @@ type Snapshot struct {
 	released atomic.Bool
 }
 
-// Snapshot pins the current generation and returns its handle.
-func (e *Engine) Snapshot() (*Snapshot, error) {
-	sn, err := e.pin()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{e: e, sn: sn}, nil
-}
-
 // SnapshotAt pins retained generation gen (0 means current); a generation
-// outside the retention window reports a typed generation-gone error.
+// outside the retention window reports a typed generation-gone error, and
+// a closed engine the closed error.
 func (e *Engine) SnapshotAt(gen uint64) (*Snapshot, error) {
-	sn, err := e.pinAt(gen)
+	sn, err := e.pin(gen)
 	if err != nil {
 		return nil, err
 	}
@@ -342,21 +340,68 @@ func (e *Engine) SnapshotAt(gen uint64) (*Snapshot, error) {
 // Generation reports the pinned generation.
 func (s *Snapshot) Generation() uint64 { return s.sn.gen }
 
-// Run executes a plan against the pinned generation. RunOptions.AsOf is
-// ignored — the handle already fixes the generation.
-func (s *Snapshot) Run(ctx context.Context, p *Plan, opts RunOptions) (*PlanResult, error) {
-	if s.released.Load() {
-		return nil, berr.New(berr.CodeBadRequest, "engine.snapshot", "snapshot already released")
+// usable fails a query through a handle whose engine is closed or which
+// was already released.
+func (s *Snapshot) usable() error {
+	if s.e.closed.Load() {
+		return errClosed()
 	}
-	return s.e.runPinned(ctx, s.sn, p, opts)
+	if s.released.Load() {
+		return berr.New(berr.CodeBadRequest, "engine.snapshot", "snapshot already released")
+	}
+	return nil
 }
 
-// RunSeeker executes one seeker against the pinned generation.
-func (s *Snapshot) RunSeeker(ctx context.Context, seeker Seeker) (Hits, RunStats, error) {
-	if s.released.Load() {
-		return nil, RunStats{}, berr.New(berr.CodeBadRequest, "engine.snapshot", "snapshot already released")
+// Run executes a plan against the pinned generation — the one plan path
+// under Engine.Run. A nil ctx means context.Background(). On cancellation
+// the returned error carries the typed canceled/deadline code and wraps
+// the context's error; partial results are discarded.
+func (s *Snapshot) Run(ctx context.Context, p *Plan, opts RunOptions) (*PlanResult, error) {
+	start := time.Now()
+	if err := s.usable(); err != nil {
+		return nil, err
 	}
-	return s.e.runSeekerPinned(ctx, s.sn, seeker)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, berr.FromContext("plan.run", err)
+	}
+	ex, topo, err := newPlanExec(&view{Engine: s.e, sn: s.sn}, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := ex.runScheduled(ctx, topo); err != nil {
+		return nil, contextError("plan.run", err)
+	}
+	res := ex.res
+	res.SeekerOrder = ex.emissionOrder(topo)
+	res.CompletionOrder = ex.completion
+	res.PeakConcurrency = int(ex.peak)
+	res.Output = res.NodeHits[p.output]
+	res.Tables = ex.v.tableNames(res.Output)
+	res.Duration = time.Since(start)
+	return res, nil
+}
+
+// RunSeeker executes one seeker against the pinned generation — the one
+// seeker path under Engine.RunSeeker. A nil ctx means
+// context.Background().
+func (s *Snapshot) RunSeeker(ctx context.Context, seeker Seeker) (Hits, RunStats, error) {
+	if err := s.usable(); err != nil {
+		return nil, RunStats{}, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, RunStats{}, berr.FromContext("seeker.run", err)
+	}
+	hits, stats, err := (&view{Engine: s.e, sn: s.sn}).seek(ctx, seeker, NoRewrite)
+	if err != nil {
+		return nil, stats, contextError("seeker.run", err)
+	}
+	return hits, stats, nil
 }
 
 // Release unpins the generation; further queries through the handle fail.

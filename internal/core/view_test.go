@@ -9,21 +9,21 @@ import (
 // view plus a release func, for tests poking view-level internals.
 func testView(t *testing.T, e *Engine) (*view, func()) {
 	t.Helper()
-	sn, err := e.pin()
+	sn, err := e.pin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &view{Engine: e, sn: sn}, func() { e.unpin(sn) }
 }
 
-// runDirect executes a seeker against e's current snapshot without going
-// through the result cache — the per-call pin tests use to compare
+// runDirect executes a seeker through the dispatcher against e's current
+// snapshot with rewrite rw — the per-call pin tests use to compare
 // execution paths directly.
 func runDirect(ctx context.Context, e *Engine, s Seeker, rw Rewrite) (Hits, RunStats, error) {
-	sn, err := e.pin()
+	sn, err := e.pin(0)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
 	defer e.unpin(sn)
-	return s.run(ctx, &view{Engine: e, sn: sn}, rw)
+	return (&view{Engine: e, sn: sn}).seek(ctx, s, rw)
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // BerrcheckPackages lists the import-path suffixes whose exported
-// boundaries must only emit typed berr.Error values. Overridable via
-// cmd/blendlint's -berrcheck.pkgs flag (and by tests).
+// boundaries must only emit typed berr.Error values. Tests override it
+// to point the analyzer at fixture packages.
 var BerrcheckPackages = []string{
 	"internal/core",
 	"internal/storage",

@@ -29,8 +29,7 @@
 // Any finding can be waived in place with
 // `// lint:ignore <analyzer> <reason>` on the offending line or the line
 // above it; the reason is mandatory. cmd/blendlint compiles the suite
-// into a standalone multichecker that is also runnable as a
-// `go vet -vettool` (it speaks vet's unitchecker config protocol).
+// into one multichecker binary (`blendlint ./...`, run by make lint).
 package lint
 
 import (
@@ -39,7 +38,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one invariant checker. The shape deliberately mirrors
@@ -143,11 +141,6 @@ func runPackage(pkg *Package, fset *token.FileSet, analyzers []*Analyzer) ([]Dia
 	w := collectWaivers(fset, pkg.Syntax)
 	diags := raw[:0]
 	for _, d := range raw {
-		// Tests are exempt from the invariants suite-wide: the standalone
-		// loader never feeds them in, but vet's unitchecker units do.
-		if strings.HasSuffix(fset.Position(d.Pos).Filename, "_test.go") {
-			continue
-		}
 		if !w.covers(fset, d) {
 			diags = append(diags, d)
 		}

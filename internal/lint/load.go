@@ -44,8 +44,8 @@ type listPackage struct {
 // Load resolves the patterns (e.g. "./...") in dir into type-checked
 // packages ready for analysis. It shells out to `go list -export
 // -json -deps`, which compiles export data for every dependency, then
-// type-checks the matched packages from source — the same split vet's
-// unitchecker uses, with no dependency beyond the go tool itself.
+// type-checks the matched packages from source, with no dependency
+// beyond the go tool itself.
 // Test files are not loaded: the invariants police production code, and
 // tests are an explicit exemption of the context-flow rules.
 func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {

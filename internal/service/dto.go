@@ -27,7 +27,8 @@ type SeekRequest struct {
 	// Seeker is a seeker document, e.g.
 	// {"kind": "sc", "values": ["HR"], "k": 10}.
 	Seeker json.RawMessage `json:"seeker"`
-	// Options tunes execution; only TimeoutMillis applies to a seek.
+	// Options tunes execution; TimeoutMillis and AsOfGeneration apply to a
+	// seek, the optimizer and explain switches are no-ops for one seeker.
 	Options *RunOptionsDTO `json:"options,omitempty"`
 }
 

@@ -172,11 +172,7 @@ func (s *Service) handleSeek(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.Options)
 	defer cancel()
 	start := time.Now()
-	var seekOpts []blend.RunOption
-	if req.Options != nil && req.Options.AsOfGeneration > 0 {
-		seekOpts = append(seekOpts, blend.WithAsOf(req.Options.AsOfGeneration))
-	}
-	hits, err := s.d.Seek(ctx, seeker, seekOpts...)
+	hits, err := s.d.Seek(ctx, seeker, runOptions(req.Options)...)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -1,9 +1,8 @@
 package blend
 
 import (
+	"context"
 	"time"
-
-	"blend/internal/core"
 )
 
 // RunOption tunes one Run or Seek call. Options compose orthogonally:
@@ -53,22 +52,31 @@ func WithExplain() RunOption {
 // ingestion since. Zero means current. A generation that has fallen out
 // of — or never entered — the retention window (see
 // Discovery.SetRetention) fails with ErrGenerationGone before anything
-// executes. Ignored by Snapshot.Run, where the handle already fixes the
-// generation.
+// executes. Ignored by Snapshot.Run and Snapshot.Seek, where the handle
+// already fixes the generation.
 func WithAsOf(gen uint64) RunOption {
 	return func(c *runConfig) { c.asOf = gen }
 }
 
-// coreOptions folds the functional options into the engine's option
-// struct.
-func coreOptions(opts []RunOption) (runConfig, core.RunOptions) {
+// fold applies the options to a zero configuration.
+func fold(opts []RunOption) runConfig {
 	var cfg runConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return cfg, core.RunOptions{
-		Optimize: !cfg.noOptimize,
-		Explain:  cfg.explain,
-		AsOf:     cfg.asOf,
+	return cfg
+}
+
+// apply folds the options and derives the call's context: ctx bounded by
+// WithDeadline when one is set. The returned cancel is never nil.
+func apply(ctx context.Context, opts []RunOption) (context.Context, runConfig, context.CancelFunc) {
+	cfg := fold(opts)
+	if cfg.deadline <= 0 {
+		return ctx, cfg, func() {}
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithTimeout(ctx, cfg.deadline)
+	return ctx, cfg, cancel
 }
