@@ -1,8 +1,7 @@
 package blend
 
 // Cold-open benchmarks: how fast an on-disk index becomes queryable.
-// OpenIndex maps the file and parses only the footer directory, deferring
-// shard decode to first touch.
+// OpenIndex maps the file, checks and decodes every shard, and unmaps it.
 
 import (
 	"os"

@@ -207,15 +207,16 @@ func IndexCSVDir(layout Layout, dir string, opts ...IndexOption) (*Discovery, er
 	return IndexTables(layout, tables, opts...), nil
 }
 
-// OpenIndex opens a previously saved v4 index file. The file is
-// memory-mapped and each shard is decoded only when a query first touches
-// it, so opening costs O(footer) and resident memory tracks the working
-// set; query results equal those of the index the file was saved from
-// (the differential tests assert it). Close releases the mapping. Files
-// in the retired v1–v3 formats fail with ErrBadIndex and must be rebuilt
-// with `blend index`. WithoutNativeExec configures the engine the same
-// way it does at build time; WithShards is ignored, because the shard
-// count is a property of the persisted file.
+// OpenIndex opens a previously saved v4 index file and decodes all of it
+// before it returns: every section checksum and every entry is checked,
+// every shard is decoded to the heap, and nothing refers to the file
+// afterwards. The result is the same in-memory index IndexTables builds,
+// so query results equal those of the index the file was saved from (the
+// differential tests assert it). A missing, truncated or corrupt file, or
+// one in the retired v1–v3 formats, fails with ErrBadIndex; retired files
+// must be rebuilt with `blend index`. WithoutNativeExec configures the
+// engine the same way it does at build time; WithShards is ignored,
+// because the shard count is a property of the persisted file.
 func OpenIndex(path string, opts ...IndexOption) (*Discovery, error) {
 	var cfg indexConfig
 	for _, o := range opts {
@@ -291,9 +292,9 @@ func (d *Discovery) EnableWAL(path string) (func() error, error) {
 //	res, err := d.Run(ctx, plan, blend.WithExplain(), blend.WithDeadline(time.Second))
 //
 // Run pins one generation — the current one, or retained generation g
-// under WithAsOf(g) — exactly as SnapshotAt does, runs the plan through
-// Snapshot.Run, and unpins it. Ingestion never blocks it and is never
-// blocked by it, so it is safe for concurrent use. A generation outside
+// under WithAsOf(g) — exactly as SnapshotAt does and runs the plan
+// through Snapshot.Run. Ingestion never blocks it and is never blocked
+// by it, so it is safe for concurrent use. A generation outside
 // the retention window fails with ErrGenerationGone, and a closed
 // Discovery with its closed error, before anything executes.
 //
@@ -328,9 +329,9 @@ func (d *Discovery) Seek(ctx context.Context, s Seeker, opts ...RunOption) (Hits
 // Snapshot pins the current index generation and returns a handle whose
 // queries all see that exact state, no matter how much ingestion happens
 // concurrently — the way to run a multi-query analysis against one
-// consistent lake. Release the handle when done; a retained generation's
-// resources are freed only after both the retention window moves past it
-// and the last handle releases it.
+// consistent lake. The handle keeps its generation readable for as long as
+// it is held, even after the retention window moves past it; Release it
+// when done.
 func (d *Discovery) Snapshot() (*Snapshot, error) { return d.SnapshotAt(0) }
 
 // SnapshotAt pins retained historical generation gen (0 means current).
@@ -347,7 +348,8 @@ func (d *Discovery) SnapshotAt(gen uint64) (*Snapshot, error) {
 // Snapshot is a pinned generation of the index: a read-only, immutable
 // handle whose Run and Seek execute against the exact state published at
 // Generation, regardless of concurrent ingestion. Obtain one with
-// Discovery.Snapshot or Discovery.SnapshotAt; Release it exactly once.
+// Discovery.Snapshot or Discovery.SnapshotAt. Queries through it fail
+// once it is released or its Discovery closed.
 type Snapshot struct {
 	sn *core.Snapshot
 }
@@ -374,8 +376,13 @@ func (s *Snapshot) Seek(ctx context.Context, seeker Seeker, opts ...RunOption) (
 	return hits, err
 }
 
-// Release unpins the generation. Queries through the handle fail after
-// Release; releasing twice is a no-op.
+// TableNames maps hits to table names as they were at the pinned
+// generation — the names to show beside hits from Run or Seek through
+// this handle, even after a Compact has renumbered the current tables.
+func (s *Snapshot) TableNames(h Hits) []string { return s.sn.TableNames(h) }
+
+// Release marks the handle released: queries through it fail afterwards.
+// Releasing twice is a no-op.
 func (s *Snapshot) Release() { s.sn.Release() }
 
 // Generation reports the currently published index generation. Generations
@@ -400,7 +407,8 @@ func WritePlanDot(p *Plan, w io.Writer) error { return p.WriteDot(w) }
 // h can be changed per query without re-indexing the lake.
 func (d *Discovery) SetCorrelationSampleSize(h int) { d.engine.SampleH = h }
 
-// TableNames maps hits to table names.
+// TableNames maps hits to table names at the current generation; name the
+// hits of a historical generation with Snapshot.TableNames instead.
 func (d *Discovery) TableNames(h Hits) []string { return d.engine.TableNames(h) }
 
 // AddTable appends one table to the index without rebuilding it — the
@@ -454,11 +462,10 @@ func (d *Discovery) TableByID(id int32) *Table { return d.engine.ReconstructTabl
 // IndexSizeBytes estimates the resident size of the unified index.
 func (d *Discovery) IndexSizeBytes() int64 { return d.engine.SizeBytes() }
 
-// Close releases every retained generation and the resources behind them
-// — for an index opened with OpenIndex under the default mmap mode, the
-// memory mapping of the index file (released once the last in-flight query
-// unpins its snapshot). After Close, new queries fail with a typed
-// internal error; closing twice is a no-op.
+// Close drops every retained generation. After Close, new queries and
+// queries through existing Snapshot handles fail with a typed internal
+// error; queries already running finish. Closing twice is a no-op, and
+// the error is always nil.
 func (d *Discovery) Close() error { return d.engine.Close() }
 
 // Engine exposes the underlying execution engine for advanced use

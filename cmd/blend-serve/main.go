@@ -27,9 +27,9 @@
 //	blend-serve -lake DIR [-shards N] ...
 //	blend-serve ... [-allow-dir-ingest] [-ingest-batch N]
 //
-// An -index file is memory-mapped and its shards decode on first touch;
-// every plan runs on the library's concurrent scheduler, and ingest parses
-// and inserts, GOMAXPROCS-wide.
+// An -index file is decoded whole, every shard checked, before the server
+// listens; every plan runs on the library's concurrent scheduler, and
+// ingest parses and inserts, GOMAXPROCS-wide.
 package main
 
 import (
@@ -100,14 +100,8 @@ func run(args []string) error {
 		defer closeWAL()
 		log.Printf("write-ahead log at %s (generation %d after replay)", *wal, d.Generation())
 	}
-	st := d.Stats()
-	if st.MappedBytes > 0 {
-		log.Printf("serving %d tables across %d shard(s), %d bytes mapped (%d/%d shards resident), result cache %d entries",
-			d.LiveTables(), d.NumShards(), st.MappedBytes, st.ResidentShards, st.Shards, *cache)
-	} else {
-		log.Printf("serving %d tables across %d shard(s), ~%d index bytes, result cache %d entries",
-			d.LiveTables(), d.NumShards(), d.IndexSizeBytes(), *cache)
-	}
+	log.Printf("serving %d tables across %d shard(s), ~%d index bytes, result cache %d entries",
+		d.LiveTables(), d.NumShards(), d.IndexSizeBytes(), *cache)
 
 	svc := service.New(d, service.Options{
 		DefaultTimeout:  *timeout,

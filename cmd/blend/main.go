@@ -33,18 +33,6 @@ import (
 )
 
 func main() {
-	// A memory-mapped index that fails a section checksum at first touch
-	// panics with a typed bad_index error (the Reader surface has no error
-	// returns). Contain exactly that case into the standard error line;
-	// anything else stays a loud panic.
-	defer func() {
-		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && berr.CodeOf(err) == berr.CodeBadIndex {
-				fail(err)
-			}
-			panic(r)
-		}
-	}()
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
@@ -122,8 +110,7 @@ func usage() {
                                                          run a JSON discovery plan (GOMAXPROCS-wide)
   blend stats -index FILE                                index statistics
   blend demo                                             run the paper's Example 1
-seek, sql, and plan memory-map the index file and decode each shard on
-first touch; stats decodes every shard.`)
+Every command that reads an index decodes and checks all of it first.`)
 }
 
 // indexOptions maps the -no-native flag to the engine option OpenIndex
@@ -154,14 +141,8 @@ func cmdStats(args []string) error {
 	if *index == "" {
 		return berr.New(berr.CodeBadRequest, "cli.stats", "-index is required")
 	}
-	// Stats scan the whole index: decode every shard first, so the content
-	// figures are exact and a corrupt shard is an error, not a panic.
 	s, err := storage.MapFile(*index)
 	if err != nil {
-		return err
-	}
-	defer s.Close()
-	if _, err := s.LoadShards(); err != nil {
 		return err
 	}
 	st := s.ComputeStats()

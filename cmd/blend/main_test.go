@@ -122,8 +122,9 @@ func TestCLI(t *testing.T) {
 
 // TestStatsExact checks `blend stats` on a saved 4-shard index against the
 // stats of the built index the file was made from: every shard is decoded,
-// so every figure is exact. A corrupt dictionary section must end in the
-// structured bad_index error line, not a panic.
+// so every figure is exact. On a corrupt dictionary section, stats and a
+// query command must both end in the structured bad_index error line, not
+// a panic.
 func TestStatsExact(t *testing.T) {
 	bin := buildCLI(t)
 	dir := t.TempDir()
@@ -190,9 +191,14 @@ func TestStatsExact(t *testing.T) {
 	}
 	bad := filepath.Join(dir, "bad.blend")
 	writeFile(t, bad, string(data))
-	out, code = runCLI(t, bin, "stats", "-index", bad)
-	if code != 1 || !strings.Contains(out, "blend: error[bad_index]:") || strings.Contains(out, "panic") {
-		t.Fatalf("stats on a corrupt dictionary: exit %d, want 1 and one bad_index line\n%s", code, out)
+	for _, args := range [][]string{
+		{"stats", "-index", bad},
+		{"seek", "-index", bad, "-op", "sc", "-values", "x"},
+	} {
+		out, code = runCLI(t, bin, args...)
+		if code != 1 || !strings.Contains(out, "blend: error[bad_index]:") || strings.Contains(out, "panic") {
+			t.Fatalf("%s on a corrupt dictionary: exit %d, want 1 and one bad_index line\n%s", args[0], code, out)
+		}
 	}
 }
 

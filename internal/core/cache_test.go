@@ -55,8 +55,7 @@ func TestResultCacheHit(t *testing.T) {
 	if _, st4, _ := e.RunSeeker(context.Background(), NewKW([]string{"HR", "IT", "Marketing"}, 4)); st4.CacheHit {
 		t.Fatal("different k must miss")
 	}
-	v, releaseV := testView(t, e)
-	defer releaseV()
+	v := testView(t, e)
 	if _, st5, err := v.seek(context.Background(), s, ExcludeTables([]int32{0})); err != nil || st5.CacheHit {
 		t.Fatalf("rewritten run must miss (err %v)", err)
 	}

@@ -32,12 +32,11 @@ const DefaultSampleH = 256
 // generation; queries started after it see the new one.
 type Engine struct {
 	// snap is the currently published generation; the only synchronization
-	// the read path touches (one atomic load + one atomic reference count).
+	// the read path touches (one atomic load).
 	snap atomic.Pointer[snapshot]
 
 	// writeMu serializes mutations and guards the write-side bookkeeping:
-	// the generation counter, the live-name cache, the journal, and the
-	// store lineage's file-mapping lease.
+	// the generation counter, the live-name cache and the journal.
 	writeMu sync.Mutex
 	gen     uint64 // guarded by writeMu
 	// names caches the live table names for AddTables' duplicate check,
@@ -46,10 +45,9 @@ type Engine struct {
 	// duplicate check, so deleting one name could drop a live twin).
 	names   map[string]struct{} // guarded by writeMu
 	journal Journal             // guarded by writeMu
-	lease   *storeLease         // guarded by writeMu
 
 	// retained holds the generations pinnable for time travel, oldest
-	// first; each entry owns one snapshot reference.
+	// first.
 	retainMu  sync.Mutex
 	retained  []*snapshot // guarded by retainMu
 	retention int         // guarded by retainMu
@@ -63,7 +61,7 @@ type Engine struct {
 	// swept when that generation leaves the retention window.
 	cache atomic.Pointer[resultCache]
 
-	// closed flips once at Close and breaks the pin retry loop.
+	// closed flips once at Close; every later pin fails.
 	closed atomic.Bool
 
 	// shardSem bounds how many per-shard native scans run at once
@@ -86,7 +84,6 @@ type Engine struct {
 // generation 1.
 func NewEngine(store *storage.ShardedStore) *Engine {
 	e := &Engine{SampleH: DefaultSampleH, retention: DefaultRetainedGenerations}
-	e.lease = newStoreLease(store)
 	if store.NumShards() > 1 {
 		e.shardSem = newShardSem()
 	}
@@ -99,9 +96,9 @@ func NewEngine(store *storage.ShardedStore) *Engine {
 
 // Store returns the current generation's index. The returned value is an
 // immutable published view: mutations derive new stores rather than
-// touching it, but holding it does not pin the generation — the backing
-// file mapping may be released once the generation leaves the retention
-// window. Prefer the Engine accessors or a Snapshot handle.
+// touching it, and it stays readable for as long as it is held. Prefer
+// the Engine accessors or a Snapshot handle, which also name the
+// generation.
 func (e *Engine) Store() *storage.ShardedStore { return e.snap.Load().store }
 
 // Catalog returns the current generation's SQL catalog: the one AllTables
@@ -163,7 +160,6 @@ func (e *Engine) ExecRawSQL(ctx context.Context, sql string) (*minisql.Result, e
 	if err != nil {
 		return nil, err
 	}
-	defer e.unpin(sn)
 	return minisql.ExecSQL(sn.cat, sql)
 }
 
@@ -174,7 +170,6 @@ func (e *Engine) ExplainRawSQL(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	defer e.unpin(sn)
 	return minisql.ExplainSQL(sn.cat, sql)
 }
 
@@ -184,7 +179,6 @@ func (e *Engine) ComputeStats() storage.Stats {
 	if err != nil {
 		return storage.Stats{}
 	}
-	defer e.unpin(sn)
 	return sn.store.ComputeStats()
 }
 
@@ -196,7 +190,6 @@ func (e *Engine) NumTables() int {
 	if err != nil {
 		return 0
 	}
-	defer e.unpin(sn)
 	return sn.store.NumTables()
 }
 
@@ -207,7 +200,6 @@ func (e *Engine) LiveTables() int {
 	if err != nil {
 		return 0
 	}
-	defer e.unpin(sn)
 	return sn.store.NumTables() - sn.store.Tombstones()
 }
 
@@ -218,7 +210,6 @@ func (e *Engine) ReconstructTable(tid int32) *table.Table {
 	if err != nil {
 		return nil
 	}
-	defer e.unpin(sn)
 	if tid < 0 || int(tid) >= sn.store.NumTables() {
 		return nil
 	}
@@ -231,7 +222,6 @@ func (e *Engine) SizeBytes() int64 {
 	if err != nil {
 		return 0
 	}
-	defer e.unpin(sn)
 	return sn.store.SizeBytes()
 }
 
@@ -270,7 +260,6 @@ func (e *Engine) TableNames(h Hits) []string {
 	if err != nil {
 		return make([]string, len(h))
 	}
-	defer e.unpin(sn)
 	return (&view{Engine: e, sn: sn}).tableNames(h)
 }
 

@@ -119,9 +119,8 @@ func (e *Engine) RemoveTable(tid int32) error {
 
 // Compact physically reclaims every tombstoned table and returns how many
 // were removed. The new generation is rebuilt from scratch, so table ids
-// are reassigned contiguously and the store lineage changes: the old file
-// mapping (if any) closes once the last retained or pinned generation
-// using it is released. Callers holding ids from before the compaction
+// are reassigned contiguously; retained and pinned older generations keep
+// the old numbering. Callers holding ids from before the compaction
 // must re-resolve them by name. A lake without tombstones returns 0
 // without publishing. A journal append failure returns a typed internal
 // error wrapping the cause, with nothing published and the generation
@@ -138,11 +137,6 @@ func (e *Engine) Compact() (int, error) {
 			return 0, berr.Wrap(berr.CodeInternal, "engine.wal", err)
 		}
 	}
-	// The rebuilt store starts a fresh lineage: new snapshots lease its
-	// backing (a no-op closer for heap stores), while older generations
-	// keep the previous lease and unmap the old file when the last of them
-	// is released.
-	e.lease = newStoreLease(next)
 	e.gen++
 	e.publish(e.buildSnapshot(next, e.gen))
 	e.maintMu.Lock()
@@ -184,6 +178,5 @@ func (e *Engine) TableIDByName(name string) int32 {
 	if err != nil {
 		return -1
 	}
-	defer e.unpin(sn)
 	return sn.store.TableIDByName(name)
 }

@@ -386,13 +386,11 @@ func (v *view) runShards(ctx context.Context, k int,
 	return topK(merged, k), c, nil
 }
 
-// repanic re-raises the first panic captured on a worker goroutine.
-// Lazily mapped shards report post-open integrity failures (a section
-// checksum mismatch at first touch) by panicking with a typed bad_index
-// error; re-raising on the calling goroutine preserves that contract
-// while letting request-scoped recovery — net/http's per-request
-// handler recover, a caller's own defer — contain the failure instead
-// of an unrecovered worker-goroutine panic killing the process.
+// repanic re-raises the first panic captured on a worker goroutine. No
+// read path panics by design, but a bug in one would otherwise kill the
+// process from a goroutine nobody can recover on; re-raised on the
+// calling goroutine, request-scoped recovery — net/http's per-request
+// handler recover, a caller's own defer — contains it instead.
 func repanic(panics []any) {
 	for _, p := range panics {
 		if p != nil {

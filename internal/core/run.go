@@ -71,8 +71,8 @@ type PlanResult struct {
 	Duration time.Duration
 }
 
-// Run executes the plan against the current generation: it pins it, runs
-// the plan through Snapshot.Run, and unpins it. The pinned generation
+// Run executes the plan against the current generation: it pins it and
+// runs the plan through Snapshot.Run. The pinned generation
 // is read lock-free, so Run is safe to call concurrently with other runs
 // and with index mutations — neither side ever waits for the other.
 func (e *Engine) Run(ctx context.Context, p *Plan, opts RunOptions) (*PlanResult, error) {
@@ -162,8 +162,8 @@ func newPlanExec(v *view, p *Plan, opts RunOptions) (*planExec, []string, error)
 }
 
 // RunSeeker executes a single seeker outside any plan against the
-// current generation (the "simple task" mode of §VII-A): pin, run through
-// Snapshot.RunSeeker, unpin.
+// current generation (the "simple task" mode of §VII-A): pin, then run
+// through Snapshot.RunSeeker.
 func (e *Engine) RunSeeker(ctx context.Context, s Seeker) (Hits, RunStats, error) {
 	sn, err := e.SnapshotAt(0)
 	if err != nil {

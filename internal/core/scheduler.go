@@ -225,11 +225,10 @@ func runTaskPool(ctx context.Context, tasks []*schedTask) error {
 			ready <- t
 		}
 	}
-	// A panicking task (a lazily mapped shard failing its first-touch
-	// checksum panics typed bad_index) must still run complete(t) — the
-	// ready channel never closes otherwise — so capture the panic, cancel
-	// the rest of the plan, and re-raise it on the calling goroutine once
-	// the workers drain (see repanic).
+	// A panicking task (a bug; no seeker panics by design) must still run
+	// complete(t) — the ready channel never closes otherwise — so capture
+	// the panic, cancel the rest of the plan, and re-raise it on the
+	// calling goroutine once the workers drain (see repanic).
 	var panicOnce sync.Once
 	taskPanic := make([]any, 1)
 	runTask := func(t *schedTask) (err error) {

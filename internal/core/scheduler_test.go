@@ -138,7 +138,6 @@ func runReference(t *testing.T, e *Engine, p *Plan, opts RunOptions) *PlanResult
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.unpin(sn)
 	ex, topo, err := newPlanExec(&view{Engine: e, sn: sn}, p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -276,6 +275,41 @@ func (s *blockingSeeker) native(ctx context.Context, v *view, rw Rewrite) (Hits,
 }
 func (s *blockingSeeker) oracle(ctx context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
 	return s.native(ctx, v, rw)
+}
+
+// panicSeeker is a test double whose every execution panics.
+type panicSeeker struct{ blockingSeeker }
+
+func (s *panicSeeker) native(context.Context, *view, Rewrite) (Hits, scanCounts, error) {
+	panic("seeker bug")
+}
+func (s *panicSeeker) oracle(ctx context.Context, v *view, rw Rewrite) (Hits, scanCounts, error) {
+	return s.native(ctx, v, rw)
+}
+
+// TestRunRepanicsSeekerPanicOnCaller checks that a seeker panicking on a
+// scheduler worker does not kill the process: Engine.Run re-raises the
+// panic on the calling goroutine, where a deferred recover catches it,
+// and the engine still answers the next plan.
+func TestRunRepanicsSeekerPanicOnCaller(t *testing.T) {
+	e := fig1Engine()
+	p := NewPlan()
+	p.MustAddSeeker("bad", &panicSeeker{})
+	p.MustAddSeeker("kw", NewKW(departments, 5))
+	p.MustAddCombiner("any", NewUnion(5), "bad", "kw")
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run(context.Background(), p, RunOptions{})
+		return nil
+	}()
+	if got != "seeker bug" {
+		t.Fatalf("recovered %v on the caller, want the seeker's panic", got)
+	}
+	ok := NewPlan()
+	ok.MustAddSeeker("kw", NewKW(departments, 5))
+	if _, err := e.Run(context.Background(), ok, RunOptions{}); err != nil {
+		t.Fatalf("engine unusable after a recovered seeker panic: %v", err)
+	}
 }
 
 // TestIndependentSeekersRunConcurrently is the acceptance check: four

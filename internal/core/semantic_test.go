@@ -90,8 +90,7 @@ func TestSemanticFunnel(t *testing.T) {
 
 func TestSemanticSeekerIndexReused(t *testing.T) {
 	e := NewEngine(storage.Build(semanticLake(), 1))
-	v, release := testView(t, e)
-	defer release()
+	v := testView(t, e)
 	a := v.semanticIndex()
 	b := v.semanticIndex()
 	if a != b {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,10 +23,10 @@ import (
 // readers never wait for ingestion and ingestion never waits for readers.
 //
 // The last few generations are retained (SetRetention) so callers can pin a
-// historical snapshot by number (time travel) through SnapshotAt. Each
-// retained generation holds one reference; queries add theirs while they
-// run. When the last reference to a snapshot drops, its share of the
-// backing file mapping is released.
+// historical snapshot by number (time travel) through SnapshotAt. A
+// snapshot owns nothing but heap memory, so pinning is just holding a
+// pointer: a generation lives as long as the retention list or any query
+// or handle refers to it, and the garbage collector frees it after that.
 
 // DefaultRetainedGenerations is how many published generations the engine
 // keeps pinnable for time travel unless SetRetention overrides it.
@@ -41,41 +40,10 @@ type snapshot struct {
 	store *storage.ShardedStore
 	cat   *minisql.Catalog // the AllTables relation over this generation's store
 
-	// refs counts the retention list's reference (1, dropped when the
-	// generation falls out of the window) plus one per in-flight pin. It
-	// never goes back up from 0: pinning races a concurrent release by
-	// CAS-incrementing only positive counts.
-	refs atomic.Int64
-	// lease shares the store lineage's file mapping; released when refs
-	// hits zero.
-	lease *storeLease
-
 	// Lazily built embedding side-index for the SemanticSeeker extension.
 	// Snapshots are immutable, so it is built at most once per generation.
 	semMu  sync.Mutex
 	semIdx *semanticIdx // guarded by semMu
-}
-
-// tryPin atomically takes a reference unless the snapshot is already dead
-// (refs 0 means the last release ran and the lease may be closed).
-func (sn *snapshot) tryPin() bool {
-	for {
-		n := sn.refs.Load()
-		if n <= 0 {
-			return false
-		}
-		if sn.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// unpin drops one reference, releasing the snapshot's share of the file
-// mapping when it was the last.
-func (e *Engine) unpin(sn *snapshot) {
-	if sn.refs.Add(-1) == 0 {
-		sn.lease.release()
-	}
 }
 
 // errClosed is the error every pin and snapshot query returns once the
@@ -84,36 +52,28 @@ func errClosed() error {
 	return berr.New(berr.CodeInternal, "engine.snapshot", "engine is closed")
 }
 
-// pin references generation gen, with 0 meaning "current"; a closed
-// engine fails first, whatever gen is. The current generation can take a
-// few tries: between loading the pointer and taking the reference, a
-// burst of publishes may retire the loaded generation past the retention
-// window, and the reload then observes a newer pointer. A generation that
-// has fallen out of (or never entered) the retention window reports a
-// typed generation-gone error.
+// pin returns generation gen, with 0 meaning "current"; a closed engine
+// fails first, whatever gen is. A generation that has fallen out of (or
+// never entered) the retention window reports a typed generation-gone
+// error.
 func (e *Engine) pin(gen uint64) (*snapshot, error) {
-	for gen == 0 {
-		if e.closed.Load() {
-			return nil, errClosed()
-		}
-		if sn := e.snap.Load(); sn.tryPin() {
-			return sn, nil
-		}
-	}
-	e.retainMu.Lock()
-	defer e.retainMu.Unlock()
-	// Checked under retainMu: Close marks the engine closed before it
-	// empties the retention list under the same lock.
 	if e.closed.Load() {
 		return nil, errClosed()
 	}
+	if gen == 0 {
+		return e.snap.Load(), nil
+	}
+	e.retainMu.Lock()
+	defer e.retainMu.Unlock()
 	for _, sn := range e.retained {
 		if sn.gen == gen {
-			// The retention list's own reference keeps refs positive while
-			// we hold retainMu, so a plain increment cannot race a death.
-			sn.refs.Add(1)
 			return sn, nil
 		}
+	}
+	// Close marks the engine closed before it drops the retention list
+	// under retainMu, so an empty list here means a Close won the race.
+	if e.closed.Load() {
+		return nil, errClosed()
 	}
 	cur := uint64(0)
 	if n := len(e.retained); n > 0 {
@@ -139,18 +99,18 @@ func (e *Engine) retire(sn *snapshot) {
 	e.retained = append(e.retained, sn)
 	evicted, oldest := e.evictLocked()
 	e.retainMu.Unlock()
-	e.releaseEvicted(evicted, oldest)
+	e.sweepEvicted(evicted, oldest)
 }
 
 // evictLocked trims the retention list to the configured bound, returning
-// the evicted snapshots and the oldest still-retained generation.
+// whether it evicted anything and the oldest still-retained generation.
 //
 // lockguard: caller holds retainMu
-func (e *Engine) evictLocked() (evicted []*snapshot, oldest uint64) {
+func (e *Engine) evictLocked() (evicted bool, oldest uint64) {
 	for len(e.retained) > e.retention {
-		evicted = append(evicted, e.retained[0])
 		e.retained[0] = nil // release the backing-array slot for GC
 		e.retained = e.retained[1:]
+		evicted = true
 	}
 	if len(e.retained) > 0 {
 		oldest = e.retained[0].gen
@@ -158,16 +118,13 @@ func (e *Engine) evictLocked() (evicted []*snapshot, oldest uint64) {
 	return evicted, oldest
 }
 
-// releaseEvicted drops the retention references of evicted snapshots and
-// sweeps the result cache of every generation below the oldest retained one
-// — the bounded sweep that keeps retained-generation memory accounted
-// instead of waiting for LRU pressure.
-func (e *Engine) releaseEvicted(evicted []*snapshot, oldest uint64) {
-	if len(evicted) == 0 {
+// sweepEvicted, after an eviction, sweeps the result cache of every
+// generation below the oldest retained one — the bounded sweep that keeps
+// retained-generation memory accounted instead of waiting for LRU
+// pressure.
+func (e *Engine) sweepEvicted(evicted bool, oldest uint64) {
+	if !evicted {
 		return
-	}
-	for _, old := range evicted {
-		e.unpin(old)
 	}
 	if c := e.cache.Load(); c != nil {
 		c.sweepBelow(oldest)
@@ -175,52 +132,13 @@ func (e *Engine) releaseEvicted(evicted []*snapshot, oldest uint64) {
 }
 
 // buildSnapshot assembles the derived read state for one generation of the
-// store: the SQL catalog holding the one AllTables relation, and a
-// reference on the lineage's file-mapping lease.
+// store: the SQL catalog holding the one AllTables relation.
 //
 // lockguard: caller holds writeMu
 func (e *Engine) buildSnapshot(store *storage.ShardedStore, gen uint64) *snapshot {
 	cat := minisql.NewCatalog()
 	cat.Register(alltables.Name, alltables.New(store))
-	sn := &snapshot{gen: gen, store: store, cat: cat, lease: e.lease}
-	sn.refs.Store(1) // the retention list's reference; see publish
-	sn.lease.acquire()
-	return sn
-}
-
-// storeLease shares ownership of a store lineage's closeable backing (the
-// mmap segment file; closing a heap-built store is a no-op) across the
-// generations derived from it: every snapshot in the lineage holds one
-// reference, and the file closes when the last referencing snapshot is
-// released.
-type storeLease struct {
-	refs atomic.Int64
-	c    io.Closer
-	once sync.Once
-	err  error // guarded by once: written inside Do, read after it returns
-}
-
-// newStoreLease wraps a store's closeable backing.
-func newStoreLease(store *storage.ShardedStore) *storeLease {
-	return &storeLease{c: store}
-}
-
-func (l *storeLease) acquire() { l.refs.Add(1) }
-
-func (l *storeLease) release() {
-	if l.refs.Add(-1) == 0 {
-		l.once.Do(func() { l.err = l.c.Close() })
-	}
-}
-
-// closeErr reports the close error once the lease has fully released; nil
-// while references remain.
-func (l *storeLease) closeErr() error {
-	if l.refs.Load() > 0 {
-		return nil
-	}
-	l.once.Do(func() { l.err = l.c.Close() })
-	return l.err
+	return &snapshot{gen: gen, store: store, cat: cat}
 }
 
 // view is the read-side execution context: the engine's immutable knobs
@@ -293,33 +211,25 @@ func (e *Engine) SetRetention(n int) {
 	e.retention = n
 	evicted, oldest := e.evictLocked()
 	e.retainMu.Unlock()
-	e.releaseEvicted(evicted, oldest)
+	e.sweepEvicted(evicted, oldest)
 }
 
-// Close releases every retained generation and marks the engine closed:
-// new pins fail, and the backing file mapping closes as soon as the last
-// in-flight query unpins. Closing twice is a no-op.
+// Close marks the engine closed and drops the retention list: new pins
+// and queries through existing handles fail with the closed error, while
+// queries already running finish on the generation they pinned. It
+// always returns nil; closing twice is a no-op.
 func (e *Engine) Close() error {
-	if e.closed.Swap(true) {
-		return nil
-	}
-	var retained []*snapshot
+	e.closed.Store(true)
 	e.retainMu.Lock()
-	retained, e.retained = e.retained, nil
+	e.retained = nil
 	e.retainMu.Unlock()
-	for _, sn := range retained {
-		e.unpin(sn)
-	}
-	e.writeMu.Lock()
-	l := e.lease
-	e.writeMu.Unlock()
-	return l.closeErr()
+	return nil
 }
 
 // Snapshot is a pinned generation handle: queries run through it see the
 // index exactly as it was when the handle was taken, regardless of
-// concurrent ingestion, until Release. A handle must be released exactly
-// once; queries racing the Release are the caller's bug.
+// concurrent ingestion, until Release or the engine's Close. The handle
+// keeps its generation alive on its own; Release only marks it released.
 type Snapshot struct {
 	e        *Engine
 	sn       *snapshot
@@ -404,14 +314,15 @@ func (s *Snapshot) RunSeeker(ctx context.Context, seeker Seeker) (Hits, RunStats
 	return hits, stats, nil
 }
 
-// Release unpins the generation; further queries through the handle fail.
-// Releasing twice is a no-op.
-func (s *Snapshot) Release() {
-	if s.released.Swap(true) {
-		return
-	}
-	s.e.unpin(s.sn)
+// TableNames maps hits to table names at the pinned generation, so hits
+// of a historical generation are named as they were then.
+func (s *Snapshot) TableNames(h Hits) []string {
+	return (&view{Engine: s.e, sn: s.sn}).tableNames(h)
 }
+
+// Release marks the handle released; further queries through it fail.
+// Releasing twice is a no-op.
+func (s *Snapshot) Release() { s.released.Store(true) }
 
 // newShardSem sizes the engine-wide shard-execution semaphore.
 func newShardSem() chan struct{} {

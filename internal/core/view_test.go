@@ -6,14 +6,14 @@ import (
 )
 
 // testView pins the engine's current snapshot and returns the execution
-// view plus a release func, for tests poking view-level internals.
-func testView(t *testing.T, e *Engine) (*view, func()) {
+// view, for tests poking view-level internals.
+func testView(t *testing.T, e *Engine) *view {
 	t.Helper()
 	sn, err := e.pin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &view{Engine: e, sn: sn}, func() { e.unpin(sn) }
+	return &view{Engine: e, sn: sn}
 }
 
 // runDirect executes a seeker through the dispatcher against e's current
@@ -24,6 +24,5 @@ func runDirect(ctx context.Context, e *Engine, s Seeker, rw Rewrite) (Hits, RunS
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	defer e.unpin(sn)
 	return (&view{Engine: e, sn: sn}).seek(ctx, s, rw)
 }

@@ -178,15 +178,6 @@ type StatsResponse struct {
 	EstimatedBytes   int64   `json:"estimated_bytes"`
 	AvgColumnsPerTbl float64 `json:"avg_columns_per_table"`
 	AvgRowsPerTable  float64 `json:"avg_rows_per_table"`
-	// Lazy-mapping figures (v4 indexes opened from a file): how many
-	// shards are heap-resident and how large the mapped file is. For
-	// heap-built indexes resident_shards == shards and mapped_bytes == 0.
-	// Content stats (distinct values, postings, dict) cover resident
-	// shards only when the index is partially mapped, so this probe never
-	// forces the whole lake resident; estimated_bytes is the resident heap
-	// footprint.
-	ResidentShards int   `json:"resident_shards"`
-	MappedBytes    int64 `json:"mapped_bytes"`
 	// Result-cache counters (all zero when the cache is disabled; see
 	// blend-serve's -cache flag).
 	CacheCapacity      int    `json:"cache_capacity"`

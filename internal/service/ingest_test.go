@@ -288,3 +288,68 @@ func TestServiceCompactJournalFailure(t *testing.T) {
 		t.Fatalf("healthz after failed compaction: %d", resp.StatusCode)
 	}
 }
+
+// TestTableIDOutOfRange checks that a table id beyond 32 bits is a 400
+// bad_request on GET and DELETE, and removes nothing: it must not wrap
+// around to a small id (4294967296 would wrap to table 0, T1).
+func TestTableIDOutOfRange(t *testing.T) {
+	d := fig1Discovery()
+	srv := newIngestServer(t, d, Options{})
+	for _, id := range []string{"4294967296", "2147483648", "-2147483649"} {
+		for _, method := range []string{"GET", "DELETE"} {
+			resp, body := doReq(t, method, srv.URL+"/v1/tables/"+id, "", "")
+			if resp.StatusCode != http.StatusBadRequest || errorCode(t, body) != "bad_request" {
+				t.Fatalf("%s /v1/tables/%s: %d %s, want 400 bad_request", method, id, resp.StatusCode, body)
+			}
+		}
+	}
+	if d.LiveTables() != 3 || d.TableIDByName("T1") != 0 {
+		t.Fatalf("out-of-range deletes changed the lake: %d live tables, T1 at %d",
+			d.LiveTables(), d.TableIDByName("T1"))
+	}
+}
+
+// TestAsOfHitsNamedAtTheirGeneration removes T1 and compacts, which
+// renumbers T2 and T3 to ids 0 and 1, then asks /v1/seek and /v1/query at
+// generation 1. Their hits carry generation-1 ids, so they must be named
+// as generation 1 named them, not as the current generation does.
+func TestAsOfHitsNamedAtTheirGeneration(t *testing.T) {
+	d := fig1Discovery()
+	srv := newIngestServer(t, d, Options{})
+	if err := d.RemoveTable(d.TableIDByName("T1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	gen1 := []string{"T1", "T2", "T3"} // the table ids of generation 1
+	seeker := `{"kind": "sc", "values": ["HR", "IT", "Sales"], "k": 5}`
+	opts := `"options": {"as_of_generation": 1}`
+	var seek SeekResponse
+	var query QueryResponse
+	for _, c := range []struct {
+		path, body string
+		out        any
+		hits       *[]Hit
+	}{
+		{"/v1/seek", `{"seeker": ` + seeker + `, ` + opts + `}`, &seek, &seek.Hits},
+		{"/v1/query", `{"plan": {"nodes": [{"id": "s", "seeker": ` + seeker + `}], "output": "s"}, ` + opts + `}`,
+			&query, &query.Hits},
+	} {
+		resp, body := doReq(t, "POST", srv.URL+c.path, "application/json", c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, c.out); err != nil {
+			t.Fatal(err)
+		}
+		if len(*c.hits) != 3 {
+			t.Fatalf("%s: hits %+v, want all three tables", c.path, *c.hits)
+		}
+		for _, h := range *c.hits {
+			if h.Table != gen1[h.TableID] {
+				t.Fatalf("%s: hit %d named %q, generation 1 names it %q", c.path, h.TableID, h.Table, gen1[h.TableID])
+			}
+		}
+	}
+}

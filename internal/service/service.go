@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -137,7 +138,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := QueryResponse{
-		Hits:            s.hits(res.Output),
+		Hits:            wireHits(res.Output, res.Tables),
 		SeekerOrder:     res.SeekerOrder,
 		CompletionOrder: res.CompletionOrder,
 		PeakConcurrency: res.PeakConcurrency,
@@ -172,12 +173,24 @@ func (s *Service) handleSeek(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.Options)
 	defer cancel()
 	start := time.Now()
-	hits, err := s.d.Seek(ctx, seeker, runOptions(req.Options)...)
+	// Pin the generation here rather than inside Seek, so the hits are
+	// named at the generation they were found at.
+	var asOf uint64
+	if req.Options != nil {
+		asOf = req.Options.AsOfGeneration
+	}
+	sn, err := s.d.SnapshotAt(asOf)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, SeekResponse{Hits: s.hits(hits), DurationMicros: time.Since(start).Microseconds()})
+	defer sn.Release()
+	hits, err := sn.Seek(ctx, seeker, runOptions(req.Options)...)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, SeekResponse{Hits: wireHits(hits, sn.TableNames(hits)), DurationMicros: time.Since(start).Microseconds()})
 }
 
 func (s *Service) handleSQL(w http.ResponseWriter, r *http.Request) {
@@ -229,8 +242,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		EstimatedBytes:   st.EstimatedBytes,
 		AvgColumnsPerTbl: st.AvgColumnsPerTbl,
 		AvgRowsPerTable:  st.AvgRowsPerTable,
-		ResidentShards:   st.ResidentShards,
-		MappedBytes:      st.MappedBytes,
 
 		CurrentGeneration:   s.d.Generation(),
 		RetainedGenerations: s.d.RetainedGenerations(),
@@ -351,17 +362,31 @@ func (s *Service) handleIngestDir(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Service) handleRemoveTable(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeError(w, berr.New(berr.CodeBadRequest, "service.tables", "table id %q is not a number", r.PathValue("id")))
-		return
+// tableID parses the {id} path segment of /v1/tables/{id}: a decimal
+// table id that fits in 32 bits, or a typed bad-request error.
+func tableID(r *http.Request) (int32, error) {
+	raw := r.PathValue("id")
+	id, err := strconv.ParseInt(raw, 10, 32)
+	if errors.Is(err, strconv.ErrRange) {
+		return 0, berr.New(berr.CodeBadRequest, "service.tables", "table id %s is out of range", raw)
 	}
-	if err := s.d.RemoveTable(int32(id)); err != nil {
+	if err != nil {
+		return 0, berr.New(berr.CodeBadRequest, "service.tables", "table id %q is not a number", raw)
+	}
+	return int32(id), nil
+}
+
+func (s *Service) handleRemoveTable(w http.ResponseWriter, r *http.Request) {
+	id, err := tableID(r)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, RemoveResponse{ID: int32(id), Removed: true, Tombstones: s.d.Stats().Tombstones})
+	if err := s.d.RemoveTable(id); err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, RemoveResponse{ID: id, Removed: true, Tombstones: s.d.Stats().Tombstones})
 }
 
 func (s *Service) handleCompact(w http.ResponseWriter, r *http.Request) {
@@ -382,17 +407,17 @@ func perSec(n int, d time.Duration) float64 {
 }
 
 func (s *Service) handleTable(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
+	id, err := tableID(r)
 	if err != nil {
-		writeError(w, berr.New(berr.CodeBadRequest, "service.tables", "table id %q is not a number", r.PathValue("id")))
+		writeError(w, err)
 		return
 	}
-	t := s.d.TableByID(int32(id))
+	t := s.d.TableByID(id)
 	if t == nil {
 		writeError(w, berr.New(berr.CodeNotFound, "service.tables", "no table with id %d", id))
 		return
 	}
-	resp := TableResponse{ID: int32(id), Name: t.Name, Rows: [][]string{}}
+	resp := TableResponse{ID: id, Name: t.Name, Rows: [][]string{}}
 	for c := 0; c < t.NumCols(); c++ {
 		resp.Columns = append(resp.Columns, t.Columns[c].Name)
 	}
@@ -406,9 +431,9 @@ func (s *Service) handleTable(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// hits maps engine hits to wire hits, resolving table names.
-func (s *Service) hits(h blend.Hits) []Hit {
-	names := s.d.TableNames(h)
+// wireHits pairs engine hits with their names (resolved at the generation
+// the hits were found at) as wire hits.
+func wireHits(h blend.Hits, names []string) []Hit {
 	out := make([]Hit, len(h))
 	for i, t := range h {
 		out[i] = Hit{TableID: t.TableID, Table: names[i], Score: t.Score}

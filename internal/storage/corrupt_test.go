@@ -12,19 +12,27 @@ import (
 	"blend/internal/berr"
 )
 
-// loadBytes writes raw index bytes to path and loads them whole: MapFile,
-// then every shard decoded through LoadShards, then Close. It returns the
-// first error.
+// loadBytes writes raw index bytes to path and opens them with MapFile,
+// which decodes every shard. It returns the error.
 func loadBytes(t *testing.T, path string, data []byte) error {
 	t.Helper()
 	writeBytes(t, path, data)
-	s, err := MapFile(path)
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	_, err = s.LoadShards()
+	_, err := MapFile(path)
 	return err
+}
+
+// loadFile reads an index file onto the heap and decodes it there: the
+// decoder of MapFile without the mapping, as on platforms without mmap.
+func loadFile(path string) (*ShardedStore, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, berr.Wrap(berr.CodeBadIndex, "storage.load", err)
+	}
+	s, err := decodeIndex(data)
+	if err != nil {
+		return nil, berr.Wrap(berr.CodeBadIndex, "storage.load", err)
+	}
+	return s, nil
 }
 
 // TestLoadTruncatedNeverPanics injects failure by truncating a valid index
@@ -131,16 +139,14 @@ func TestMapFileTruncatedNeverPanics(t *testing.T) {
 		}(n)
 	}
 	writeBytes(t, path, full)
-	idx, err := MapFile(path)
-	if err != nil {
+	if _, err := MapFile(path); err != nil {
 		t.Fatalf("full file failed to map: %v", err)
 	}
-	idx.Close()
 }
 
-// TestMapFileBadFooter corrupts the structures MapFile validates eagerly —
-// trailer magic, footer offset, footer CRC — and checks each is rejected
-// with the typed bad-index code.
+// TestMapFileBadFooter corrupts the structures MapFile validates before it
+// decodes any shard — trailer magic, footer offset, footer CRC — and checks
+// each is rejected with the typed bad-index code.
 func TestMapFileBadFooter(t *testing.T) {
 	var buf bytes.Buffer
 	orig := Build(widerLake(), 4)
@@ -182,110 +188,6 @@ func TestMapFileBadFooter(t *testing.T) {
 	}
 }
 
-// corruptShard0 saves a 4-shard index, flips a byte inside shard 0's dict
-// section body, and returns the corrupted bytes plus the directory holding
-// them. The footer stays valid, so MapFile accepts the file and the damage
-// shows only when shard 0 is first touched.
-func corruptShard0(t *testing.T) (data []byte, dir string) {
-	t.Helper()
-	orig := Build(widerLake(), 4)
-	dir = t.TempDir()
-	clean := filepath.Join(dir, "clean.blend")
-	if err := orig.SaveFile(clean); err != nil {
-		t.Fatal(err)
-	}
-	info, err := InspectFile(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dict := info.Shards[0].Sections[secDict]
-	if dict.Bytes == 0 {
-		t.Fatal("shard 0 has an empty dict section")
-	}
-	data, err = os.ReadFile(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[dict.Off+dict.Bytes/2] ^= 0xFF
-	return data, dir
-}
-
-// TestMappedCorruptSectionPanicsTyped flips a byte inside a shard's body
-// section. The footer stays valid, so MapFile succeeds; LoadShards must
-// return a typed bad-index error (it has an error return), and the mapped
-// store must panic with the same typed error on every touch of the
-// poisoned shard — the read accessors have no error returns, and a CRC
-// mismatch after open means the file changed underneath the mapping.
-func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
-	data, dir := corruptShard0(t)
-	bad := filepath.Join(dir, "bad.blend")
-	writeBytes(t, bad, data)
-	idx, err := MapFile(bad)
-	if err != nil {
-		t.Fatalf("MapFile rejected a file with a valid footer: %v", err)
-	}
-	defer idx.Close()
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("LoadShards panicked: %v", r)
-			}
-		}()
-		if _, err := idx.LoadShards(); !errors.Is(err, berr.ErrBadIndex) {
-			t.Fatalf("LoadShards error = %v, want ErrBadIndex", err)
-		}
-	}()
-	touch := func() (r any) {
-		defer func() { r = recover() }()
-		idx.Value(0) // global entry 0 lives in shard 0
-		return nil
-	}
-	for i := 0; i < 2; i++ { // the panic must repeat, not vanish after once.Do
-		r := touch()
-		if r == nil {
-			t.Fatalf("touch %d of corrupt shard did not panic", i)
-		}
-		err, ok := r.(error)
-		if !ok || berr.CodeOf(err) != berr.CodeBadIndex {
-			t.Fatalf("touch %d panicked with %v, want typed CodeBadIndex error", i, r)
-		}
-	}
-}
-
-// TestMappedCorruptSectionSaveFails saves a mapped index whose shard 0 is
-// corrupt. Save has an error return, so it must report the typed
-// bad-index error rather than panic, and SaveFile must leave neither the
-// target nor its temp file behind.
-func TestMappedCorruptSectionSaveFails(t *testing.T) {
-	data, dir := corruptShard0(t)
-	bad := filepath.Join(dir, "bad.blend")
-	writeBytes(t, bad, data)
-	idx, err := MapFile(bad)
-	if err != nil {
-		t.Fatalf("MapFile rejected a file with a valid footer: %v", err)
-	}
-	defer idx.Close()
-
-	out := filepath.Join(dir, "out.blend")
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("SaveFile panicked: %v", r)
-			}
-		}()
-		err = idx.SaveFile(out)
-	}()
-	if !errors.Is(err, berr.ErrBadIndex) {
-		t.Fatalf("SaveFile error = %v, want ErrBadIndex", err)
-	}
-	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("failed SaveFile left %s behind (stat: %v)", out, err)
-	}
-	if left, _ := filepath.Glob(out + ".tmp*"); len(left) != 0 {
-		t.Fatalf("failed SaveFile left temp files %v", left)
-	}
-}
-
 // TestRetiredFormatsRejected feeds every reader hand-built headers of
 // retired or unknown formats: v1–v3 files, a v4 file written with the row
 // layout, and an unknown version. Each must fail with a typed bad-index
@@ -317,15 +219,7 @@ func TestRetiredFormatsRejected(t *testing.T) {
 		name string
 		open func(path string) (any, error)
 	}{
-		// LoadFile is the whole-file load of the stats command.
-		{"LoadFile", func(path string) (any, error) {
-			s, err := MapFile(path)
-			if err != nil {
-				return nil, err
-			}
-			defer s.Close()
-			return s.LoadShards()
-		}},
+		{"LoadFile", func(path string) (any, error) { return loadFile(path) }},
 		{"MapFile", func(path string) (any, error) { return MapFile(path) }},
 		{"InspectFile", func(path string) (any, error) { return InspectFile(path) }},
 	}

@@ -25,9 +25,7 @@ import (
 //     base (see Store.dictBase/dictDelta), folded back into a fresh base
 //     when the delta grows past a quarter of it.
 //   - Only the shard spine is copied: untouched shards are shared, mutated
-//     shards are themselves cowCloned first. Lazy mmap slots are shared
-//     across generations, so a shard materialized through any generation
-//     is resident for all of them.
+//     shards are themselves cowCloned first.
 
 // cowClone returns a structurally shared copy of the store that is safe to
 // mutate (append tables, tombstone) while readers keep using the receiver.
@@ -66,8 +64,7 @@ func (s *Store) cowClone() *Store {
 
 // cowClone returns a structurally shared copy of the sharded store: the
 // shard spine and per-shard global-id directory are copied (their elements
-// are overwritten per mutation), everything else — including the mmap seg
-// and its lazy slots — is shared.
+// are overwritten per mutation), everything else is shared.
 func (s *ShardedStore) cowClone() *ShardedStore {
 	cp := *s
 	cp.shards = append([]*Store(nil), s.shards...)
@@ -75,10 +72,9 @@ func (s *ShardedStore) cowClone() *ShardedStore {
 	return &cp
 }
 
-// ownShard replaces shard sh with a mutable cowClone of it,
-// materializing it from the mapped file first if needed.
+// ownShard replaces shard sh with a mutable cowClone of it.
 func (s *ShardedStore) ownShard(sh int) {
-	s.shards[sh] = s.shard(sh).cowClone()
+	s.shards[sh] = s.shards[sh].cowClone()
 }
 
 // CloneAddTablesBatch derives an index with tables appended and returns
@@ -113,8 +109,7 @@ func (s *ShardedStore) CloneRemoveTable(tid int32) (*ShardedStore, error) {
 // CloneCompact derives an index rebuilt without tombstoned tables, keeping
 // the shard count and the relative order of the (contiguously reassigned)
 // global ids, and reports how many it reclaimed; with none it returns the
-// receiver and 0. It never closes the parent's file mapping, which older
-// generations may still read.
+// receiver and 0.
 func (s *ShardedStore) CloneCompact() (*ShardedStore, int) {
 	removed := s.Tombstones()
 	if removed == 0 {
@@ -123,7 +118,7 @@ func (s *ShardedStore) CloneCompact() (*ShardedStore, int) {
 	live := make([]*table.Table, 0, len(s.refs)-removed)
 	for g := range s.refs {
 		r := s.refs[g]
-		if sh := s.shard(int(r.shard)); sh.TableAlive(r.local) {
+		if sh := s.shards[r.shard]; sh.TableAlive(r.local) {
 			live = append(live, sh.reconstructTable(r.local))
 		}
 	}

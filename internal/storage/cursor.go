@@ -49,7 +49,7 @@ func (c *PostingCursor) Next(b *PostingBlock, super bool) bool {
 			}
 			i := c.next
 			c.next++
-			c.st = c.s.shard(i)
+			c.st = c.s.shards[i]
 			c.list = c.st.postingList(c.value)
 			c.gtid = c.s.globalTID[i]
 			c.base = c.s.base[i]

@@ -97,8 +97,8 @@ func cursorLake() []*table.Table {
 // TestPostingCursorMatchesBruteForce checks the cursor against a scan over
 // the per-entry accessors for every dictionary value and a missing one,
 // across shard counts, with and without a tombstone, on a built store and
-// on its saved file mapped two ways: loaded whole up front (LoadShards, as
-// the stats command does) and decoded lazily on the cursor's first touch.
+// on its saved file read back two ways: decoded from heap bytes (loadFile)
+// and decoded from the mapping by MapFile, which then unmaps it.
 // Postings are checked against the whole entry range, and ShardPostings of
 // every shard against that shard's global range.
 func TestPostingCursorMatchesBruteForce(t *testing.T) {
@@ -113,11 +113,8 @@ func TestPostingCursorMatchesBruteForce(t *testing.T) {
 				}
 			}
 			path := saveTemp(t, heap, "cursor.blend")
-			loaded, err := MapFile(path)
+			loaded, err := loadFile(path)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := loaded.LoadShards(); err != nil {
 				t.Fatal(err)
 			}
 			mapped, err := MapFile(path)
@@ -163,8 +160,6 @@ func TestPostingCursorMatchesBruteForce(t *testing.T) {
 					}
 				})
 			}
-			loaded.Close()
-			mapped.Close()
 		}
 	}
 }

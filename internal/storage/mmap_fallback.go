@@ -9,8 +9,7 @@ import (
 )
 
 // mmapFile on platforms without the unix mmap syscall falls back to
-// reading the whole file into memory. Lazy shard materialization still
-// applies (decode work is deferred), only the page-cache sharing is lost.
+// reading the whole file into memory; MapFile decodes it the same way.
 func mmapFile(f *os.File, size int64) (data []byte, release func() error, err error) {
 	if size <= 0 {
 		return nil, nil, fmt.Errorf("cannot map empty index file")

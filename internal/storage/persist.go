@@ -11,11 +11,10 @@ import (
 
 // Binary persistence for the AllTables index. Save writes the segmented v4
 // format described in segment.go: per-shard, per-section segments behind a
-// footer directory, varint/delta-compressed, so MapFile can memory-map the
-// file and decode shards lazily. MapFile is the only reader and reads v4
-// only; files written in the retired v1–v3 formats, or with the retired
-// row layout, fail with a typed bad-index error that says how to rebuild
-// them.
+// footer directory, varint/delta-compressed. MapFile is the only reader
+// and reads v4 only; files written in the retired v1–v3 formats, or with
+// the retired row layout, fail with a typed bad-index error that says how
+// to rebuild them.
 
 const (
 	persistMagic = "BLND"
@@ -30,24 +29,16 @@ const rebuildHint = "rebuild it with `blend index -lake DIR -out FILE`"
 // Save writes the index to w in the segmented v4 format, round-tripping
 // the shard count, the global table directory, and per-shard tombstones.
 // A one-shard index is written as the monolithic kind, any other as the
-// sharded kind. On a lazily mapped store this first materializes every
-// shard (see LoadShards); a shard that fails its integrity checks fails
-// the save with a typed bad-index error before anything is written.
+// sharded kind.
 func (s *ShardedStore) Save(w io.Writer) error {
-	shards, err := s.LoadShards()
-	if err != nil {
-		return err
-	}
-	return writeSegmented(w, shards, s.refs)
+	return writeSegmented(w, s.shards, s.refs)
 }
 
 // SaveFile writes the index to a file durably: once it returns, a power
 // loss leaves either the old file or the complete new one at path.
 func (s *ShardedStore) SaveFile(path string) error {
-	// Never truncate the target in place: path may back the live mapping
-	// of the very store being saved (open-mapped → append → save flows),
-	// and an in-place os.Create would tear the pages out from under the
-	// save's own lazy shard reads mid-write.
+	// Never truncate the target in place: a crash mid-write would leave
+	// neither the old index nor the new one.
 	f, err := replaceFile(path, func(f *os.File) error { return s.Save(f) })
 	if f != nil {
 		if cerr := f.Close(); err == nil {
@@ -86,11 +77,13 @@ func replaceFile(path string, write func(*os.File) error) (*os.File, error) {
 	return f, syncDir(dir)
 }
 
-// MapFile opens a v4 index file for serving. The file is memory-mapped:
-// only the footer directory, the table-to-shard refs, and the tombstone
-// bitmaps are decoded up front, so opening is O(footer) instead of
-// O(index); shards materialize on first touch (see ShardedStore.shard).
-// Callers that are done with a mapped index should Close it.
+// MapFile opens a v4 index file and decodes all of it. The file is
+// memory-mapped for the duration of the call: every section's CRC, the
+// referential integrity of every entry and the tombstones are checked,
+// every shard is decoded to the heap, and the file is unmapped before
+// MapFile returns. The result is the same kind of object Build returns;
+// nothing in it refers to the file. Any failure — a missing or retired
+// file, a bad footer, a corrupt section — is a typed bad-index error.
 func MapFile(path string) (*ShardedStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -102,17 +95,18 @@ func MapFile(path string) (*ShardedStore, error) {
 		return nil, berr.Wrap(berr.CodeBadIndex, "storage.map", err)
 	}
 	data, release, err := mmapFile(f, fi.Size())
-	f.Close() // the mapping outlives the descriptor
+	f.Close() // the mapping does not need the descriptor
 	if err != nil {
 		return nil, berr.Wrap(berr.CodeBadIndex, "storage.map", err)
 	}
-	sf, err := parseSegFile(data)
+	s, err := decodeIndex(data)
+	if rerr := release(); err == nil {
+		err = rerr
+	}
 	if err != nil {
-		release()
 		return nil, berr.Wrap(berr.CodeBadIndex, "storage.map", err)
 	}
-	sf.unmap = release
-	return sf.lazyIndex(), nil
+	return s, nil
 }
 
 // checkHeader validates the fixed header of an index file: magic, format

@@ -1,10 +1,9 @@
 package storage
 
-// Tests for the segmented v4 persistence format and its memory-mapped
-// lazy-load path: differential mapped-vs-built coverage across shard
-// counts, residency accounting, committed v4 files from earlier releases,
-// property-based round trips, maintenance ops on mapped stores, and the
-// footer-directory inspection API.
+// Tests for the segmented v4 persistence format and its reader MapFile:
+// differential opened-vs-built coverage across shard counts, committed v4
+// files from earlier releases, property-based round trips, maintenance ops
+// on opened stores, and the footer-directory inspection API.
 
 import (
 	"bytes"
@@ -36,15 +35,13 @@ func saveTemp(t *testing.T, s *ShardedStore, name string) string {
 	return path
 }
 
-// reopen round-trips s through a temp file and MapFile; the mapping is
-// released when the test ends.
+// reopen round-trips s through a temp file and MapFile.
 func reopen(t *testing.T, s *ShardedStore) *ShardedStore {
 	t.Helper()
 	back, err := MapFile(saveTemp(t, s, "reopen.blend"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { back.Close() })
 	return back
 }
 
@@ -80,7 +77,7 @@ func readerProbe(t *testing.T, want, got *ShardedStore, label string) {
 }
 
 // TestMapFileMatchesBuild is the core differential: a v4 file read back
-// lazily (MapFile) must expose the content of the built store that saved
+// by MapFile must expose the content of the built store that saved
 // it through every read surface, across shard counts.
 func TestMapFileMatchesBuild(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -90,7 +87,6 @@ func TestMapFileMatchesBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer mapped.Close()
 			readerProbe(t, orig, mapped, "mapped")
 		})
 	}
@@ -109,7 +105,6 @@ func TestMapFileMonolithicKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mapped.Close()
 	readerProbe(t, orig, mapped, "mapped-mono")
 	var buf bytes.Buffer
 	if err := mapped.Save(&buf); err != nil {
@@ -173,48 +168,6 @@ func TestV4FixturesStillOpen(t *testing.T) {
 			t.Fatalf("%s: shards/tombstones %d/%d, want %d/%d", tc.file,
 				mapped.NumShards(), mapped.Tombstones(), tc.want.NumShards(), tc.want.Tombstones())
 		}
-		mapped.Close()
-	}
-}
-
-// TestMapFileLazyResidency checks the laziness contract: opening touches
-// no shard, a hash-routed name lookup touches exactly one, and a full
-// content scan makes everything resident.
-func TestMapFileLazyResidency(t *testing.T) {
-	orig := Build(widerLake(), 4)
-	path := saveTemp(t, orig, "lazy.blend")
-	s, err := MapFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.ResidentShards(); got != 0 {
-		t.Fatalf("ResidentShards after open = %d, want 0", got)
-	}
-	if s.MappedBytes() <= 0 {
-		t.Fatalf("MappedBytes = %d, want > 0", s.MappedBytes())
-	}
-	// Footer-backed surfaces must not force materialization.
-	if s.NumEntries() != orig.NumEntries() || s.NumTables() != orig.NumTables() ||
-		s.Tombstones() != 0 || !s.TableAlive(0) {
-		t.Fatal("footer-backed shape surfaces diverge")
-	}
-	if got := s.ResidentShards(); got != 0 {
-		t.Fatalf("ResidentShards after shape reads = %d, want 0", got)
-	}
-	if s.TableIDByName(orig.TableName(0)) != 0 {
-		t.Fatal("TableIDByName lookup failed on mapped store")
-	}
-	if got := s.ResidentShards(); got != 1 {
-		t.Fatalf("ResidentShards after one name lookup = %d, want 1", got)
-	}
-	storeTuples(s) // full scan
-	if got := s.ResidentShards(); got != s.NumShards() {
-		t.Fatalf("ResidentShards after full scan = %d, want %d", got, s.NumShards())
-	}
-	stats := s.ComputeStats()
-	if stats.ResidentShards != s.NumShards() || stats.MappedBytes != s.MappedBytes() {
-		t.Fatalf("stats residency = %+v", stats)
 	}
 }
 
@@ -235,8 +188,8 @@ func TestSegmentedQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMaintenanceOnMappedStore runs every mutating op against a lazily
-// mapped store and the built store it was saved from; the two must stay
+// TestMaintenanceOnMappedStore runs every mutating op against a store
+// opened with MapFile and the built store it was saved from; the two must stay
 // indistinguishable through add, remove, compact, and a save/reload.
 func TestMaintenanceOnMappedStore(t *testing.T) {
 	built := Build(batchLake("M", 12), 4)
@@ -244,7 +197,6 @@ func TestMaintenanceOnMappedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mapped.Close()
 
 	check := func(step string) {
 		t.Helper()
@@ -282,11 +234,10 @@ func TestMaintenanceOnMappedStore(t *testing.T) {
 	}
 }
 
-// TestSaveOverOwnMapping overwrites the file backing a lazily mapped
-// store with that store's own SaveFile — the CLI's open → append → save
-// in-place flow. The save must not read torn pages from its own mapping
-// (saveFile writes a temp file and renames), and both the live store and
-// a fresh open of the path must see the appended state.
+// TestSaveOverOwnMapping overwrites the file a store was opened from with
+// that store's own SaveFile — the CLI's open → append → save in-place
+// flow. Both the live store and a fresh open of the path must see the
+// appended state.
 func TestSaveOverOwnMapping(t *testing.T) {
 	orig := Build(batchLake("S", 8), 4)
 	path := saveTemp(t, orig, "self.blend")
@@ -294,9 +245,8 @@ func TestSaveOverOwnMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer idx.Close()
 	s, _ := idx.CloneAddTablesBatch(batchLake("T", 4))
-	if err := s.SaveFile(path); err != nil { // no shard is resident yet beyond the touched ones
+	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if s.TableIDByName("T02") < 0 {
@@ -306,7 +256,6 @@ func TestSaveOverOwnMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer back.Close()
 	if !reflect.DeepEqual(storeTuples(s), storeTuples(back)) {
 		t.Fatal("reopened file diverges from the store that saved it")
 	}

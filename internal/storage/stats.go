@@ -13,15 +13,14 @@ type Stats struct {
 	AvgPostingLength float64
 	MaxPostingLength int
 	DictBytes        int64
-	EstimatedBytes   int64 // heap-resident footprint (resident shards only when mapped)
+	EstimatedBytes   int64 // heap footprint of the whole index
 	AvgColumnsPerTbl float64
 	AvgRowsPerTable  float64
 
-	// Lazily mapped (v4) indexes report how much of the lake is actually
-	// on the heap versus still just memory-mapped file pages. For
-	// heap-built indexes ResidentShards == Shards and MappedBytes == 0.
-	// Content scans above cover resident shards only, so a stats probe
-	// never forces the whole index resident.
+	// Every shard is on the heap from the moment an index is built or
+	// opened, and nothing stays mapped: ResidentShards always equals
+	// Shards and MappedBytes is always 0. Both remain for readers that
+	// report them.
 	ResidentShards int
 	MappedBytes    int64
 }

@@ -193,7 +193,6 @@ func TestPersistFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer back.Close()
 	if back.NumEntries() != orig.NumEntries() {
 		t.Fatal("file round trip lost entries")
 	}
