@@ -188,6 +188,123 @@ func TestMapFileBadFooter(t *testing.T) {
 	}
 }
 
+// corruptShard0 saves a 4-shard index, flips a byte inside shard 0's dict
+// section body, and returns the corrupted bytes plus the directory holding
+// them and the clean file. The footer stays valid, so only the decode of
+// shard 0 can see the damage.
+func corruptShard0(t *testing.T) (data []byte, dir, clean string) {
+	t.Helper()
+	orig := Build(widerLake(), 4)
+	dir = t.TempDir()
+	clean = filepath.Join(dir, "clean.blend")
+	if err := orig.SaveFile(clean); err != nil {
+		t.Fatal(err)
+	}
+	info, err := InspectFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := info.Shards[0].Sections[secDict]
+	if dict.Bytes == 0 {
+		t.Fatal("shard 0 has an empty dict section")
+	}
+	data, err = os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[dict.Off+dict.Bytes/2] ^= 0xFF
+	return data, dir, clean
+}
+
+// TestMappedCorruptSectionPanicsTyped flips a byte inside a shard's body
+// section. The footer stays valid, so the damage shows only when the shard
+// is decoded. The name dates from when a mapped shard was decoded on first
+// touch and a corrupt one panicked with a typed error there; every shard
+// is now decoded before MapFile returns, so the typed failure is MapFile's
+// error. MapFile and the heap decoder must both return ErrBadIndex and no
+// store, never panic, and fail again on a second open.
+func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
+	data, dir, _ := corruptShard0(t)
+	bad := filepath.Join(dir, "bad.blend")
+	writeBytes(t, bad, data)
+	opens := []struct {
+		name string
+		open func() (*ShardedStore, error)
+	}{
+		{"MapFile", func() (*ShardedStore, error) { return MapFile(bad) }},
+		{"loadFile", func() (*ShardedStore, error) { return loadFile(bad) }},
+	}
+	for _, o := range opens {
+		for i := 0; i < 2; i++ { // the failure must repeat, not vanish after once
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s open %d panicked: %v", o.name, i, r)
+					}
+				}()
+				s, err := o.open()
+				if !errors.Is(err, berr.ErrBadIndex) || berr.CodeOf(err) != berr.CodeBadIndex {
+					t.Fatalf("%s open %d error = %v, want typed ErrBadIndex", o.name, i, err)
+				}
+				if s != nil {
+					t.Fatalf("%s open %d returned a store with its error", o.name, i)
+				}
+			}()
+		}
+	}
+}
+
+// TestMappedCorruptSectionSaveFails checks that a corrupt index cannot be
+// saved over a good one, and that a failed SaveFile leaves nothing behind.
+// The corrupt file fails MapFile, so no store exists to save and the
+// target keeps its bytes. A SaveFile whose final rename fails — the target
+// is a non-empty directory — must return the error and remove its temp
+// file.
+func TestMappedCorruptSectionSaveFails(t *testing.T) {
+	data, dir, clean := corruptShard0(t)
+	bad := filepath.Join(dir, "bad.blend")
+	writeBytes(t, bad, data)
+	want, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("MapFile panicked: %v", r)
+			}
+		}()
+		idx, err := MapFile(bad)
+		if !errors.Is(err, berr.ErrBadIndex) {
+			t.Fatalf("MapFile error = %v, want ErrBadIndex", err)
+		}
+		if idx != nil {
+			t.Fatal("MapFile returned a store with its error")
+		}
+	}()
+	if got, err := os.ReadFile(clean); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("clean index changed after a failed open (read err %v)", err)
+	}
+
+	good, err := MapFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.blend")
+	if err := os.MkdirAll(filepath.Join(out, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := good.SaveFile(out); err == nil {
+		t.Fatal("SaveFile over a non-empty directory succeeded")
+	}
+	if fi, err := os.Stat(out); err != nil || !fi.IsDir() {
+		t.Fatalf("failed SaveFile replaced its target (stat: %v)", err)
+	}
+	if left, _ := filepath.Glob(out + ".tmp*"); len(left) != 0 {
+		t.Fatalf("failed SaveFile left temp files %v", left)
+	}
+}
+
 // TestRetiredFormatsRejected feeds every reader hand-built headers of
 // retired or unknown formats: v1–v3 files, a v4 file written with the row
 // layout, and an unknown version. Each must fail with a typed bad-index
