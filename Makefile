@@ -22,7 +22,7 @@ race:
 
 # lint is the blocking static-analysis gate: gofmt, go vet, the
 # repo-specific blendlint invariant suite (typed errors, context flow,
-# lock/pool/mmap discipline — see internal/lint), and staticcheck when
+# lock and pool discipline — see internal/lint), and staticcheck when
 # installed (CI always installs it, so it blocks there; staticcheck.conf
 # is the checked-in config).
 lint:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -33,9 +34,16 @@ func TestTypedErrorCodes(t *testing.T) {
 	if err := NewPlan().SetOutput("nope"); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("unknown output: %v", err)
 	}
-	// Corrupt index file -> ErrBadIndex.
-	if _, err := OpenIndex(filepath.Join(t.TempDir(), "missing.blend")); !errors.Is(err, ErrBadIndex) {
-		t.Fatalf("missing index: %v", err)
+	// A missing index file, a directory and an empty file -> ErrBadIndex.
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.blend")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(dir, "missing.blend"), dir, empty} {
+		if _, err := OpenIndex(path); !errors.Is(err, ErrBadIndex) {
+			t.Fatalf("open %s: %v", path, err)
+		}
 	}
 	// Bad raw SQL -> ErrBadQuery.
 	if _, err := d.Engine().ExecRawSQL(context.Background(), "SELEKT nope"); !errors.Is(err, ErrBadQuery) {

@@ -1,7 +1,7 @@
 package blend
 
 // Cold-open benchmarks: how fast an on-disk index becomes queryable.
-// OpenIndex maps the file, checks and decodes every shard, and unmaps it.
+// OpenIndex reads the file, then checks and decodes every shard.
 
 import (
 	"os"
@@ -54,7 +54,7 @@ func fileSize(path string) int64 {
 // the file. It also reports the file's on-disk size.
 func BenchmarkOpenIndexCold(b *testing.B) {
 	benchOpenSetup(b)
-	b.Run("V4Mmap", func(b *testing.B) {
+	b.Run("V4", func(b *testing.B) {
 		b.ReportMetric(float64(benchOpen.v4Size), "disk_bytes")
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -222,7 +222,7 @@ func OpenIndex(path string, opts ...IndexOption) (*Discovery, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s, err := storage.MapFile(path)
+	s, err := storage.LoadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("blend: open index %s: %w", path, err)
 	}

@@ -141,7 +141,7 @@ func cmdStats(args []string) error {
 	if *index == "" {
 		return berr.New(berr.CodeBadRequest, "cli.stats", "-index is required")
 	}
-	s, err := storage.MapFile(*index)
+	s, err := storage.LoadFile(*index)
 	if err != nil {
 		return err
 	}

@@ -1,5 +1,5 @@
 // Command blendlint runs BLEND's in-tree invariant suite (see
-// internal/lint): berrcheck, ctxflow, lockguard, mmapref, poolcheck.
+// internal/lint): berrcheck, ctxflow, lockguard, poolcheck.
 //
 // Usage (make lint and make lint-fix run the first two):
 //

@@ -2,7 +2,7 @@ package lint
 
 // All returns the full blendlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Berrcheck, Ctxflow, Lockguard, Mmapref, Poolcheck}
+	return []*Analyzer{Berrcheck, Ctxflow, Lockguard, Poolcheck}
 }
 
 // ByName resolves a comma-separated analyzer selection (for the -only

@@ -20,11 +20,6 @@
 //     `// lint:gen-lazy <reason>`.
 //   - poolcheck: sync.Pool scratch is released via defer on every return
 //     path (panics included) and never escapes or is used after release.
-//   - mmapref: byte slices derived from mmap-backed sections (fields
-//     annotated `// mmapref: mapped`, functions annotated
-//     `// mmapref: returns mapped memory`) are never stored into
-//     unannotated fields or returned from unannotated functions without
-//     a copy — the use-after-unmap hazard of the v4 index.
 //
 // Any finding can be waived in place with
 // `// lint:ignore <analyzer> <reason>` on the offending line or the line

@@ -12,27 +12,13 @@ import (
 	"blend/internal/berr"
 )
 
-// loadBytes writes raw index bytes to path and opens them with MapFile,
+// loadBytes writes raw index bytes to path and opens them with LoadFile,
 // which decodes every shard. It returns the error.
 func loadBytes(t *testing.T, path string, data []byte) error {
 	t.Helper()
 	writeBytes(t, path, data)
-	_, err := MapFile(path)
+	_, err := LoadFile(path)
 	return err
-}
-
-// loadFile reads an index file onto the heap and decodes it there: the
-// decoder of MapFile without the mapping, as on platforms without mmap.
-func loadFile(path string) (*ShardedStore, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, berr.Wrap(berr.CodeBadIndex, "storage.load", err)
-	}
-	s, err := decodeIndex(data)
-	if err != nil {
-		return nil, berr.Wrap(berr.CodeBadIndex, "storage.load", err)
-	}
-	return s, nil
 }
 
 // TestLoadTruncatedNeverPanics injects failure by truncating a valid index
@@ -105,11 +91,11 @@ func writeBytes(t *testing.T, path string, data []byte) {
 	}
 }
 
-// TestMapFileTruncatedNeverPanics truncates a valid v4 file at every
-// (stepped) prefix length: MapFile must return an error without
+// TestLoadFileTruncatedNeverPanics truncates a valid v4 file at every
+// (stepped) prefix length: LoadFile must return an error without
 // panicking — the footer directory lives at the end of the file, so no
 // truncation can look complete.
-func TestMapFileTruncatedNeverPanics(t *testing.T) {
+func TestLoadFileTruncatedNeverPanics(t *testing.T) {
 	var buf bytes.Buffer
 	orig := Build(widerLake(), 4)
 	if err := orig.Save(&buf); err != nil {
@@ -126,28 +112,28 @@ func TestMapFileTruncatedNeverPanics(t *testing.T) {
 		func(n int) {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("MapFile panicked on %d-byte prefix: %v", n, r)
+					t.Fatalf("LoadFile panicked on %d-byte prefix: %v", n, r)
 				}
 			}()
-			idx, err := MapFile(path)
+			idx, err := LoadFile(path)
 			if err == nil {
-				t.Fatalf("MapFile accepted a %d-byte truncation of a %d-byte file", n, len(full))
+				t.Fatalf("LoadFile accepted a %d-byte truncation of a %d-byte file", n, len(full))
 			}
 			if idx != nil {
-				t.Fatalf("MapFile returned both an index and an error at prefix %d", n)
+				t.Fatalf("LoadFile returned both an index and an error at prefix %d", n)
 			}
 		}(n)
 	}
 	writeBytes(t, path, full)
-	if _, err := MapFile(path); err != nil {
-		t.Fatalf("full file failed to map: %v", err)
+	if _, err := LoadFile(path); err != nil {
+		t.Fatalf("full file failed to load: %v", err)
 	}
 }
 
-// TestMapFileBadFooter corrupts the structures MapFile validates before it
+// TestLoadFileBadFooter corrupts the structures LoadFile validates before it
 // decodes any shard — trailer magic, footer offset, footer CRC — and checks
 // each is rejected with the typed bad-index code.
-func TestMapFileBadFooter(t *testing.T) {
+func TestLoadFileBadFooter(t *testing.T) {
 	var buf bytes.Buffer
 	orig := Build(widerLake(), 4)
 	if err := orig.Save(&buf); err != nil {
@@ -177,9 +163,9 @@ func TestMapFileBadFooter(t *testing.T) {
 			mutated := append([]byte(nil), full...)
 			tc.mutate(mutated)
 			writeBytes(t, path, mutated)
-			_, err := MapFile(path)
+			_, err := LoadFile(path)
 			if err == nil {
-				t.Fatal("MapFile accepted the corrupted file")
+				t.Fatal("LoadFile accepted the corrupted file")
 			}
 			if berr.CodeOf(err) != berr.CodeBadIndex {
 				t.Fatalf("error code = %v, want CodeBadIndex (%v)", berr.CodeOf(err), err)
@@ -216,51 +202,42 @@ func corruptShard0(t *testing.T) (data []byte, dir, clean string) {
 	return data, dir, clean
 }
 
-// TestMappedCorruptSectionPanicsTyped flips a byte inside a shard's body
+// TestCorruptSectionPanicsTyped flips a byte inside a shard's body
 // section. The footer stays valid, so the damage shows only when the shard
-// is decoded. The name dates from when a mapped shard was decoded on first
-// touch and a corrupt one panicked with a typed error there; every shard
-// is now decoded before MapFile returns, so the typed failure is MapFile's
-// error. MapFile and the heap decoder must both return ErrBadIndex and no
-// store, never panic, and fail again on a second open.
-func TestMappedCorruptSectionPanicsTyped(t *testing.T) {
+// is decoded. The name dates from when a shard was decoded on first touch
+// and a corrupt one panicked with a typed error there; every shard is now
+// decoded before LoadFile returns, so the typed failure is LoadFile's
+// error. LoadFile must return ErrBadIndex and no store, never panic, and
+// fail again on a second open.
+func TestCorruptSectionPanicsTyped(t *testing.T) {
 	data, dir, _ := corruptShard0(t)
 	bad := filepath.Join(dir, "bad.blend")
 	writeBytes(t, bad, data)
-	opens := []struct {
-		name string
-		open func() (*ShardedStore, error)
-	}{
-		{"MapFile", func() (*ShardedStore, error) { return MapFile(bad) }},
-		{"loadFile", func() (*ShardedStore, error) { return loadFile(bad) }},
-	}
-	for _, o := range opens {
-		for i := 0; i < 2; i++ { // the failure must repeat, not vanish after once
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%s open %d panicked: %v", o.name, i, r)
-					}
-				}()
-				s, err := o.open()
-				if !errors.Is(err, berr.ErrBadIndex) || berr.CodeOf(err) != berr.CodeBadIndex {
-					t.Fatalf("%s open %d error = %v, want typed ErrBadIndex", o.name, i, err)
-				}
-				if s != nil {
-					t.Fatalf("%s open %d returned a store with its error", o.name, i)
+	for i := 0; i < 2; i++ { // the failure must repeat, not vanish after once
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("LoadFile open %d panicked: %v", i, r)
 				}
 			}()
-		}
+			s, err := LoadFile(bad)
+			if !errors.Is(err, berr.ErrBadIndex) || berr.CodeOf(err) != berr.CodeBadIndex {
+				t.Fatalf("LoadFile open %d error = %v, want typed ErrBadIndex", i, err)
+			}
+			if s != nil {
+				t.Fatalf("LoadFile open %d returned a store with its error", i)
+			}
+		}()
 	}
 }
 
-// TestMappedCorruptSectionSaveFails checks that a corrupt index cannot be
+// TestCorruptSectionSaveFails checks that a corrupt index cannot be
 // saved over a good one, and that a failed SaveFile leaves nothing behind.
-// The corrupt file fails MapFile, so no store exists to save and the
+// The corrupt file fails LoadFile, so no store exists to save and the
 // target keeps its bytes. A SaveFile whose final rename fails — the target
 // is a non-empty directory — must return the error and remove its temp
 // file.
-func TestMappedCorruptSectionSaveFails(t *testing.T) {
+func TestCorruptSectionSaveFails(t *testing.T) {
 	data, dir, clean := corruptShard0(t)
 	bad := filepath.Join(dir, "bad.blend")
 	writeBytes(t, bad, data)
@@ -271,22 +248,22 @@ func TestMappedCorruptSectionSaveFails(t *testing.T) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				t.Fatalf("MapFile panicked: %v", r)
+				t.Fatalf("LoadFile panicked: %v", r)
 			}
 		}()
-		idx, err := MapFile(bad)
+		idx, err := LoadFile(bad)
 		if !errors.Is(err, berr.ErrBadIndex) {
-			t.Fatalf("MapFile error = %v, want ErrBadIndex", err)
+			t.Fatalf("LoadFile error = %v, want ErrBadIndex", err)
 		}
 		if idx != nil {
-			t.Fatal("MapFile returned a store with its error")
+			t.Fatal("LoadFile returned a store with its error")
 		}
 	}()
 	if got, err := os.ReadFile(clean); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("clean index changed after a failed open (read err %v)", err)
 	}
 
-	good, err := MapFile(clean)
+	good, err := LoadFile(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,8 +313,7 @@ func TestRetiredFormatsRejected(t *testing.T) {
 		name string
 		open func(path string) (any, error)
 	}{
-		{"LoadFile", func(path string) (any, error) { return loadFile(path) }},
-		{"MapFile", func(path string) (any, error) { return MapFile(path) }},
+		{"LoadFile", func(path string) (any, error) { return LoadFile(path) }},
 		{"InspectFile", func(path string) (any, error) { return InspectFile(path) }},
 	}
 	for _, tc := range cases {

@@ -97,8 +97,7 @@ func cursorLake() []*table.Table {
 // TestPostingCursorMatchesBruteForce checks the cursor against a scan over
 // the per-entry accessors for every dictionary value and a missing one,
 // across shard counts, with and without a tombstone, on a built store and
-// on its saved file read back two ways: decoded from heap bytes (loadFile)
-// and decoded from the mapping by MapFile, which then unmaps it.
+// on its saved file read back by LoadFile.
 // Postings are checked against the whole entry range, and ShardPostings of
 // every shard against that shard's global range.
 func TestPostingCursorMatchesBruteForce(t *testing.T) {
@@ -113,18 +112,14 @@ func TestPostingCursorMatchesBruteForce(t *testing.T) {
 				}
 			}
 			path := saveTemp(t, heap, "cursor.blend")
-			loaded, err := loadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mapped, err := MapFile(path)
+			loaded, err := LoadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, src := range []struct {
 				name string
 				s    *ShardedStore
-			}{{"heap", heap}, {"loadfile", loaded}, {"mapfile", mapped}} {
+			}{{"heap", heap}, {"loadfile", loaded}} {
 				t.Run(fmt.Sprintf("shards=%d/dead=%v/%s", shards, dead, src.name), func(t *testing.T) {
 					values := map[string]bool{"no-such-value": true}
 					for i := int32(0); i < int32(src.s.NumEntries()); i++ {

@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"os"
-
-	"blend/internal/berr"
-)
+import "blend/internal/berr"
 
 // SectionInfo describes one section of a v4 segment file.
 type SectionInfo struct {
@@ -57,16 +53,12 @@ func (si *SegmentInfo) RawEntryBytes() int64 {
 // materializing any shard. Retired (v1–v3) files report a bad-index error
 // naming their version.
 func InspectFile(path string) (*SegmentInfo, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, berr.Wrap(berr.CodeBadIndex, "storage.inspect", err)
-	}
-	sf, err := parseSegFile(data)
+	sf, err := readSegFile(path)
 	if err != nil {
 		return nil, berr.Wrap(berr.CodeBadIndex, "storage.inspect", err)
 	}
 	info := &SegmentInfo{
-		FileBytes: int64(len(data)),
+		FileBytes: int64(len(sf.data)),
 		Kind:      "sharded",
 		Tables:    sf.numTables,
 		RefsBytes: sf.refsSec.n,
@@ -75,7 +67,7 @@ func InspectFile(path string) (*SegmentInfo, error) {
 		info.Kind = "monolithic"
 	}
 	footerSize := int64(segFooterFixed + len(sf.shards)*segShardDirSize)
-	info.FooterOff = int64(len(data)) - segTrailerSize - footerSize
+	info.FooterOff = int64(len(sf.data)) - segTrailerSize - footerSize
 	for i := range sf.shards {
 		sh := &sf.shards[i]
 		out := ShardSegInfo{Entries: sh.entries, Tables: sh.tables, Tombstones: sh.numDead}

@@ -3,8 +3,10 @@ package storage
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"blend/internal/datalake"
 	"blend/internal/table"
 )
 
@@ -237,5 +239,81 @@ func TestAddAfterRemoveKeepsIdsDisjoint(t *testing.T) {
 	}
 	if s.Tombstones() != 1 {
 		t.Fatal("tombstone lost by batch insert")
+	}
+}
+
+// TestPublishAfterAbandonedClone derives a clone, drops it, and derives a
+// second one from the same parent: the engine's path when a journal append
+// fails after the clone was made. Appends fill the parent's spare
+// capacity, so the second clone writes the same backing slots again; the
+// parent must still read as before and the second clone as if the first
+// had never existed. One shard puts both batches in the same arrays.
+func TestPublishAfterAbandonedClone(t *testing.T) {
+	parent := Build(lakeFixture(), 1)
+	// One publish first, so the parent carries spare capacity.
+	parent, _ = parent.CloneAddTablesBatch(batchLake("P", 1))
+	want := storeTuples(parent)
+	hr := parent.Frequency("HR")
+
+	abandoned, _ := parent.CloneAddTablesBatch(batchLake("A", 1))
+	if abandoned.Frequency("HR") != hr+1 {
+		t.Fatalf("abandoned clone: HR frequency %d, want %d", abandoned.Frequency("HR"), hr+1)
+	}
+	next, ids := parent.CloneAddTablesBatch(batchLake("B", 1))
+	n := len(parent.shards[0].valIdx)
+	if &abandoned.shards[0].valIdx[n] != &next.shards[0].valIdx[n] {
+		t.Fatal("the clones do not share the parent's spare capacity; the test no longer covers a rewrite")
+	}
+
+	if !reflect.DeepEqual(storeTuples(parent), want) || parent.Frequency("HR") != hr {
+		t.Fatal("parent changed under a later clone")
+	}
+	fresh, freshIDs := Build(lakeFixture(), 1).CloneAddTablesBatch(append(batchLake("P", 1), batchLake("B", 1)...))
+	if !reflect.DeepEqual(ids, freshIDs[1:]) {
+		t.Fatalf("second clone ids %v, want %v", ids, freshIDs[1:])
+	}
+	if !reflect.DeepEqual(storeTuples(next), storeTuples(fresh)) {
+		t.Fatal("second clone differs from a store that never saw the abandoned one")
+	}
+	if next.Frequency("HR") != fresh.Frequency("HR") || next.TableIDByName("A00") != -1 {
+		t.Fatal("second clone sees the abandoned clone's tables")
+	}
+}
+
+// publishBytes builds a 4-shard index over n generated tables, then
+// publishes n more one table at a time, each clone derived from the last as
+// the engine's writer does. It returns the bytes allocated per publish.
+// The tables are wide and draw from a fixed 500-string vocabulary, so a
+// shard's entry count doubles with n while its dictionary grows little:
+// every clone still copies the postings spine and the dictionary delta,
+// which scale with a shard's distinct values, not with its entries.
+func publishBytes(n int) float64 {
+	lake := datalake.GenJoinLake(datalake.JoinLakeConfig{
+		Name: "pub", NumTables: 2 * n, ColsPerTable: 10, RowsPerTable: 200, VocabSize: 500, Seed: 1,
+	})
+	s := Build(lake.Tables[:n], 4)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, tb := range lake.Tables[n:] {
+		s, _ = s.CloneAddTablesBatch([]*table.Table{tb})
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestPublishAllocationFlat checks that a one-table publish allocates about
+// the same on a lake twice the size: the attribute arrays grow by half
+// their capacity, not to the exact need of each publish, which copied
+// every array of the shard once per publish (1.97x here).
+func TestPublishAllocationFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and grows two generated lakes")
+	}
+	small, large := publishBytes(40), publishBytes(80)
+	t.Logf("per one-table publish: %.0f KB at 40 tables, %.0f KB at 80", small/1024, large/1024)
+	if large > 1.5*small {
+		t.Fatalf("a publish on the 2x lake allocates %.2fx as much (%.0f vs %.0f bytes), want at most 1.5x",
+			large/small, large, small)
 	}
 }

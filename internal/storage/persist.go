@@ -11,7 +11,7 @@ import (
 
 // Binary persistence for the AllTables index. Save writes the segmented v4
 // format described in segment.go: per-shard, per-section segments behind a
-// footer directory, varint/delta-compressed. MapFile is the only reader
+// footer directory, varint/delta-compressed. LoadFile is the only reader
 // and reads v4 only; files written in the retired v1–v3 formats, or with
 // the retired row layout, fail with a typed bad-index error that says how
 // to rebuild them.
@@ -77,34 +77,20 @@ func replaceFile(path string, write func(*os.File) error) (*os.File, error) {
 	return f, syncDir(dir)
 }
 
-// MapFile opens a v4 index file and decodes all of it. The file is
-// memory-mapped for the duration of the call: every section's CRC, the
-// referential integrity of every entry and the tombstones are checked,
-// every shard is decoded to the heap, and the file is unmapped before
-// MapFile returns. The result is the same kind of object Build returns;
-// nothing in it refers to the file. Any failure — a missing or retired
-// file, a bad footer, a corrupt section — is a typed bad-index error.
-func MapFile(path string) (*ShardedStore, error) {
-	f, err := os.Open(path)
+// LoadFile reads a v4 index file and decodes all of it: every section's
+// CRC, the referential integrity of every entry and the tombstones are
+// checked, and every shard is decoded to the heap. The result is the same
+// kind of object Build returns; nothing in it refers to the file or to the
+// bytes read from it. Any failure — a missing, empty or retired file, a
+// directory, a bad footer, a corrupt section — is a typed bad-index error.
+func LoadFile(path string) (*ShardedStore, error) {
+	sf, err := readSegFile(path)
 	if err != nil {
-		return nil, berr.Wrap(berr.CodeBadIndex, "storage.open", err)
+		return nil, berr.Wrap(berr.CodeBadIndex, "storage.load", err)
 	}
-	fi, err := f.Stat()
+	s, err := sf.decode()
 	if err != nil {
-		f.Close()
-		return nil, berr.Wrap(berr.CodeBadIndex, "storage.map", err)
-	}
-	data, release, err := mmapFile(f, fi.Size())
-	f.Close() // the mapping does not need the descriptor
-	if err != nil {
-		return nil, berr.Wrap(berr.CodeBadIndex, "storage.map", err)
-	}
-	s, err := decodeIndex(data)
-	if rerr := release(); err == nil {
-		err = rerr
-	}
-	if err != nil {
-		return nil, berr.Wrap(berr.CodeBadIndex, "storage.map", err)
+		return nil, berr.Wrap(berr.CodeBadIndex, "storage.load", err)
 	}
 	return s, nil
 }

@@ -195,8 +195,8 @@ func (sh *Store) writeShardSections(sw *segWriter) [numSegSections]segSection {
 	}
 	secs[secSuper] = sw.finish()
 
-	// Table ranges: stored rather than rebuilt, so a mapped reader can
-	// serve TableEntries without scanning the postings section.
+	// Table ranges: stored rather than rebuilt from the postings section;
+	// the reader checks each against the entry count.
 	sw.begin()
 	sw.uvarint(uint64(len(sh.tableRange)))
 	for _, r := range sh.tableRange {

@@ -1,6 +1,6 @@
 package storage
 
-// Tests for the segmented v4 persistence format and its reader MapFile:
+// Tests for the segmented v4 persistence format and its reader LoadFile:
 // differential opened-vs-built coverage across shard counts, committed v4
 // files from earlier releases, property-based round trips, maintenance ops
 // on opened stores, and the footer-directory inspection API.
@@ -35,10 +35,10 @@ func saveTemp(t *testing.T, s *ShardedStore, name string) string {
 	return path
 }
 
-// reopen round-trips s through a temp file and MapFile.
+// reopen round-trips s through a temp file and LoadFile.
 func reopen(t *testing.T, s *ShardedStore) *ShardedStore {
 	t.Helper()
-	back, err := MapFile(saveTemp(t, s, "reopen.blend"))
+	back, err := LoadFile(saveTemp(t, s, "reopen.blend"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,44 +76,44 @@ func readerProbe(t *testing.T, want, got *ShardedStore, label string) {
 	}
 }
 
-// TestMapFileMatchesBuild is the core differential: a v4 file read back
-// by MapFile must expose the content of the built store that saved
+// TestLoadFileMatchesBuild is the core differential: a v4 file read back
+// by LoadFile must expose the content of the built store that saved
 // it through every read surface, across shard counts.
-func TestMapFileMatchesBuild(t *testing.T) {
+func TestLoadFileMatchesBuild(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("Column/shards=%d", shards), func(t *testing.T) {
 			orig := Build(widerLake(), shards)
-			mapped, err := MapFile(saveTemp(t, orig, "lake.blend"))
+			opened, err := LoadFile(saveTemp(t, orig, "lake.blend"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			readerProbe(t, orig, mapped, "mapped")
+			readerProbe(t, orig, opened, "opened")
 		})
 	}
 }
 
-// TestMapFileMonolithicKind round-trips a one-shard index through the
-// mapped path: it is written as the monolithic kind, and a re-save keeps
+// TestLoadFileMonolithicKind round-trips a one-shard index through the
+// file: it is written as the monolithic kind, and a re-save keeps
 // that kind.
-func TestMapFileMonolithicKind(t *testing.T) {
+func TestLoadFileMonolithicKind(t *testing.T) {
 	orig := Build(lakeFixture(), 1)
 	path := saveTemp(t, orig, "mono.blend")
 	if info, err := InspectFile(path); err != nil || info.Kind != "monolithic" {
 		t.Fatalf("one-shard index saved as %+v (%v), want the monolithic kind", info, err)
 	}
-	mapped, err := MapFile(path)
+	opened, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	readerProbe(t, orig, mapped, "mapped-mono")
+	readerProbe(t, orig, opened, "opened-mono")
 	var buf bytes.Buffer
-	if err := mapped.Save(&buf); err != nil {
+	if err := opened.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if kind := buf.Bytes()[8]; kind != persistKindMonolithic {
 		t.Fatalf("re-saved one-shard index has kind %d, want monolithic", kind)
 	}
-	readerProbe(t, orig, reopen(t, mapped), "resaved")
+	readerProbe(t, orig, reopen(t, opened), "resaved")
 }
 
 // fixtureLake is the lake behind the committed v4 files in testdata/:
@@ -159,14 +159,14 @@ func TestV4FixturesStillOpen(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), raw) {
 			t.Fatalf("%s: saving the same index no longer reproduces the file byte for byte", tc.file)
 		}
-		mapped, err := MapFile(path)
+		opened, err := LoadFile(path)
 		if err != nil {
-			t.Fatalf("%s: MapFile: %v", tc.file, err)
+			t.Fatalf("%s: LoadFile: %v", tc.file, err)
 		}
-		readerProbe(t, tc.want, mapped, tc.file+" mapped")
-		if mapped.NumShards() != tc.want.NumShards() || mapped.Tombstones() != tc.want.Tombstones() {
+		readerProbe(t, tc.want, opened, tc.file+" opened")
+		if opened.NumShards() != tc.want.NumShards() || opened.Tombstones() != tc.want.Tombstones() {
 			t.Fatalf("%s: shards/tombstones %d/%d, want %d/%d", tc.file,
-				mapped.NumShards(), mapped.Tombstones(), tc.want.NumShards(), tc.want.Tombstones())
+				opened.NumShards(), opened.Tombstones(), tc.want.NumShards(), tc.want.Tombstones())
 		}
 	}
 }
@@ -189,48 +189,48 @@ func TestSegmentedQuickRoundTrip(t *testing.T) {
 }
 
 // TestMaintenanceOnMappedStore runs every mutating op against a store
-// opened with MapFile and the built store it was saved from; the two must stay
+// opened with LoadFile and the built store it was saved from; the two must stay
 // indistinguishable through add, remove, compact, and a save/reload.
 func TestMaintenanceOnMappedStore(t *testing.T) {
 	built := Build(batchLake("M", 12), 4)
-	mapped, err := MapFile(saveTemp(t, built, "maint.blend"))
+	opened, err := LoadFile(saveTemp(t, built, "maint.blend"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	check := func(step string) {
 		t.Helper()
-		if !reflect.DeepEqual(storeTuples(built), storeTuples(mapped)) {
-			t.Fatalf("after %s: mapped store diverged from the built one", step)
+		if !reflect.DeepEqual(storeTuples(built), storeTuples(opened)) {
+			t.Fatalf("after %s: opened store diverged from the built one", step)
 		}
-		if built.Tombstones() != mapped.Tombstones() {
-			t.Fatalf("after %s: tombstones %d vs %d", step, built.Tombstones(), mapped.Tombstones())
+		if built.Tombstones() != opened.Tombstones() {
+			t.Fatalf("after %s: tombstones %d vs %d", step, built.Tombstones(), opened.Tombstones())
 		}
 	}
 
 	extra := batchLake("N", 5)
 	built, _ = built.CloneAddTablesBatch(extra)
-	mapped, _ = mapped.CloneAddTablesBatch(extra)
+	opened, _ = opened.CloneAddTablesBatch(extra)
 	check("CloneAddTablesBatch")
 
-	victim := mapped.TableIDByName("M03")
+	victim := opened.TableIDByName("M03")
 	if victim < 0 {
 		t.Fatal("victim table missing")
 	}
 	built = mustRemove(t, built, victim)
-	mapped = mustRemove(t, mapped, victim)
+	opened = mustRemove(t, opened, victim)
 	check("CloneRemoveTable")
 
 	var e, m int
 	built, e = built.CloneCompact()
-	mapped, m = mapped.CloneCompact()
+	opened, m = opened.CloneCompact()
 	if e != m {
 		t.Fatalf("CloneCompact removed %d vs %d", e, m)
 	}
 	check("CloneCompact")
 
-	if !reflect.DeepEqual(storeTuples(built), storeTuples(reopen(t, mapped))) {
-		t.Fatal("mapped store save/reload diverged")
+	if !reflect.DeepEqual(storeTuples(built), storeTuples(reopen(t, opened))) {
+		t.Fatal("opened store save/reload diverged")
 	}
 }
 
@@ -241,7 +241,7 @@ func TestMaintenanceOnMappedStore(t *testing.T) {
 func TestSaveOverOwnMapping(t *testing.T) {
 	orig := Build(batchLake("S", 8), 4)
 	path := saveTemp(t, orig, "self.blend")
-	idx, err := MapFile(path)
+	idx, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestSaveOverOwnMapping(t *testing.T) {
 	if s.TableIDByName("T02") < 0 {
 		t.Fatal("appended table missing from live store after save")
 	}
-	back, err := MapFile(path)
+	back, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
 
 	"blend/internal/table"
 )
@@ -19,7 +20,7 @@ func getU64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 // hand-crafted input, it returns errors that the caller surfaces as
 // bad-index failures.
 type segDecoder struct {
-	b   []byte // mmapref: mapped (decoders read in place; decoded values are copied out)
+	b   []byte
 	pos int
 }
 
@@ -53,7 +54,7 @@ func (d *segDecoder) str() (string, error) {
 	if d.pos+n > len(d.b) {
 		return "", fmt.Errorf("string of %d bytes overruns section", n)
 	}
-	// string() copies, so decoded values never alias the mapped file.
+	// string() copies, so decoded values never alias the file's bytes.
 	s := string(d.b[d.pos : d.pos+n])
 	d.pos += n
 	return s, nil
@@ -83,11 +84,11 @@ type segShard struct {
 	secs    [numSegSections]segSection
 }
 
-// segFile is a parsed v4 file: the raw (usually memory-mapped) bytes plus
-// the validated footer directory and global table directory. decodeShard
-// turns one shard body into a heap Store.
+// segFile is a parsed v4 file: the whole file's bytes plus the validated
+// footer directory and global table directory. decodeShard turns one
+// shard body into a heap Store.
 type segFile struct {
-	data []byte // mmapref: mapped — valid only until MapFile unmaps it
+	data []byte
 
 	kind      byte
 	shards    []segShard
@@ -97,11 +98,7 @@ type segFile struct {
 	globalTID [][]int32
 }
 
-// section returns the byte range of a validated section. The slice
-// aliases the mapping, so it must not be retained past the decode —
-// decode in place and copy values out (see the mmapref analyzer).
-//
-// mmapref: returns mapped memory
+// section returns the byte range of a validated section.
 func (sf *segFile) section(sec segSection) []byte {
 	return sf.data[sec.off : sec.off+sec.n]
 }
@@ -114,6 +111,16 @@ func (sf *segFile) checkSection(shard, idx int) error {
 		return fmt.Errorf("%s section: checksum mismatch", sectionName(idx))
 	}
 	return nil
+}
+
+// readSegFile reads a whole index file and parses its structure. It is
+// the one place an index file is read.
+func readSegFile(path string) (*segFile, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parseSegFile(data)
 }
 
 // parseSegFile validates the structure of a v4 file — header, trailer,
@@ -487,22 +494,18 @@ func (s *Store) rebuildPostings() {
 	}
 }
 
-// decodeIndex checks and decodes a whole v4 file: the footer directory
-// and table refs first, then every shard in turn. The result aliases
-// nothing in data, so the caller may unmap it as soon as decodeIndex
-// returns. A monolithic-kind file becomes a one-shard store.
+// decode checks and decodes every shard of a parsed file in turn. The
+// result aliases nothing in sf.data. A monolithic-kind file becomes a
+// one-shard store.
 //
 // The shards decode on the caller's goroutine. Decoding them on parallel
 // goroutines was measured on the cold_open benchmark (2 cores, 2 clients):
 // latency did not move, and peak RSS rose by 10–20 %, while this loop
 // lowered it.
-func decodeIndex(data []byte) (*ShardedStore, error) {
-	sf, err := parseSegFile(data)
-	if err != nil {
-		return nil, err
-	}
+func (sf *segFile) decode() (*ShardedStore, error) {
 	s := &ShardedStore{shards: make([]*Store, len(sf.shards)), refs: sf.refs, globalTID: sf.globalTID}
 	for i := range s.shards {
+		var err error
 		if s.shards[i], err = sf.decodeShard(i); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}

@@ -42,7 +42,7 @@ type shardRef struct {
 }
 
 // MaxShards caps the partition count, so every index Build can produce is
-// also one MapFile accepts (the reader rejects counts above this as
+// also one LoadFile accepts (the reader rejects counts above this as
 // corruption).
 const MaxShards = 1 << 12
 

@@ -18,9 +18,8 @@ type Stats struct {
 	AvgRowsPerTable  float64
 
 	// Every shard is on the heap from the moment an index is built or
-	// opened, and nothing stays mapped: ResidentShards always equals
-	// Shards and MappedBytes is always 0. Both remain for readers that
-	// report them.
+	// opened: ResidentShards always equals Shards and MappedBytes is
+	// always 0. Both remain for readers that report them.
 	ResidentShards int
 	MappedBytes    int64
 }

@@ -99,9 +99,10 @@ func (s *Store) addTablesBatch(tables []*table.Table) []int32 {
 	return ids
 }
 
-// reserve grows the attribute arrays for extra upcoming entries in one
-// reallocation each, instead of the amortized doubling a long append
-// sequence pays.
+// reserve makes room in the attribute arrays for extra upcoming entries,
+// in at most one reallocation each. Capacity grows by at least half, so a
+// series of small publishes copies the arrays an amortised O(1) times per
+// entry rather than once per publish.
 func (s *Store) reserve(extra int) {
 	if extra <= 0 {
 		return
@@ -110,6 +111,7 @@ func (s *Store) reserve(extra int) {
 	if cap(s.valIdx) >= need {
 		return
 	}
+	need = max(need, cap(s.valIdx)+cap(s.valIdx)/2)
 	growI32 := func(a []int32) []int32 {
 		n := make([]int32, len(a), need)
 		copy(n, a)

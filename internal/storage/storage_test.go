@@ -189,7 +189,7 @@ func TestPersistFiles(t *testing.T) {
 	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := MapFile(path)
+	back, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,20 +22,20 @@ import (
 	"blend/internal/storage"
 )
 
-// mmapLake is a moderately sized lake plus a seeker-friendly sample of its
+// openLake is a moderately sized lake plus a seeker-friendly sample of its
 // vocabulary.
-func mmapLake() ([]*Table, []string) {
+func openLake() ([]*Table, []string) {
 	lake := datalake.GenJoinLake(datalake.JoinLakeConfig{
-		Name: "mmap-e2e", NumTables: 24, ColsPerTable: 4, RowsPerTable: 40,
+		Name: "open-e2e", NumTables: 24, ColsPerTable: 4, RowsPerTable: 40,
 		VocabSize: 1200, Seed: 41,
 	})
 	return lake.Tables, lake.Vocab[:6]
 }
 
-// mmapExtra is a batch of tables to append to mmapLake.
-func mmapExtra() []*Table {
+// openExtra is a batch of tables to append to openLake.
+func openExtra() []*Table {
 	return datalake.GenJoinLake(datalake.JoinLakeConfig{
-		Name: "mmap-extra", NumTables: 6, ColsPerTable: 4, RowsPerTable: 20,
+		Name: "open-extra", NumTables: 6, ColsPerTable: 4, RowsPerTable: 20,
 		VocabSize: 1200, Seed: 42,
 	}).Tables
 }
@@ -50,14 +50,14 @@ func saveIndexTemp(t *testing.T, d *Discovery) string {
 	return path
 }
 
-// mmapSeekers are the seekers the differentials ask, over mmapLake's
+// openSeekers are the seekers the differentials ask, over openLake's
 // vocabulary sample.
-func mmapSeekers(vals []string) []Seeker {
+func openSeekers(vals []string) []Seeker {
 	return []Seeker{SC(vals[:3], 8), KW(vals[3:], 8), MC([][]string{{vals[0], vals[1]}}, 8)}
 }
 
-// mmapPlan unions the three mmapSeekers.
-func mmapPlan(vals []string) *Plan {
+// openPlan unions the three openSeekers.
+func openPlan(vals []string) *Plan {
 	p := NewPlan()
 	p.MustAddSeeker("sc", SC(vals[:3], 8))
 	p.MustAddSeeker("kw", KW(vals[3:], 8))
@@ -66,9 +66,9 @@ func mmapPlan(vals []string) *Plan {
 	return p
 }
 
-func runMmapPlan(t *testing.T, d *Discovery, vals []string) *Result {
+func runOpenPlan(t *testing.T, d *Discovery, vals []string) *Result {
 	t.Helper()
-	res, err := d.Run(context.Background(), mmapPlan(vals))
+	res, err := d.Run(context.Background(), openPlan(vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func sameAnswers(t *testing.T, step string, want, got *Discovery, vals []string)
 			want.NumTables(), want.LiveTables(), want.NumShards(),
 			got.NumTables(), got.LiveTables(), got.NumShards())
 	}
-	for _, s := range mmapSeekers(vals) {
+	for _, s := range openSeekers(vals) {
 		w, err := want.Seek(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +101,7 @@ func sameAnswers(t *testing.T, step string, want, got *Discovery, vals []string)
 			t.Fatalf("%s: %v diverges: want %v, got %v", step, s, w, g)
 		}
 	}
-	w, g := runMmapPlan(t, want, vals), runMmapPlan(t, got, vals)
+	w, g := runOpenPlan(t, want, vals), runOpenPlan(t, got, vals)
 	if !reflect.DeepEqual(w.Tables, g.Tables) || !reflect.DeepEqual(w.Output, g.Output) {
 		t.Fatalf("%s: plan diverges: want %v %v, got %v %v", step, w.Tables, w.Output, g.Tables, g.Output)
 	}
@@ -110,22 +110,22 @@ func sameAnswers(t *testing.T, step string, want, got *Discovery, vals []string)
 // TestOpenIndexMatchesBuilt opens a saved index and checks it against the
 // built index the file was saved from, at 1 and 4 shards: as opened, after
 // the same add/remove/compact sequence on both, and after the mutated
-// mapped index is saved and reopened.
+// opened index is saved and reopened.
 func TestOpenIndexMatchesBuilt(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			tables, vals := mmapLake()
+			tables, vals := openLake()
 			built := IndexTables(ColumnStore, tables, WithShards(shards))
-			mapped, err := OpenIndex(saveIndexTemp(t, built))
+			opened, err := OpenIndex(saveIndexTemp(t, built))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer mapped.Close()
-			sameAnswers(t, "opened", built, mapped, vals)
+			defer opened.Close()
+			sameAnswers(t, "opened", built, opened, vals)
 
-			extra := mmapExtra()
+			extra := openExtra()
 			compacted := make([]int, 2)
-			for i, d := range []*Discovery{built, mapped} {
+			for i, d := range []*Discovery{built, opened} {
 				if _, err := d.AddTables(context.Background(), extra); err != nil {
 					t.Fatal(err)
 				}
@@ -141,9 +141,9 @@ func TestOpenIndexMatchesBuilt(t *testing.T) {
 			if compacted[0] != 1 || compacted[1] != 1 {
 				t.Fatalf("Compact removed %v tables, want 1 each", compacted)
 			}
-			sameAnswers(t, "maintained", built, mapped, vals)
+			sameAnswers(t, "maintained", built, opened, vals)
 
-			back, err := OpenIndex(saveIndexTemp(t, mapped))
+			back, err := OpenIndex(saveIndexTemp(t, opened))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,18 +154,18 @@ func TestOpenIndexMatchesBuilt(t *testing.T) {
 }
 
 // TestOpenIndexCloseIdempotent checks Close is safe to call twice and on
-// built indexes (where there is no mapping to release).
+// built indexes.
 func TestOpenIndexCloseIdempotent(t *testing.T) {
-	tables, _ := mmapLake()
+	tables, _ := openLake()
 	built := IndexTables(ColumnStore, tables, WithShards(4))
-	mapped, err := OpenIndex(saveIndexTemp(t, built))
+	opened, err := OpenIndex(saveIndexTemp(t, built))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mapped.Close(); err != nil {
+	if err := opened.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := mapped.Close(); err != nil {
+	if err := opened.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := built.Close(); err != nil {
@@ -176,10 +176,10 @@ func TestOpenIndexCloseIdempotent(t *testing.T) {
 // TestOpenIndexCorruptSectionFailsTyped flips one byte in the middle of
 // each section of each shard of a saved 4-shard index, one section at a
 // time. The footer stays valid, so only the decode at open can see the
-// damage: MapFile and OpenIndex must both fail with ErrBadIndex, and
+// damage: LoadFile and OpenIndex must both fail with ErrBadIndex, and
 // neither may panic.
 func TestOpenIndexCorruptSectionFailsTyped(t *testing.T) {
-	tables, _ := mmapLake()
+	tables, _ := openLake()
 	path := saveIndexTemp(t, IndexTables(ColumnStore, tables, WithShards(4)))
 	info, err := storage.InspectFile(path)
 	if err != nil {
@@ -194,7 +194,7 @@ func TestOpenIndexCorruptSectionFailsTyped(t *testing.T) {
 		name string
 		open func() error
 	}{
-		{"MapFile", func() error { _, err := storage.MapFile(bad); return err }},
+		{"LoadFile", func() error { _, err := storage.LoadFile(bad); return err }},
 		{"OpenIndex", func() error { _, err := OpenIndex(bad); return err }},
 	}
 	for i, sh := range info.Shards {
@@ -227,7 +227,7 @@ func TestOpenIndexCorruptSectionFailsTyped(t *testing.T) {
 }
 
 // lifetimeAnswer is everything one reader asks of one generation: each of
-// mmapSeekers' hits with their names, and mmapPlan's output.
+// openSeekers' hits with their names, and openPlan's output.
 type lifetimeAnswer struct {
 	Seeks  []Hits
 	Names  [][]string
@@ -238,7 +238,7 @@ type lifetimeAnswer struct {
 // answerAt asks s every question of a lifetimeAnswer.
 func answerAt(s *Snapshot, vals []string) (lifetimeAnswer, error) {
 	var a lifetimeAnswer
-	for _, sk := range mmapSeekers(vals) {
+	for _, sk := range openSeekers(vals) {
 		h, err := s.Seek(context.Background(), sk)
 		if err != nil {
 			return a, err
@@ -246,7 +246,7 @@ func answerAt(s *Snapshot, vals []string) (lifetimeAnswer, error) {
 		a.Seeks = append(a.Seeks, h)
 		a.Names = append(a.Names, s.TableNames(h))
 	}
-	res, err := s.Run(context.Background(), mmapPlan(vals))
+	res, err := s.Run(context.Background(), openPlan(vals))
 	if err != nil {
 		return a, err
 	}
@@ -262,14 +262,14 @@ func answerAt(s *Snapshot, vals []string) (lifetimeAnswer, error) {
 // index's answer at the same generation, or be the closed error; after
 // Close every reader sees the closed error. Run it under -race.
 func TestOpenedIndexLifetimeUnderWrites(t *testing.T) {
-	tables, vals := mmapLake()
+	tables, vals := openLake()
 	built := IndexTables(ColumnStore, tables, WithShards(4))
 	opened, err := OpenIndex(saveIndexTemp(t, built))
 	if err != nil {
 		t.Fatal(err)
 	}
 	writes := []func(d *Discovery) error{
-		func(d *Discovery) error { _, err := d.AddTables(context.Background(), mmapExtra()); return err },
+		func(d *Discovery) error { _, err := d.AddTables(context.Background(), openExtra()); return err },
 		func(d *Discovery) error { return d.RemoveTable(3) },
 		func(d *Discovery) error { _, err := d.Compact(); return err },
 	}
@@ -358,7 +358,7 @@ func TestOpenedIndexLifetimeUnderWrites(t *testing.T) {
 					return err
 				}
 				g := s.Generation()
-				h, err := opened.Seek(context.Background(), mmapSeekers(vals)[0], WithAsOf(g))
+				h, err := opened.Seek(context.Background(), openSeekers(vals)[0], WithAsOf(g))
 				if err != nil {
 					return check(g, lifetimeAnswer{}, err)
 				}
