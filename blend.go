@@ -25,6 +25,7 @@ import (
 	"io"
 
 	"blend/internal/core"
+	"blend/internal/datalake"
 	"blend/internal/storage"
 	"blend/internal/table"
 )
@@ -72,8 +73,25 @@ func ReadCSVFile(path string) (*Table, error) { return table.ReadCSVFile(path) }
 // stores). The first record is the header; column kinds are inferred.
 func ReadCSV(name string, r io.Reader) (*Table, error) { return table.ReadCSV(name, r) }
 
-// ReadCSVDir loads every .csv file in a directory as a table.
-func ReadCSVDir(dir string) ([]*Table, error) { return table.ReadCSVDir(dir) }
+// ReadCSVDir loads every *.csv file under dir, subdirectories included,
+// as a table named after its file, in sorted path order. It is the loader
+// IndexCSVDir and IngestCSVDir also use: GOMAXPROCS files parse at once.
+// A directory that cannot be walked, holds no CSV file, or holds one that
+// does not parse fails with ErrBadRequest.
+func ReadCSVDir(dir string) ([]*Table, error) {
+	var tables []*Table
+	err := datalake.LoadCSVDir(dir, func(p datalake.ParsedCSV) error {
+		if p.Err != nil {
+			return p.Err
+		}
+		tables = append(tables, p.Table)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return tables, nil
+}
 
 // NewPlan creates an empty discovery plan.
 func NewPlan() *Plan { return core.NewPlan() }
@@ -195,14 +213,14 @@ func newDiscovery(idx *storage.ShardedStore, cfg indexConfig) *Discovery {
 	return &Discovery{engine: e}
 }
 
-// IndexCSVDir loads every CSV file in dir and indexes the resulting lake.
+// IndexCSVDir loads every *.csv file under dir, subdirectories included,
+// with ReadCSVDir and indexes the resulting lake with IndexTables, so
+// table ids follow sorted path order exactly as IngestCSVDir assigns them
+// on an empty index. ReadCSVDir's failures (ErrBadRequest) pass through.
 func IndexCSVDir(layout Layout, dir string, opts ...IndexOption) (*Discovery, error) {
-	tables, err := table.ReadCSVDir(dir)
+	tables, err := ReadCSVDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("blend: load lake from %s: %w", dir, err)
-	}
-	if len(tables) == 0 {
-		return nil, fmt.Errorf("blend: no CSV tables found in %s", dir)
+		return nil, err
 	}
 	return IndexTables(layout, tables, opts...), nil
 }

@@ -122,8 +122,10 @@ func TestIndexCSVDir(t *testing.T) {
 	if d.NumTables() != 3 {
 		t.Fatalf("tables = %d", d.NumTables())
 	}
-	if _, err := IndexCSVDir(ColumnStore, t.TempDir()); err == nil {
-		t.Fatal("empty dir must fail")
+	for _, bad := range []string{t.TempDir(), filepath.Join(dir, "missing")} {
+		if _, err := IndexCSVDir(ColumnStore, bad); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("IndexCSVDir(%s) error = %v, want bad_request", bad, err)
+		}
 	}
 }
 

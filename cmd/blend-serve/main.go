@@ -25,11 +25,13 @@
 //
 //	blend-serve -index lake.blend [-addr :8080] [-timeout 30s] [-cache N]
 //	blend-serve -lake DIR [-shards N] ...
-//	blend-serve ... [-allow-dir-ingest] [-ingest-batch N]
+//	blend-serve ... [-allow-dir-ingest]
 //
 // An -index file is decoded whole, every shard checked, before the server
-// listens; every plan runs on the library's concurrent scheduler, and
-// ingest parses and inserts, GOMAXPROCS-wide.
+// listens; a -lake directory is read recursively, as a dir ingest is.
+// Every plan runs on the library's concurrent scheduler; ingest parses
+// GOMAXPROCS files at once, committing an upload as one batch and a
+// directory in fixed 256-table batches.
 package main
 
 import (
@@ -64,14 +66,13 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("blend-serve", flag.ContinueOnError)
 	fs.SetOutput(&strings.Builder{})
 	index := fs.String("index", "", "index file built by `blend index`")
-	lake := fs.String("lake", "", "directory of CSV tables to index at startup (alternative to -index)")
+	lake := fs.String("lake", "", "directory of CSV tables, subdirectories included, to index at startup (alternative to -index)")
 	shards := fs.Int("shards", 1, "hash-partition a -lake index across N shards")
 	addr := fs.String("addr", ":8080", "listen address")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request execution bound (0 = none)")
 	cache := fs.Int("cache", 512, "seeker result cache entries, invalidated on index mutation (0 = disabled)")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown drain period")
 	allowDirIngest := fs.Bool("allow-dir-ingest", false, "allow POST /v1/tables to bulk-load CSV directories from the server's filesystem (off by default: it lets any client read server-side CSV files)")
-	ingestBatch := fs.Int("ingest-batch", 0, "tables per atomic ingest commit batch (0 = library default)")
 	noNative := fs.Bool("no-native", false, "force the SQL interpreter for every seeker (A/B against path=native in /v1/query explain output)")
 	retain := fs.Int("retain", 0, "generations kept addressable for as_of_generation time travel (0 = library default)")
 	wal := fs.String("wal", "", "write-ahead log file: replayed at startup, appended per mutation (crash recovery between saves)")
@@ -104,9 +105,8 @@ func run(args []string) error {
 		d.LiveTables(), d.NumShards(), d.IndexSizeBytes(), *cache)
 
 	svc := service.New(d, service.Options{
-		DefaultTimeout:  *timeout,
-		AllowDirIngest:  *allowDirIngest,
-		IngestBatchSize: *ingestBatch,
+		DefaultTimeout: *timeout,
+		AllowDirIngest: *allowDirIngest,
 	})
 	srv := &http.Server{
 		Addr:              *addr,

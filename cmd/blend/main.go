@@ -6,15 +6,20 @@
 // Usage:
 //
 //	blend index -lake DIR -out FILE [-shards N]
+//	blend index -lake DIR -out FILE -append [-timeout D]
 //	blend seek  -index FILE -op sc|kw -values v1,v2,… [-k 10]
 //	blend seek  -index FILE -op mc -tuples "a|b,c|d" [-k 10]
 //	blend sql   -index FILE -query "SELECT … FROM AllTables …"
 //	blend index -out FILE -inspect
 //	blend demo
 //
+// A -lake DIR is read recursively: every *.csv under it, subdirectories
+// included, becomes a table, in sorted path order.
+//
 // Failures print one structured line — blend: error[<code>]: <detail> —
 // and exit non-zero: 2 for usage errors (bad subcommand, bad flags,
-// missing required flags), 1 for runtime errors.
+// missing required flags, a -lake that cannot be read or holds no CSV
+// file), 1 for runtime errors.
 package main
 
 import (
@@ -99,9 +104,8 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  blend index -lake DIR -out FILE [-shards N]            build the unified index
-  blend index -lake DIR -out FILE -append [-batch N]
-                                                         bulk-append DIR to an existing index
+  blend index -lake DIR -out FILE [-shards N]            build the unified index (DIR read recursively)
+  blend index -lake DIR -out FILE -append [-timeout D]   bulk-append DIR to an existing index
   blend index -out FILE -inspect                         print a v4 index's segment directory
   blend seek  -index FILE -op sc|kw -values v1,v2,...    single-column / keyword search
   blend seek  -index FILE -op mc -tuples "a|b,c|d"       multi-column join search
@@ -223,11 +227,10 @@ func cmdPlan(args []string) error {
 
 func cmdIndex(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ContinueOnError)
-	lakeDir := fs.String("lake", "", "directory of CSV tables")
+	lakeDir := fs.String("lake", "", "directory of CSV tables, subdirectories included")
 	out := fs.String("out", "lake.blend", "output index file")
 	shards := fs.Int("shards", 1, "hash-partition the index across N shards")
 	appendMode := fs.Bool("append", false, "append -lake to the existing index at -out instead of rebuilding (bulk ingest; -shards comes from the existing index)")
-	batch := fs.Int("batch", 0, "tables per atomic ingest commit batch for -append (0 = library default)")
 	timeout := fs.Duration("timeout", 0, "abort an -append ingest after this duration (0 = none)")
 	inspect := fs.Bool("inspect", false, "print the segment directory of the v4 index at -out and exit")
 	if err := parseFlags(fs, args); err != nil {
@@ -246,7 +249,7 @@ func cmdIndex(args []string) error {
 		}
 		ctx, cancel := queryContext(*timeout)
 		defer cancel()
-		report, err := d.IngestCSVDir(ctx, *lakeDir, blend.WithIngestBatchSize(*batch))
+		report, err := d.IngestCSVDir(ctx, *lakeDir)
 		if err != nil {
 			return err
 		}

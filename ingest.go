@@ -2,7 +2,6 @@ package blend
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"blend/internal/berr"
@@ -11,50 +10,30 @@ import (
 )
 
 // Bulk ingestion and table lifecycle: the write path of the Discovery API.
-// AddTables commits a batch of in-memory tables as one index maintenance
-// operation; IngestCSVDir streams a directory of CSV files through a
-// concurrent parse pipeline into batched commits; RemoveTable and Compact
-// let the lake evolve. All of them are safe concurrently with queries —
-// mutations serialize among themselves, build the next generation
-// copy-on-write, and publish it atomically; in-flight plans keep reading
-// their pinned snapshot and never wait.
+// AddTables commits a set of in-memory tables as one index maintenance
+// operation; IngestCSVDir streams a directory of CSV files through the
+// loader that also backs ReadCSVDir and IndexCSVDir, into fixed-size
+// commits; RemoveTable and Compact let the lake evolve. All of them are
+// safe concurrently with queries — mutations serialize among themselves,
+// build the next generation copy-on-write, and publish it atomically;
+// in-flight plans keep reading their pinned snapshot and never wait.
 
 // MaintStats counts index maintenance (batches, tables/rows added,
 // removals, compactions) since the Discovery was built. See
 // Discovery.MaintStats.
 type MaintStats = core.MaintStats
 
-// IngestOption tunes AddTables and IngestCSVDir.
+// IngestOption tunes IngestCSVDir.
 type IngestOption func(*ingestConfig)
 
 type ingestConfig struct {
-	batchSize int
-	skipBad   bool
+	skipBad bool
 }
 
-// DefaultIngestBatchSize is the number of tables committed per index batch
-// when WithIngestBatchSize is not given.
-const DefaultIngestBatchSize = 256
-
-func ingestOptions(opts []IngestOption) ingestConfig {
-	cfg := ingestConfig{batchSize: DefaultIngestBatchSize}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.batchSize <= 0 {
-		cfg.batchSize = DefaultIngestBatchSize
-	}
-	return cfg
-}
-
-// WithIngestBatchSize sets how many tables are committed per index batch.
-// Each batch is atomic — it is applied entirely or not at all — and costs
-// one generation publish regardless of its size. Larger batches amortize
-// better but make each copy-on-write commit larger. n <= 0 restores
-// DefaultIngestBatchSize.
-func WithIngestBatchSize(n int) IngestOption {
-	return func(c *ingestConfig) { c.batchSize = n }
-}
+// ingestBatchSize is how many tables IngestCSVDir commits per engine
+// batch: enough to amortise a publish, and few enough that a large
+// directory never sits parsed in memory whole.
+const ingestBatchSize = 256
 
 // WithSkipBadFiles makes IngestCSVDir skip files that fail to parse
 // (recording them in IngestReport.SkippedFiles) instead of aborting the
@@ -88,68 +67,42 @@ func (r *IngestReport) Throughput() float64 {
 	return float64(r.TablesAdded) / r.Duration.Seconds()
 }
 
-// AddTables appends a batch of tables to the index as one maintenance
-// operation — the bulk counterpart of AddTable. The whole call costs one
-// write-lock acquisition, one store-generation bump, and one result-cache
-// purge per committed batch (WithIngestBatchSize splits large inputs; by
-// default inputs up to DefaultIngestBatchSize commit as a single batch),
-// and on a sharded index the per-shard inserts run concurrently.
+// AddTables appends tables to the index as one maintenance operation —
+// the bulk counterpart of AddTable. The whole call is one atomic batch:
+// one write-lock acquisition, one store-generation bump and one
+// result-cache purge.
 //
 // Table names must be unique across the lake and within the call; a
-// duplicate fails with ErrDuplicateTable and the offending batch is not
-// applied (batches already committed by the same call remain — batches,
-// not calls, are the atomic unit). Cancellation is honored between
-// batches with ErrCanceled / ErrDeadlineExceeded.
-func (d *Discovery) AddTables(ctx context.Context, tables []*Table, opts ...IngestOption) ([]int32, error) {
-	cfg := ingestOptions(opts)
-	if ctx == nil {
-		ctx = context.Background()
+// duplicate fails with ErrDuplicateTable and nothing of the call is
+// applied. A context already done when the call starts fails with
+// ErrCanceled / ErrDeadlineExceeded, also with nothing applied.
+func (d *Discovery) AddTables(ctx context.Context, tables []*Table) ([]int32, error) {
+	if ctx != nil && ctx.Err() != nil {
+		return nil, berr.FromContext("blend.ingest", ctx.Err())
 	}
-	seen := make(map[string]struct{}, len(tables))
-	for _, t := range tables {
-		if _, dup := seen[t.Name]; dup {
-			return nil, berr.New(berr.CodeDuplicateTable, "blend.ingest",
-				"table %q appears twice in the batch", t.Name)
-		}
-		seen[t.Name] = struct{}{}
-	}
-	ids := make([]int32, 0, len(tables))
-	for start := 0; start < len(tables); start += cfg.batchSize {
-		if err := ctx.Err(); err != nil {
-			return ids, berr.FromContext("blend.ingest", err)
-		}
-		end := start + cfg.batchSize
-		if end > len(tables) {
-			end = len(tables)
-		}
-		batch, err := d.engine.AddTables(tables[start:end])
-		if err != nil {
-			return ids, err
-		}
-		ids = append(ids, batch...)
-	}
-	return ids, nil
+	return d.engine.AddTables(tables)
 }
 
 // IngestCSVDir bulk-loads every *.csv under dir (subdirectories included)
-// into the index: a directory walk feeds GOMAXPROCS concurrent CSV
-// parsers, whose output is committed in deterministic path order through
-// the same batched maintenance path as AddTables. Parsing runs a bounded
-// window of files ahead of the commits, so memory holds at most a few
-// parsed files per parser beyond the batch being built. A parse failure
-// aborts the ingest with the current batch unapplied, unless
-// WithSkipBadFiles turned skipping on; batches committed before the
-// failure remain indexed. Cancellation mid-ingest leaves only whole
+// into the index through the loader ReadCSVDir uses: GOMAXPROCS
+// concurrent CSV parsers whose output is committed in sorted path order,
+// 256 tables per atomic engine batch. Parsing runs a bounded window of
+// files ahead of the commits, so memory holds at most a few parsed files
+// per parser beyond the batch being built. A directory that cannot be
+// walked or holds no CSV file fails with ErrBadRequest and commits
+// nothing. A parse failure aborts the ingest with ErrBadRequest and the
+// current batch unapplied, unless WithSkipBadFiles turned skipping on;
+// batches committed before the failure remain indexed. The context is
+// checked before each file: cancellation mid-ingest leaves only whole
 // committed batches behind and reports ErrCanceled / ErrDeadlineExceeded.
 func (d *Discovery) IngestCSVDir(ctx context.Context, dir string, opts ...IngestOption) (*IngestReport, error) {
-	cfg := ingestOptions(opts)
-	start := time.Now()
-	paths, err := datalake.WalkCSVFiles(dir)
-	if err != nil {
-		return nil, fmt.Errorf("blend: walk lake %s: %w", dir, err)
+	var cfg ingestConfig
+	for _, o := range opts {
+		o(&cfg)
 	}
+	start := time.Now()
 	report := &IngestReport{}
-	batch := make([]*Table, 0, cfg.batchSize)
+	batch := make([]*Table, 0, ingestBatchSize)
 	commit := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -167,17 +120,20 @@ func (d *Discovery) IngestCSVDir(ctx context.Context, dir string, opts ...Ingest
 		batch = batch[:0]
 		return nil
 	}
-	err = datalake.ParseCSVFiles(ctx, paths, func(p datalake.ParsedCSV) error {
+	err := datalake.LoadCSVDir(dir, func(p datalake.ParsedCSV) error {
+		if ctx != nil && ctx.Err() != nil {
+			return berr.FromContext("blend.ingest", ctx.Err())
+		}
 		if p.Err != nil {
 			if cfg.skipBad {
 				report.SkippedFiles = append(report.SkippedFiles, p.Path)
 				return nil
 			}
-			return berr.New(berr.CodeBadRequest, "blend.ingest", "parse %s: %v", p.Path, p.Err)
+			return p.Err
 		}
 		report.FilesRead++
 		batch = append(batch, p.Table)
-		if len(batch) >= cfg.batchSize {
+		if len(batch) == ingestBatchSize {
 			return commit()
 		}
 		return nil
@@ -186,10 +142,7 @@ func (d *Discovery) IngestCSVDir(ctx context.Context, dir string, opts ...Ingest
 		err = commit()
 	}
 	report.Duration = time.Since(start)
-	if err != nil {
-		return report, err
-	}
-	return report, nil
+	return report, err
 }
 
 // RemoveTable tombstones one table by id: it immediately stops being

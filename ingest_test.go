@@ -100,21 +100,29 @@ func TestIngestCorruptCSVAbortsBatchAtomically(t *testing.T) {
 		t.Fatalf("failed single-batch ingest mutated the index: %d tables", d.NumTables())
 	}
 
-	// Small batches: whole batches before the corrupt file commit, the
-	// in-flight batch is discarded entirely — never a partial batch.
+	// More files than one batch: the whole 256-table batch before the
+	// corrupt file commits, the in-flight batch is discarded entirely —
+	// never a partial batch.
+	big := t.TempDir()
+	writeLakeDir(t, big, "a", ingestBatchSize)
+	writeLakeDir(t, big, "c", 3)
+	if err := os.WriteFile(filepath.Join(big, "b-corrupt.csv"),
+		[]byte("team,size\n\"unclosed,3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	d2 := seedDiscovery(t)
-	report, err := d2.IngestCSVDir(context.Background(), dir, WithIngestBatchSize(2))
-	if err == nil {
-		t.Fatal("corrupt CSV must fail the ingest")
+	report, err := d2.IngestCSVDir(context.Background(), big)
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("error = %v, want bad_request", err)
 	}
-	// Files sort ok00, ok01, ok01x-corrupt, …: exactly one 2-table batch
-	// (ok00, ok01) commits before the failure.
-	if report.TablesAdded != 2 || report.Batches != 1 {
-		t.Fatalf("committed %d tables in %d batches, want one whole batch of 2",
-			report.TablesAdded, report.Batches)
+	// Files sort a000…a255, b-corrupt, c000…: exactly one whole batch
+	// (the a-files) commits before the failure.
+	if report.TablesAdded != ingestBatchSize || report.Batches != 1 {
+		t.Fatalf("committed %d tables in %d batches, want one whole batch of %d",
+			report.TablesAdded, report.Batches, ingestBatchSize)
 	}
-	if d2.NumTables() != before+2 {
-		t.Fatalf("index holds %d tables, want %d", d2.NumTables(), before+2)
+	if d2.NumTables() != before+ingestBatchSize {
+		t.Fatalf("index holds %d tables, want %d", d2.NumTables(), before+ingestBatchSize)
 	}
 
 	// Empty file (no header): same classification.
@@ -138,9 +146,19 @@ func TestIngestCorruptCSVAbortsBatchAtomically(t *testing.T) {
 	}
 }
 
+// cancelJournal is a write-ahead log that cancels a context on its first
+// append and records nothing: it stops an ingest right after the first
+// batch commits.
+type cancelJournal struct{ cancel context.CancelFunc }
+
+func (j cancelJournal) AddTables([]*Table) error { j.cancel(); return nil }
+func (j cancelJournal) RemoveTable(int32) error  { return nil }
+func (j cancelJournal) Compact() error           { return nil }
+func (j cancelJournal) Checkpoint(uint64) error  { return nil }
+
 func TestIngestCancellation(t *testing.T) {
 	dir := t.TempDir()
-	writeLakeDir(t, dir, "c", 6)
+	writeLakeDir(t, dir, "c", ingestBatchSize+44)
 
 	// Canceled before the ingest starts: typed error, untouched index.
 	d := seedDiscovery(t)
@@ -154,30 +172,45 @@ func TestIngestCancellation(t *testing.T) {
 		t.Fatal("canceled ingest mutated the index")
 	}
 
-	// AddTables honors cancellation between batches with the same typed
-	// error and whole-batch granularity.
+	// AddTables honors a context done before it starts with the same typed
+	// error and commits nothing.
 	tables := make([]*Table, 4)
 	for i := range tables {
 		tables[i] = NewTable(fmt.Sprintf("ct%d", i), "a")
 		tables[i].MustAppendRow("x")
 	}
 	d2 := seedDiscovery(t)
-	ids, err := d2.AddTables(ctx, tables, WithIngestBatchSize(2))
+	ids, err := d2.AddTables(ctx, tables)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("AddTables error = %v, want canceled", err)
 	}
-	if len(ids) != 0 {
+	if len(ids) != 0 || d2.NumTables() != 1 {
 		t.Fatal("canceled AddTables committed tables")
+	}
+
+	// Canceled between batches: the first whole batch stays, the rest of
+	// the directory is never committed.
+	d3 := seedDiscovery(t)
+	bctx, bcancel := context.WithCancel(context.Background())
+	defer bcancel()
+	d3.Engine().SetJournal(cancelJournal{cancel: bcancel})
+	report, err := d3.IngestCSVDir(bctx, dir)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("error = %v, want canceled", err)
+	}
+	if report.TablesAdded != ingestBatchSize || report.Batches != 1 || d3.NumTables() != 1+ingestBatchSize {
+		t.Fatalf("committed %d tables in %d batches (index %d), want the first batch of %d",
+			report.TablesAdded, report.Batches, d3.NumTables(), ingestBatchSize)
 	}
 
 	// Whatever the cancellation timing, only whole batches may land.
 	for trial := 0; trial < 5; trial++ {
-		d3 := seedDiscovery(t)
+		d4 := seedDiscovery(t)
 		tctx, tcancel := context.WithCancel(context.Background())
 		go tcancel() // races the ingest
-		report, _ := d3.IngestCSVDir(tctx, dir, WithIngestBatchSize(2))
-		if report != nil && report.TablesAdded%2 != 0 {
-			t.Fatalf("partial batch committed: %d tables", report.TablesAdded)
+		report, _ := d4.IngestCSVDir(tctx, dir)
+		if n := report.TablesAdded; n != 0 && n != ingestBatchSize && n != ingestBatchSize+44 {
+			t.Fatalf("partial batch committed: %d tables", n)
 		}
 	}
 }
@@ -221,6 +254,76 @@ func TestIngestDuplicateNames(t *testing.T) {
 	y.MustAppendRow("2")
 	if _, err := d2.AddTables(context.Background(), []*Table{x, y}); !errors.Is(err, ErrDuplicateTable) {
 		t.Fatalf("AddTables duplicate error = %v", err)
+	}
+}
+
+// TestAddTablesCommitsWholeCall: AddTables is one atomic batch however
+// many tables it carries. A 300-table call whose table 290 duplicates a
+// live name commits none of them, and the same call without the clash
+// commits all 300 in one generation.
+func TestAddTablesCommitsWholeCall(t *testing.T) {
+	d := seedDiscovery(t)
+	gen := d.Generation()
+	tables := make([]*Table, 300)
+	for i := range tables {
+		tables[i] = NewTable(fmt.Sprintf("w%03d", i), "team")
+		tables[i].MustAppendRow(fmt.Sprintf("Unit%d", i))
+	}
+	clash := tables[290]
+	tables[290] = NewTable("seed", "team")
+	tables[290].MustAppendRow("HR")
+	if _, err := d.AddTables(context.Background(), tables); !errors.Is(err, ErrDuplicateTable) {
+		t.Fatalf("error = %v, want duplicate_table", err)
+	}
+	if d.NumTables() != 1 || d.Generation() != gen {
+		t.Fatalf("rejected call committed: %d tables, generation %d (want 1, %d)",
+			d.NumTables(), d.Generation(), gen)
+	}
+	tables[290] = clash
+	ids, err := d.AddTables(context.Background(), tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 300 || d.NumTables() != 301 || d.Generation() != gen+1 {
+		t.Fatalf("%d ids, %d tables, generation %d; want 300, 301, %d",
+			len(ids), d.NumTables(), d.Generation(), gen+1)
+	}
+}
+
+// TestIndexCSVDirMatchesIngest: a fresh build and an ingest into an empty
+// index read a lake through the same loader, so a lake with a
+// subdirectory yields the same table names in the same id order either
+// way.
+func TestIndexCSVDirMatchesIngest(t *testing.T) {
+	dir := t.TempDir()
+	writeLakeDir(t, dir, "top", 3)
+	sub := filepath.Join(dir, "nested")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeLakeDir(t, sub, "deep", 2)
+	names := func(d *Discovery) []string {
+		var out []string
+		for id := range int32(d.NumTables()) {
+			out = append(out, d.TableByID(id).Name)
+		}
+		return out
+	}
+
+	built, err := IndexCSVDir(ColumnStore, dir, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingested := IndexTables(ColumnStore, nil, WithShards(4))
+	if _, err := ingested.IngestCSVDir(context.Background(), dir); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"deep00", "deep01", "top00", "top01", "top02"}
+	if got := names(built); !reflect.DeepEqual(got, want) {
+		t.Fatalf("IndexCSVDir tables = %v, want %v", got, want)
+	}
+	if got := names(ingested); !reflect.DeepEqual(got, want) {
+		t.Fatalf("IngestCSVDir tables = %v, want %v", got, want)
 	}
 }
 

@@ -38,8 +38,7 @@ type MaintStats struct {
 
 // AddTables appends a batch of tables to the index as one maintenance
 // operation: one journal append, one derived store, one published
-// generation for the whole batch. On a sharded index the per-shard inserts
-// run concurrently.
+// generation for the whole batch.
 //
 // Table names must be unique: a name already indexed (and not removed), or
 // repeated within the batch, fails the whole call with a typed

@@ -1,13 +1,15 @@
 package datalake
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
+
+	"blend/internal/table"
 )
 
 // TestParseCSVFilesBoundsReadAhead blocks emit on the first file and, while
@@ -27,7 +29,7 @@ func TestParseCSVFilesBoundsReadAhead(t *testing.T) {
 	}
 
 	var parsed, emitted int
-	err := ParseCSVFiles(context.Background(), paths, func(p ParsedCSV) error {
+	err := parseCSVFiles(paths, func(p ParsedCSV) error {
 		if emitted == 0 {
 			// Give the parsers time to run as far ahead as they may, then
 			// pull every later file out from under them.
@@ -56,5 +58,33 @@ func TestParseCSVFilesBoundsReadAhead(t *testing.T) {
 	}
 	if parsed < 1 {
 		t.Fatal("the first file did not parse")
+	}
+}
+
+// TestLoadCSVDirDeterministicOrder writes files out of name order, plus a
+// non-CSV file, and checks the loader emits only the CSV tables, sorted by
+// file name, whatever the parallel parsers finish first.
+func TestLoadCSVDirDeterministicOrder(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"b.csv", "a.csv", "ignore.txt"} {
+		tb := table.New("x", "v")
+		tb.MustAppendRow("1")
+		if err := tb.WriteCSVFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var names []string
+	err := LoadCSVDir(dir, func(p ParsedCSV) error {
+		if p.Err != nil {
+			return p.Err
+		}
+		names = append(names, p.Table.Name)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a", "b"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("loaded %v, want %v", names, want)
 	}
 }

@@ -107,15 +107,15 @@ type SQLResponse struct {
 
 // IngestDirRequest is the JSON body of POST /v1/tables when Content-Type
 // is application/json: a server-side bulk ingest of a CSV directory the
-// server can read (gated by the server's allow-dir-ingest setting). The
-// strict decoder rejects unknown fields, "workers" included: ingest
-// parallelism is GOMAXPROCS and not settable per request.
+// server can read (gated by the server's allow-dir-ingest setting),
+// through the loader IndexCSVDir uses. The strict decoder rejects unknown
+// fields, "workers" and "batch_size" included: ingest parallelism is
+// GOMAXPROCS and the commit batch is the library's fixed 256 tables,
+// neither settable per request. A dir that cannot be walked or holds no
+// CSV file is a 400 bad_request.
 type IngestDirRequest struct {
 	// Dir is the directory to walk for *.csv files (recursive).
 	Dir string `json:"dir"`
-	// BatchSize is the number of tables per atomic commit batch
-	// (0 = server default).
-	BatchSize int `json:"batch_size,omitempty"`
 	// SkipBad skips unparseable files instead of aborting the ingest.
 	SkipBad bool `json:"skip_bad,omitempty"`
 }
@@ -157,9 +157,6 @@ type CompactResponse struct {
 func validateIngestDirRequest(req *IngestDirRequest) error {
 	if req.Dir == "" {
 		return berr.New(berr.CodeBadRequest, "service.ingest", "request carries no dir")
-	}
-	if req.BatchSize < 0 {
-		return berr.New(berr.CodeBadRequest, "service.ingest", "batch_size must not be negative")
 	}
 	return nil
 }

@@ -112,7 +112,7 @@ func TestServiceDirIngest(t *testing.T) {
 	d := fig1Discovery()
 	srv := newIngestServer(t, d, Options{AllowDirIngest: true})
 
-	req := fmt.Sprintf(`{"dir": %q, "batch_size": 2}`, dir)
+	req := fmt.Sprintf(`{"dir": %q}`, dir)
 	resp, body := doReq(t, "POST", srv.URL+"/v1/tables", "application/json", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("dir ingest status %d: %s", resp.StatusCode, body)
@@ -121,7 +121,7 @@ func TestServiceDirIngest(t *testing.T) {
 	if err := json.Unmarshal(body, &ir); err != nil {
 		t.Fatal(err)
 	}
-	if ir.TablesAdded != 5 || ir.Batches != 3 {
+	if ir.TablesAdded != 5 || ir.Batches != 1 {
 		t.Fatalf("dir ingest response = %+v", ir)
 	}
 	if d.NumTables() != 3+5 {
@@ -137,10 +137,10 @@ func TestServiceDirIngest(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.IngestTablesAdded != 5 || st.IngestBatches != 3 || st.IngestRowsAdded != 10 {
+	if st.IngestTablesAdded != 5 || st.IngestBatches != 1 || st.IngestRowsAdded != 10 {
 		t.Fatalf("stats ingest counters = %+v", st)
 	}
-	if st.IngestLastBatchTbls != 1 { // 5 tables in batches of 2 → last holds 1
+	if st.IngestLastBatchTbls != 5 { // 5 tables fit one 256-table batch
 		t.Fatalf("last batch tables = %d", st.IngestLastBatchTbls)
 	}
 
@@ -148,6 +148,17 @@ func TestServiceDirIngest(t *testing.T) {
 	resp, _ = doReq(t, "POST", srv.URL+"/v1/tables", "application/json", `{}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty dir status %d", resp.StatusCode)
+	}
+	// A dir that does not exist, or holds no CSV file, is the client's
+	// mistake: 400 bad_request, not a 500, and nothing ingested.
+	for _, bad := range []string{filepath.Join(dir, "no-such-dir"), t.TempDir()} {
+		resp, body = doReq(t, "POST", srv.URL+"/v1/tables", "application/json", fmt.Sprintf(`{"dir": %q}`, bad))
+		if resp.StatusCode != http.StatusBadRequest || errorCode(t, body) != "bad_request" {
+			t.Fatalf("dir %s: %d %s, want 400 bad_request", bad, resp.StatusCode, body)
+		}
+	}
+	if d.NumTables() != 3+5 {
+		t.Fatalf("failed ingests changed the lake: %d tables", d.NumTables())
 	}
 
 	// Disabled server: 400 with explanation.
@@ -163,6 +174,19 @@ func TestServiceDirIngest(t *testing.T) {
 // retired "workers" field is an unknown field — 400 bad_request, with
 // nothing ingested.
 func TestServiceDirIngestRejectsWorkers(t *testing.T) {
+	rejectsRetiredField(t, "workers")
+}
+
+// TestServiceDirIngestRejectsBatchSize: the commit batch is fixed, so the
+// retired "batch_size" field is an unknown field too.
+func TestServiceDirIngestRejectsBatchSize(t *testing.T) {
+	rejectsRetiredField(t, "batch_size")
+}
+
+// rejectsRetiredField posts a dir ingest whose body carries field and
+// requires a 400 bad_request naming it, with nothing ingested.
+func rejectsRetiredField(t *testing.T, field string) {
+	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "w.csv"), []byte("team,size\nHR,1\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -171,7 +195,7 @@ func TestServiceDirIngestRejectsWorkers(t *testing.T) {
 	srv := newIngestServer(t, d, Options{AllowDirIngest: true})
 	before := d.NumTables()
 	resp, body := doReq(t, "POST", srv.URL+"/v1/tables", "application/json",
-		fmt.Sprintf(`{"dir": %q, "workers": 2}`, dir))
+		fmt.Sprintf(`{"dir": %q, %q: 2}`, dir, field))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
 	}
@@ -179,7 +203,7 @@ func TestServiceDirIngestRejectsWorkers(t *testing.T) {
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatal(err)
 	}
-	if eb.Error.Code != "bad_request" || !strings.Contains(eb.Error.Detail, `unknown field "workers"`) {
+	if eb.Error.Code != "bad_request" || !strings.Contains(eb.Error.Detail, fmt.Sprintf("unknown field %q", field)) {
 		t.Fatalf("error = %+v, want bad_request naming the unknown field", eb.Error)
 	}
 	if d.NumTables() != before {

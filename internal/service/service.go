@@ -21,7 +21,10 @@ const maxSQLRows = 1000
 const maxUploadBytes = 64 << 20
 
 // Options configure a Service. Plans need no execution settings: the
-// library runs every plan on its scheduler at GOMAXPROCS width.
+// library runs every plan on its scheduler at GOMAXPROCS width. Ingest
+// needs none either: an upload commits as one batch, and a directory
+// ingest parses GOMAXPROCS files at once and commits the library's fixed
+// 256-table batches.
 type Options struct {
 	// DefaultTimeout bounds every request's execution; a request's
 	// timeout_millis may shorten but never extend it. Zero means no
@@ -31,9 +34,6 @@ type Options struct {
 	// POST /v1/tables (JSON {"dir": …}), which makes the server read CSV
 	// files from its own filesystem. CSV uploads are always enabled.
 	AllowDirIngest bool
-	// IngestBatchSize is the default number of tables per atomic commit
-	// batch (0 = the library default).
-	IngestBatchSize int
 }
 
 // Service exposes one Discovery over HTTP: the versioned discovery API of
@@ -263,19 +263,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ingestOptions folds the server's default batch size with a per-request
-// override into library options. Ingest parallelism is not configurable:
-// parsing and per-shard inserts run GOMAXPROCS-wide.
-func (s *Service) ingestOptions(batchSize int) []blend.IngestOption {
-	if batchSize <= 0 {
-		batchSize = s.opts.IngestBatchSize
-	}
-	if batchSize > 0 {
-		return []blend.IngestOption{blend.WithIngestBatchSize(batchSize)}
-	}
-	return nil
-}
-
 // handleIngest serves POST /v1/tables in its two forms:
 //
 //   - Content-Type text/csv: the body is one CSV table, named by the
@@ -286,7 +273,8 @@ func (s *Service) ingestOptions(batchSize int) []blend.IngestOption {
 //     bodies with a clear error.
 //
 // Both commit through the engine's batched maintenance path, so the whole
-// upload (or each directory batch) is atomic and publishes one generation.
+// upload (or each 256-table directory batch) is atomic and publishes one
+// generation.
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
@@ -312,7 +300,7 @@ func (s *Service) handleIngestCSV(w http.ResponseWriter, r *http.Request) {
 		writeError(w, berr.New(berr.CodeBadRequest, "service.ingest", "parse csv upload: %v", err))
 		return
 	}
-	ids, err := s.d.AddTables(r.Context(), []*blend.Table{t}, s.ingestOptions(0)...)
+	ids, err := s.d.AddTables(r.Context(), []*blend.Table{t})
 	if err != nil {
 		writeError(w, err)
 		return
@@ -342,7 +330,7 @@ func (s *Service) handleIngestDir(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	opts := s.ingestOptions(req.BatchSize)
+	var opts []blend.IngestOption
 	if req.SkipBad {
 		opts = append(opts, blend.WithSkipBadFiles())
 	}

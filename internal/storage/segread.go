@@ -98,6 +98,13 @@ type segFile struct {
 	globalTID [][]int32
 }
 
+// within reports whether the section lies inside [segHeaderSize, end).
+// It compares by subtraction: offsets and lengths are read from the file,
+// and off+n could overflow.
+func (sec segSection) within(end int64) bool {
+	return sec.off >= segHeaderSize && sec.n >= 0 && sec.off <= end && sec.n <= end-sec.off
+}
+
 // section returns the byte range of a validated section.
 func (sf *segFile) section(sec segSection) []byte {
 	return sf.data[sec.off : sec.off+sec.n]
@@ -177,7 +184,7 @@ func parseSegFile(data []byte) (*segFile, error) {
 		for j := 0; j < numSegSections; j++ {
 			sec := segSection{off: int64(getU64(footer[p:])), n: int64(getU64(footer[p+8:])), crc: getU32(footer[p+16:])}
 			p += 20
-			if sec.off < segHeaderSize || sec.n < 0 || sec.off+sec.n > footerOff {
+			if !sec.within(footerOff) {
 				return nil, fmt.Errorf("shard %d %s section [%d,+%d) outside file body", i, sectionName(j), sec.off, sec.n)
 			}
 			sh.secs[j] = sec
@@ -215,7 +222,7 @@ func (sf *segFile) decodeRefs() error {
 		sf.globalTID = [][]int32{ids}
 		return nil
 	}
-	if sf.refsSec.off < segHeaderSize || sf.refsSec.n < 0 || sf.refsSec.off+sf.refsSec.n > int64(len(sf.data)-segTrailerSize) {
+	if !sf.refsSec.within(int64(len(sf.data) - segTrailerSize)) {
 		return fmt.Errorf("refs section [%d,+%d) outside file body", sf.refsSec.off, sf.refsSec.n)
 	}
 	raw := sf.section(sf.refsSec)
@@ -429,7 +436,12 @@ func (sf *segFile) decodeShard(i int) (*Store, error) {
 	if nr != numTables {
 		return nil, fmt.Errorf("ranges section holds %d tables, catalog %d", nr, numTables)
 	}
+	// Table ids are non-decreasing (they are stored as unsigned deltas), so
+	// each table's entries are one run and its range is derivable. A stored
+	// range must equal that run: one reaching into another table's entries
+	// would let reconstruction index rows outside the table.
 	s.tableRange = make([][2]int32, 0, min(nr, 1<<16))
+	end := 0
 	for t := 0; t < nr; t++ {
 		start, err := d.count("range start")
 		if err != nil {
@@ -439,10 +451,14 @@ func (sf *segFile) decodeShard(i int) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		if start+length > n {
-			return nil, fmt.Errorf("table %d range [%d,+%d) outside %d entries", t, start, length, n)
+		lo := end
+		for end < n && s.tableIDs[end] == int32(t) {
+			end++
 		}
-		s.tableRange = append(s.tableRange, [2]int32{int32(start), int32(start + length)})
+		if start != lo || length != end-lo {
+			return nil, fmt.Errorf("table %d range [%d,+%d) is not its entries [%d,+%d)", t, start, length, lo, end-lo)
+		}
+		s.tableRange = append(s.tableRange, [2]int32{int32(lo), int32(end)})
 	}
 	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("ranges: %w", err)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -86,30 +85,4 @@ func (t *Table) WriteCSVFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadCSVDir loads every *.csv file in dir as a table, sorted by file name
-// so that table order (and therefore assigned table IDs) is deterministic.
-func ReadCSVDir(dir string) ([]*Table, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var paths []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(strings.ToLower(e.Name()), ".csv") {
-			continue
-		}
-		paths = append(paths, filepath.Join(dir, e.Name()))
-	}
-	sort.Strings(paths)
-	tables := make([]*Table, 0, len(paths))
-	for _, p := range paths {
-		t, err := ReadCSVFile(p)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
 }

@@ -2,7 +2,6 @@ package table
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -185,27 +184,6 @@ func TestReadCSVRaggedRows(t *testing.T) {
 	}
 	if tb.Cell(1, 2) != "z" {
 		t.Error("long row should be truncated to header width")
-	}
-}
-
-func TestReadCSVDirDeterministicOrder(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"b.csv", "a.csv", "ignore.txt"} {
-		tb := New("x", "v")
-		tb.MustAppendRow("1")
-		if name == "ignore.txt" {
-			continue
-		}
-		if err := tb.WriteCSVFile(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tables, err := ReadCSVDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 2 || tables[0].Name != "a" || tables[1].Name != "b" {
-		t.Fatalf("got %v tables", tables)
 	}
 }
 
