@@ -44,7 +44,9 @@ lint-fix:
 # package's testdata/fuzz/). Targets are discovered with `go test -list`,
 # so a new Fuzz* function joins the smoke run without touching this file.
 # Tune with FUZZTIME=5m for a real session; CI runs the 15s default on
-# every push as a regression tripwire.
+# every push as a regression tripwire. Minimisation of a new input is
+# capped at 100 execs: with Go's 60s default a 15s run spends its window
+# minimising the first input it finds instead of mutating.
 FUZZTIME ?= 15s
 fuzz:
 	@set -e; for pkg in $$($(GO) list ./...); do \
@@ -52,7 +54,7 @@ fuzz:
 		targets=$$(printf '%s\n' "$$list" | grep '^Fuzz' || true); \
 		for t in $$targets; do \
 			echo "== fuzz $$pkg $$t ($(FUZZTIME))"; \
-			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) $$pkg; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 100x $$pkg; \
 		done; \
 	done
 

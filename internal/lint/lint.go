@@ -16,7 +16,7 @@
 //   - lockguard: fields annotated `// guarded by <mu>` are only touched
 //     by functions that hold the lock (or are annotated
 //     `// lockguard: caller holds <mu>`), and every store-generation
-//     bump pairs with a result-cache purge unless waived
+//     bump pairs with a snapshot publish or result-cache sweep unless waived
 //     `// lint:gen-lazy <reason>`.
 //   - poolcheck: sync.Pool scratch is released via defer on every return
 //     path (panics included) and never escapes or is used after release.

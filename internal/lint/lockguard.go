@@ -23,8 +23,8 @@ import (
 //
 // Additionally, a guarded field named `gen` is treated as the engine's
 // store generation: every `gen++` must appear in a function that also
-// publishes a snapshot or invalidates the result cache (a `.publish(...)`,
-// `.sweepBelow(...)`, or legacy `.purge(...)` call), unless the bump
+// publishes a snapshot or invalidates the result cache (a `.publish(...)`
+// or `.sweepBelow(...)` call), unless the bump
 // carries an explicit `// lint:gen-lazy <reason>` comment. The reason is
 // mandatory, exactly as for lint:ignore waivers.
 //
@@ -272,12 +272,12 @@ func (g *lockguarder) checkAccesses() {
 				"%s %s without holding %s (annotate the caller `// lockguard: caller holds %s` if the lock is held upstream)",
 				verb, v.Name(), gi.name, gi.name)
 		}
-		// Generation bump pairing: gen++ must publish (MVCC path), sweep,
-		// or purge (legacy path) — or be waived lazy.
+		// Generation bump pairing: gen++ must publish (MVCC path) or sweep
+		// — or be waived lazy.
 		if write && v.Name() == "gen" && isIncrement(sel, stack) {
-			if !g.genLazyCovers(sel.Pos()) && !fdCallsAny(fd, "publish", "sweepBelow", "purge") {
+			if !g.genLazyCovers(sel.Pos()) && !fdCallsAny(fd, "publish", "sweepBelow") {
 				g.pass.Reportf(sel.Sel.Pos(),
-					"store-generation bump without a snapshot publish or cache sweep; call publish()/sweepBelow()/purge() in the same critical section or waive with `// lint:gen-lazy <reason>`")
+					"store-generation bump without a snapshot publish or cache sweep; call publish()/sweepBelow() in the same critical section or waive with `// lint:gen-lazy <reason>`")
 			}
 		}
 	})

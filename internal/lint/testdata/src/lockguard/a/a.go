@@ -1,13 +1,13 @@
 // Package a is the lockguard golden package: an engine-shaped struct
 // with `// guarded by mu` fields, a sync.Once slot, and the
-// gen-bump/purge pairing rule.
+// gen-bump/sweep pairing rule.
 package a
 
 import "sync"
 
 type cache struct{ n int }
 
-func (c *cache) purge() { c.n = 0 }
+func (c *cache) sweepBelow(gen uint64) { c.n = 0 }
 
 type engine struct {
 	mu    sync.RWMutex
@@ -48,15 +48,16 @@ func (e *engine) BadWrite() {
 // lockguard: caller holds mu
 func (e *engine) size() int { return len(e.store) }
 
-// GenGood bumps the generation and purges in the same critical section.
+// GenGood bumps the generation and sweeps the cache in the same critical
+// section.
 func (e *engine) GenGood() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.gen++
-	e.cache.purge()
+	e.cache.sweepBelow(e.gen)
 }
 
-// GenBad bumps the generation without purging the cache.
+// GenBad bumps the generation without sweeping the cache.
 func (e *engine) GenBad() {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -14,21 +14,24 @@ import (
 // The clones share structure with their parent wherever sharing is safe:
 //
 //   - Append-only arrays (attribute columns, dict, tables, tableRange,
-//     postings inners, shard refs) are shared outright. Writers are
-//     serialized and every clone derives from the newest store, so appends
-//     form a linear chain: a later generation only ever writes backing
-//     array elements at indices >= the older generation's length, which
-//     old readers never touch (their slice headers end earlier).
-//   - Arrays mutated in place (tombstone bitmaps, postings outer spine)
-//     are copied per clone.
-//   - The value dictionary map layers a per-generation delta over a shared
-//     base (see Store.dictBase/dictDelta), folded back into a fresh base
-//     when the delta grows past a quarter of it.
-//   - Only the shard spine is copied: untouched shards are shared, mutated
-//     shards are themselves cowCloned first.
+//     postings inners, shard refs, the tombstone bitmap on append) are
+//     shared outright. Writers are serialized and every clone derives from
+//     the newest store, so appends form a linear chain: a later generation
+//     only ever writes backing array elements at indices >= the older
+//     generation's length, which old readers never touch (their slice
+//     headers end earlier).
+//   - A remove flips one bit of the tombstone bitmap, which lives on the
+//     ShardedStore: CloneRemoveTable copies the bitmap (one byte per
+//     table) and shares every shard.
+//   - An append copies two things per shard it writes: the postings outer
+//     spine, whose element for an existing value is rewritten when the
+//     value gains an entry, and the value dictionary map, which layers a
+//     per-generation delta over a shared base (see
+//     Store.dictBase/dictDelta) and is folded back into a fresh base when
+//     the delta grows past a quarter of it. Untouched shards are shared.
 
 // cowClone returns a structurally shared copy of the store that is safe to
-// mutate (append tables, tombstone) while readers keep using the receiver.
+// append tables to while readers keep using the receiver.
 func (s *Store) cowClone() *Store {
 	cp := *s
 	// Dictionary layers: share the base read-only, give the clone its own
@@ -55,55 +58,46 @@ func (s *Store) cowClone() *Store {
 		}
 		cp.dictDelta = delta
 	}
-	// In-place-mutated state gets private copies; everything else is
+	// The postings spine is written in place; everything else is
 	// append-only and shared (see the comment above).
-	cp.dead = append([]bool(nil), s.dead...)
 	cp.postings = append([][]int32(nil), s.postings...)
 	return &cp
 }
 
-// cowClone returns a structurally shared copy of the sharded store: the
-// shard spine and per-shard global-id directory are copied (their elements
-// are overwritten per mutation), everything else is shared.
-func (s *ShardedStore) cowClone() *ShardedStore {
+// CloneAddTablesBatch derives an index with tables appended and returns
+// their global ids in input order; see addTablesBatch. The derived index
+// copies the shard spine and the per-shard global-id directory, whose
+// elements an append overwrites, and replaces each shard the batch writes
+// with a cowClone of it.
+func (s *ShardedStore) CloneAddTablesBatch(tables []*table.Table) (*ShardedStore, []int32) {
 	cp := *s
 	cp.shards = append([]*Store(nil), s.shards...)
 	cp.globalTID = append([][]int32(nil), s.globalTID...)
-	return &cp
-}
-
-// ownShard replaces shard sh with a mutable cowClone of it.
-func (s *ShardedStore) ownShard(sh int) {
-	s.shards[sh] = s.shards[sh].cowClone()
-}
-
-// CloneAddTablesBatch derives an index with tables appended and returns
-// their global ids in input order; see addTablesBatch.
-func (s *ShardedStore) CloneAddTablesBatch(tables []*table.Table) (*ShardedStore, []int32) {
-	cp := s.cowClone()
-	touched := make(map[int]struct{})
 	for _, t := range tables {
-		touched[cp.shardFor(t.Name)] = struct{}{}
+		if sh := cp.shardFor(t.Name); cp.shards[sh] == s.shards[sh] {
+			cp.shards[sh] = s.shards[sh].cowClone()
+		}
 	}
-	for sh := range touched {
-		cp.ownShard(sh)
-	}
-	return cp, cp.addTablesBatch(tables)
+	return &cp, cp.addTablesBatch(tables)
 }
 
-// CloneRemoveTable derives an index with one table tombstoned; see
-// Store.removeTable.
+// CloneRemoveTable derives an index with one table tombstoned: its id stays
+// allocated (ids are never reused before compaction) and its entries stay
+// in its shard, but it disappears from every read surface — name lookups,
+// posting scans, table ranges, reconstruction. The derived index copies
+// only the tombstone bitmap and shares every shard with the receiver.
 func (s *ShardedStore) CloneRemoveTable(tid int32) (*ShardedStore, error) {
-	if tid < 0 || int(tid) >= len(s.refs) {
+	if tid < 0 || int(tid) >= len(s.dead) {
 		return nil, berr.New(berr.CodeNotFound, "storage.remove", "no table with id %d", tid)
 	}
-	r := s.refs[tid]
-	cp := s.cowClone()
-	cp.ownShard(int(r.shard))
-	if err := cp.removeTable(tid); err != nil {
-		return nil, err
+	if s.dead[tid] {
+		return nil, berr.New(berr.CodeNotFound, "storage.remove", "table %d is already removed", tid)
 	}
-	return cp, nil
+	cp := *s
+	cp.dead = append([]bool(nil), s.dead...)
+	cp.dead[tid] = true
+	cp.numDead++
+	return &cp, nil
 }
 
 // CloneCompact derives an index rebuilt without tombstoned tables, keeping
@@ -111,15 +105,14 @@ func (s *ShardedStore) CloneRemoveTable(tid int32) (*ShardedStore, error) {
 // global ids, and reports how many it reclaimed; with none it returns the
 // receiver and 0.
 func (s *ShardedStore) CloneCompact() (*ShardedStore, int) {
-	removed := s.Tombstones()
+	removed := s.numDead
 	if removed == 0 {
 		return s, 0
 	}
 	live := make([]*table.Table, 0, len(s.refs)-removed)
 	for g := range s.refs {
-		r := s.refs[g]
-		if sh := s.shards[r.shard]; sh.TableAlive(r.local) {
-			live = append(live, sh.reconstructTable(r.local))
+		if t := s.ReconstructTable(int32(g)); t != nil {
+			live = append(live, t)
 		}
 	}
 	return Build(live, len(s.shards)), removed

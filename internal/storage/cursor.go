@@ -55,14 +55,15 @@ func (c *PostingCursor) Next(b *PostingBlock, super bool) bool {
 			c.base = c.s.base[i]
 		}
 		st, list := c.st, c.list
+		dead, anyDead := c.s.dead, c.s.numDead > 0
 		n, i := 0, 0
 		for ; i < len(list) && n < BlockSize; i++ {
 			p := list[i]
-			tid := st.tableIDs[p]
-			if st.numDead > 0 && st.dead[tid] {
+			g := c.gtid[st.tableIDs[p]]
+			if anyDead && dead[g] {
 				continue
 			}
-			b.Pos[n], b.TID[n], b.CID[n], b.RID[n] = p+c.base, c.gtid[tid], st.columnIDs[p], st.rowIDs[p]
+			b.Pos[n], b.TID[n], b.CID[n], b.RID[n] = p+c.base, g, st.columnIDs[p], st.rowIDs[p]
 			if super {
 				b.Super[n] = xash.Key{Lo: st.superLo[p], Hi: st.superHi[p]}
 			}

@@ -194,29 +194,50 @@ func TestCompactReclaimsAndRenumbers(t *testing.T) {
 	}
 }
 
+// TestPersistRoundTripsTombstones saves and reloads removed tables. The
+// last input removes tables from two shards (W3 hashes to shard 1 of 3, W5
+// to shard 0), so the writer splits the global bitmap into per-shard local
+// ids and the reader maps them back.
 func TestPersistRoundTripsTombstones(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			base := Build(widerLake(), shards)
-			victim := base.TableIDByName("W3")
-			orig := mustRemove(t, base, victim)
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		victims []string
+	}{
+		{"shards=1", 1, []string{"W3"}},
+		{"shards=3", 3, []string{"W3"}},
+		{"shards=3,two-shard-victims", 3, []string{"W3", "W5"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := Build(widerLake(), tc.shards)
+			var victims []int32
+			for _, name := range tc.victims {
+				victim := orig.TableIDByName(name)
+				victims = append(victims, victim)
+				orig = mustRemove(t, orig, victim)
+			}
+			if len(victims) == 2 && orig.refs[victims[0]].shard == orig.refs[victims[1]].shard {
+				t.Fatal("the victims share a shard; the test no longer splits the bitmap")
+			}
 			loaded := reopen(t, orig)
-			if loaded.Tombstones() != 1 {
-				t.Fatalf("loaded tombstones = %d, want 1", loaded.Tombstones())
+			if loaded.Tombstones() != len(victims) {
+				t.Fatalf("loaded tombstones = %d, want %d", loaded.Tombstones(), len(victims))
 			}
-			if loaded.TableAlive(victim) {
-				t.Fatal("tombstone lost in round trip")
-			}
-			if loaded.TableIDByName("W3") != -1 {
-				t.Fatal("removed table resolves after reload")
+			for i, victim := range victims {
+				if loaded.TableAlive(victim) {
+					t.Fatalf("tombstone of %s lost in round trip", tc.victims[i])
+				}
+				if loaded.TableIDByName(tc.victims[i]) != -1 {
+					t.Fatalf("removed table %s resolves after reload", tc.victims[i])
+				}
 			}
 			if !reflect.DeepEqual(storeTuples(orig), storeTuples(loaded)) {
 				t.Fatal("live content differs after round trip")
 			}
 			// Compaction after reload fully reclaims.
 			compacted, removed := loaded.CloneCompact()
-			if removed != 1 {
-				t.Fatal("post-load compact must reclaim the tombstone")
+			if removed != len(victims) {
+				t.Fatal("post-load compact must reclaim every tombstone")
 			}
 			if compacted.TableIDByName("W2") < 0 {
 				t.Fatal("live table lost after post-load compact")
@@ -315,5 +336,44 @@ func TestPublishAllocationFlat(t *testing.T) {
 	if large > 1.5*small {
 		t.Fatalf("a publish on the 2x lake allocates %.2fx as much (%.0f vs %.0f bytes), want at most 1.5x",
 			large/small, large, small)
+	}
+}
+
+// TestRemoveTableClonesNoShard checks that a remove shares every shard
+// with its parent and allocates only the tombstone bitmap and the index
+// header. On a 4-shard lake of 200 tables over an 8,000-string vocabulary
+// a remove that copy-on-writes its shard (postings spine and dictionary
+// delta) allocates well over 100 KB.
+func TestRemoveTableClonesNoShard(t *testing.T) {
+	lake := datalake.GenJoinLake(datalake.JoinLakeConfig{
+		Name: "rm", NumTables: 200, ColsPerTable: 5, RowsPerTable: 200, VocabSize: 8000, Seed: 1,
+	})
+	s := Build(lake.Tables[:180], 4)
+	for _, tb := range lake.Tables[180:] {
+		s, _ = s.CloneAddTablesBatch([]*table.Table{tb})
+	}
+	next := mustRemove(t, s, 0)
+	for i := range s.shards {
+		if next.shards[i] != s.shards[i] {
+			t.Fatalf("remove replaced shard %d; every shard must stay the parent's", i)
+		}
+	}
+
+	const removes = 20
+	const bound = 4 << 10 // bytes per remove: the 200-byte bitmap plus headers
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for tid := int32(1); tid <= removes; tid++ {
+		var err error
+		if next, err = next.CloneRemoveTable(tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRemove := float64(after.TotalAlloc-before.TotalAlloc) / removes
+	t.Logf("per remove: %.0f bytes allocated (bound %d)", perRemove, bound)
+	if perRemove > bound {
+		t.Fatalf("a remove allocates %.0f bytes, want at most %d", perRemove, bound)
 	}
 }

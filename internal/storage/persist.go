@@ -31,7 +31,7 @@ const rebuildHint = "rebuild it with `blend index -lake DIR -out FILE`"
 // A one-shard index is written as the monolithic kind, any other as the
 // sharded kind.
 func (s *ShardedStore) Save(w io.Writer) error {
-	return writeSegmented(w, s.shards, s.refs)
+	return s.writeSegmented(w)
 }
 
 // SaveFile writes the index to a file durably: once it returns, a power

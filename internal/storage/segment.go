@@ -18,14 +18,16 @@ import (
 //	refs section (sharded kind only: global table id -> owning shard)
 //	footer | footerOff u64 | trailing magic "BLN4"
 //
-// Every section carries a CRC-32C in the footer, so a reader can map the
-// file, validate only the footer, and decode individual shards on first
-// touch without reading the rest of the file. Integer-heavy sections are
-// varint-compressed with delta encoding where values are correlated:
-// TableIds are non-decreasing within a shard (entries are appended
-// per-table), so they store as deltas; XASH super keys repeat for every
-// cell of a row, so they store as XORs against the previous entry — a
-// single byte per entry for same-row runs instead of 16 raw bytes.
+// Every section carries a CRC-32C in the footer. LoadFile reads the whole
+// file, checks the footer and every section's CRC, and decodes every shard
+// to the heap before it returns; InspectFile reads the footer only.
+// Integer-heavy sections are varint-compressed with delta encoding where
+// values are correlated: TableIds are non-decreasing within a shard
+// (entries are appended per-table), so they store as deltas; XASH super
+// keys repeat for every cell of a row, so they store as XORs against the
+// previous entry — a single byte per entry for same-row runs instead of 16
+// raw bytes. The tombstones section lists a shard's removed tables by local
+// id; in memory they are one bitmap over global ids (ShardedStore.dead).
 //
 // The footer holds, per shard: entry/table/tombstone counts plus
 // (offset, length, crc) for each section. The trailing footerOff + "BLN4"
@@ -132,8 +134,9 @@ func (sw *segWriter) finish() segSection {
 }
 
 // writeShardSections emits the six sections of one shard and returns their
-// directory entries.
-func (sh *Store) writeShardSections(sw *segWriter) [numSegSections]segSection {
+// directory entries. dead lists the shard's tombstoned tables by local id,
+// ascending.
+func (sh *Store) writeShardSections(sw *segWriter, dead []int32) [numSegSections]segSection {
 	var secs [numSegSections]segSection
 
 	// Catalog: table names, row counts, column names and kinds.
@@ -207,11 +210,9 @@ func (sh *Store) writeShardSections(sw *segWriter) [numSegSections]segSection {
 
 	// Tombstones: local ids of removed tables, ascending.
 	sw.begin()
-	sw.uvarint(uint64(sh.numDead))
-	for tid, d := range sh.dead {
-		if d {
-			sw.uvarint(uint64(tid))
-		}
+	sw.uvarint(uint64(len(dead)))
+	for _, tid := range dead {
+		sw.uvarint(uint64(tid))
 	}
 	secs[secTombstones] = sw.finish()
 
@@ -229,11 +230,12 @@ func appendU64(b []byte, v uint64) []byte {
 // writeSegmented writes a full v4 file: header, per-shard sections, the
 // refs section (sharded kind), footer, and trailer. One shard is written
 // as the monolithic kind, which carries no refs section; more shards as
-// the sharded kind. The header's layout word is always 0 (column).
-func writeSegmented(w io.Writer, shards []*Store, refs []shardRef) error {
+// the sharded kind. The header's layout word is always 0 (column). The
+// tombstone bitmap is split by shard into local ids.
+func (s *ShardedStore) writeSegmented(w io.Writer) error {
 	sw := newSegWriter(w)
 	kind := byte(persistKindSharded)
-	if len(shards) == 1 {
+	if len(s.shards) == 1 {
 		kind = persistKindMonolithic
 	}
 
@@ -242,35 +244,39 @@ func writeSegmented(w io.Writer, shards []*Store, refs []shardRef) error {
 	hdr = appendU32(hdr, persistVersionSegmented)
 	hdr = append(hdr, kind)
 	hdr = appendU32(hdr, 0) // layout word: column
-	hdr = appendU32(hdr, uint32(len(shards)))
+	hdr = appendU32(hdr, uint32(len(s.shards)))
 	sw.write(hdr)
 
-	secs := make([][numSegSections]segSection, len(shards))
-	for i, sh := range shards {
-		secs[i] = sh.writeShardSections(sw)
+	secs := make([][numSegSections]segSection, len(s.shards))
+	numDead := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		var dead []int32
+		for local, g := range s.globalTID[i] {
+			if s.dead[g] {
+				dead = append(dead, int32(local))
+			}
+		}
+		secs[i] = sh.writeShardSections(sw, dead)
+		numDead[i] = len(dead)
 	}
 
 	var refsSec segSection
-	numTables := 0
 	if kind == persistKindSharded {
 		sw.begin()
-		sw.uvarint(uint64(len(refs)))
-		for _, r := range refs {
+		sw.uvarint(uint64(len(s.refs)))
+		for _, r := range s.refs {
 			sw.uvarint(uint64(r.shard))
 		}
 		refsSec = sw.finish()
-		numTables = len(refs)
-	} else {
-		numTables = len(shards[0].tables)
 	}
 
 	footerOff := sw.off
-	footer := make([]byte, 0, segFooterFixed+len(shards)*segShardDirSize)
-	footer = appendU32(footer, uint32(len(shards)))
-	for i, sh := range shards {
+	footer := make([]byte, 0, segFooterFixed+len(s.shards)*segShardDirSize)
+	footer = appendU32(footer, uint32(len(s.shards)))
+	for i, sh := range s.shards {
 		footer = appendU64(footer, uint64(len(sh.valIdx)))
 		footer = appendU32(footer, uint32(len(sh.tables)))
-		footer = appendU32(footer, uint32(sh.numDead))
+		footer = appendU32(footer, uint32(numDead[i]))
 		for _, sec := range secs[i] {
 			footer = appendU64(footer, uint64(sec.off))
 			footer = appendU64(footer, uint64(sec.n))
@@ -280,7 +286,7 @@ func writeSegmented(w io.Writer, shards []*Store, refs []shardRef) error {
 	footer = appendU64(footer, uint64(refsSec.off))
 	footer = appendU64(footer, uint64(refsSec.n))
 	footer = appendU32(footer, refsSec.crc)
-	footer = appendU32(footer, uint32(numTables))
+	footer = appendU32(footer, uint32(len(s.refs)))
 	footer = appendU32(footer, crc32.Checksum(footer, castagnoli))
 	sw.write(footer)
 

@@ -265,8 +265,9 @@ func (sf *segFile) decodeRefs() error {
 
 // decodeShard fully decodes one shard into a heap Store, verifying its
 // section CRCs and referential integrity, so a corrupt file never yields a
-// store that panics later.
-func (sf *segFile) decodeShard(i int) (*Store, error) {
+// store that panics later. The shard's tombstones are set in dead, the
+// index-wide bitmap, by global id.
+func (sf *segFile) decodeShard(i int, dead []bool) (*Store, error) {
 	for idx := range numSegSections {
 		if err := sf.checkSection(i, idx); err != nil {
 			return nil, err
@@ -472,7 +473,6 @@ func (sf *segFile) decodeShard(i int) (*Store, error) {
 	if nd != info.numDead {
 		return nil, fmt.Errorf("tombstone section holds %d ids, footer says %d", nd, info.numDead)
 	}
-	s.dead = make([]bool, numTables)
 	prevDead := -1
 	for k := 0; k < nd; k++ {
 		tid, err := d.count("tombstone id")
@@ -482,13 +482,12 @@ func (sf *segFile) decodeShard(i int) (*Store, error) {
 		if tid >= numTables || tid <= prevDead {
 			return nil, fmt.Errorf("tombstone id %d invalid after %d", tid, prevDead)
 		}
-		s.dead[tid] = true
+		dead[sf.globalTID[i][tid]] = true
 		prevDead = tid
 	}
 	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("tombstones: %w", err)
 	}
-	s.numDead = nd
 
 	s.rebuildPostings()
 	return s, nil
@@ -519,12 +518,18 @@ func (s *Store) rebuildPostings() {
 // latency did not move, and peak RSS rose by 10–20 %, while this loop
 // lowered it.
 func (sf *segFile) decode() (*ShardedStore, error) {
-	s := &ShardedStore{shards: make([]*Store, len(sf.shards)), refs: sf.refs, globalTID: sf.globalTID}
+	s := &ShardedStore{
+		shards:    make([]*Store, len(sf.shards)),
+		refs:      sf.refs,
+		globalTID: sf.globalTID,
+		dead:      make([]bool, len(sf.refs)),
+	}
 	for i := range s.shards {
 		var err error
-		if s.shards[i], err = sf.decodeShard(i); err != nil {
+		if s.shards[i], err = sf.decodeShard(i, s.dead); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
+		s.numDead += sf.shards[i].numDead
 	}
 	s.recomputeBase()
 	return s, nil

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"sort"
 
-	"blend/internal/berr"
 	"blend/internal/table"
 	"blend/internal/xash"
 )
@@ -22,6 +21,11 @@ import (
 // globally contiguous (shard s occupies [base[s], base[s+1])) and table
 // ids are assigned in insertion order across the whole lake, so SQL and
 // the native executors behave identically regardless of partitioning.
+//
+// Removed tables are tombstoned in one bitmap over global ids, the only
+// tombstone state in the index: the shards never change in place, a
+// removed table keeps its entries and its id until compaction, and every
+// read surface tests the bitmap by global id.
 type ShardedStore struct {
 	shards []*Store
 
@@ -32,6 +36,10 @@ type ShardedStore struct {
 	// base[s] is the global entry offset of shard s; base has one extra
 	// trailing element holding the total entry count.
 	base []int32
+
+	// dead marks tombstoned tables by global id; len(dead) == len(refs).
+	dead    []bool
+	numDead int
 }
 
 type shardRef struct {
@@ -128,31 +136,22 @@ func (s *ShardedStore) TableName(tid int32) string {
 // shard needs to be consulted.
 func (s *ShardedStore) TableIDByName(name string) int32 {
 	sh := s.shardFor(name)
-	local := s.shards[sh].TableIDByName(name)
-	if local < 0 {
-		return -1
+	for local, m := range s.shards[sh].tables {
+		if g := s.globalTID[sh][local]; m.Name == name && !s.dead[g] {
+			return g
+		}
 	}
-	return s.globalTID[sh][local]
+	return -1
 }
 
 // TableAlive reports whether a global table id is allocated and not
 // tombstoned.
 func (s *ShardedStore) TableAlive(tid int32) bool {
-	if tid < 0 || int(tid) >= len(s.refs) {
-		return false
-	}
-	r := s.refs[tid]
-	return s.shards[r.shard].TableAlive(r.local)
+	return tid >= 0 && int(tid) < len(s.dead) && !s.dead[tid]
 }
 
-// Tombstones sums the removed-but-not-compacted tables across shards.
-func (s *ShardedStore) Tombstones() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Tombstones()
-	}
-	return n
-}
+// Tombstones reports the number of removed-but-not-compacted tables.
+func (s *ShardedStore) Tombstones() int { return s.numDead }
 
 // Value returns the CellValue of global entry i.
 func (s *ShardedStore) Value(i int32) string {
@@ -218,21 +217,31 @@ func (s *ShardedStore) ScanPostings(v string, fn func(tid, cid, rid int32)) {
 }
 
 // ScanTableNumeric streams the numeric cells of global table tid with
-// RowId < maxRow. Tables live whole on one shard, so the call delegates to
-// the owning shard with the local id.
+// RowId < maxRow; a tombstoned table streams nothing. Tables live whole on
+// one shard, so the call delegates to the owning shard with the local id.
 func (s *ShardedStore) ScanTableNumeric(tid, maxRow int32, fn func(cid, rid int32, q int8)) {
-	if tid < 0 || int(tid) >= len(s.refs) {
+	if !s.TableAlive(tid) {
 		return
 	}
 	r := s.refs[tid]
 	s.shards[r.shard].ScanTableNumeric(r.local, maxRow, fn)
 }
 
-// Frequency returns the number of index entries holding value v.
+// Frequency returns the number of live index entries holding value v.
 func (s *ShardedStore) Frequency(v string) int {
 	total := 0
-	for i := range s.shards {
-		total += s.shards[i].Frequency(v)
+	for i, sh := range s.shards {
+		list := sh.postingList(v)
+		if s.numDead == 0 {
+			total += len(list)
+			continue
+		}
+		gtid := s.globalTID[i]
+		for _, p := range list {
+			if !s.dead[gtid[sh.tableIDs[p]]] {
+				total++
+			}
+		}
 	}
 	return total
 }
@@ -250,21 +259,34 @@ func (s *ShardedStore) AvgFrequency(values []string) float64 {
 	return float64(total) / float64(len(values))
 }
 
-// TableEntries returns the global [start, end) entry range of a table id.
+// TableEntries returns the global [start, end) entry range of a table id
+// (the in-DB index on TableId); a tombstoned table yields the empty range.
 func (s *ShardedStore) TableEntries(tid int32) (start, end int32) {
+	if s.dead[tid] {
+		return 0, 0
+	}
 	r := s.refs[tid]
-	lo, hi := s.shards[r.shard].TableEntries(r.local)
-	return lo + s.base[r.shard], hi + s.base[r.shard]
+	lr := s.shards[r.shard].tableRange[r.local]
+	return lr[0] + s.base[r.shard], lr[1] + s.base[r.shard]
 }
 
-// ReconstructRow materializes row rid of global table tid.
+// ReconstructRow materializes row rid of global table tid; a tombstoned
+// table yields a row of nulls.
 func (s *ShardedStore) ReconstructRow(tid, rid int32) []string {
 	r := s.refs[tid]
-	return s.shards[r.shard].ReconstructRow(r.local, rid)
+	sh := s.shards[r.shard]
+	if s.dead[tid] {
+		return make([]string, len(sh.tables[r.local].ColNames))
+	}
+	return sh.ReconstructRow(r.local, rid)
 }
 
-// ReconstructTable materializes a full table from the index.
+// ReconstructTable materializes a full table from the index, or nil when
+// the table is tombstoned.
 func (s *ShardedStore) ReconstructTable(tid int32) *table.Table {
+	if s.dead[tid] {
+		return nil
+	}
 	r := s.refs[tid]
 	return s.shards[r.shard].ReconstructTable(r.local)
 }
@@ -278,46 +300,51 @@ func (s *ShardedStore) SizeBytes() int64 {
 	return b
 }
 
-// ComputeStats aggregates per-shard stats into one lake summary. The
+// ComputeStats scans the index once and returns its summary. The
 // posting-length figures are computed over per-shard dictionaries (a value
 // split across shards counts once per shard), which is what the scan cost
-// of a sharded seeker actually depends on.
+// of a sharded seeker actually depends on; they include tombstoned tables,
+// which hold their entries until compaction.
 func (s *ShardedStore) ComputeStats() Stats {
 	st := Stats{
 		Shards:         len(s.shards),
-		Tables:         s.NumTables() - s.Tombstones(),
-		Tombstones:     s.Tombstones(),
+		Tables:         s.NumTables() - s.numDead,
+		Tombstones:     s.numDead,
 		Entries:        s.NumEntries(),
 		EstimatedBytes: s.SizeBytes(),
 		ResidentShards: len(s.shards),
 		DistinctValues: s.NumDistinctValues(),
 	}
-	totalPost, dictEntries := 0, 0
-	var cols, rows, liveTables int
+	dictEntries := 0
 	for _, sh := range s.shards {
-		sub := sh.ComputeStats()
-		st.NumericCells += sub.NumericCells
-		st.DictBytes += sub.DictBytes
-		if sub.MaxPostingLength > st.MaxPostingLength {
-			st.MaxPostingLength = sub.MaxPostingLength
+		dictEntries += len(sh.dict)
+		for _, v := range sh.dict {
+			st.DictBytes += int64(len(v))
 		}
-		totalPost += sub.Entries
-		dictEntries += sub.DistinctValues
-		for tid := range sh.tables {
-			if sh.dead[tid] {
-				continue
+		for _, p := range sh.postings {
+			st.MaxPostingLength = max(st.MaxPostingLength, len(p))
+		}
+		for _, q := range sh.quadrant {
+			if q != QuadrantNull {
+				st.NumericCells++
 			}
-			liveTables++
-			cols += len(sh.tables[tid].ColNames)
-			rows += int(sh.tables[tid].NumRows)
 		}
 	}
 	if dictEntries > 0 {
-		st.AvgPostingLength = float64(totalPost) / float64(dictEntries)
+		st.AvgPostingLength = float64(st.Entries) / float64(dictEntries)
 	}
-	if liveTables > 0 {
-		st.AvgColumnsPerTbl = float64(cols) / float64(liveTables)
-		st.AvgRowsPerTable = float64(rows) / float64(liveTables)
+	var cols, rows int
+	for g, r := range s.refs {
+		if s.dead[g] {
+			continue
+		}
+		m := &s.shards[r.shard].tables[r.local]
+		cols += len(m.ColNames)
+		rows += int(m.NumRows)
+	}
+	if st.Tables > 0 {
+		st.AvgColumnsPerTbl = float64(cols) / float64(st.Tables)
+		st.AvgRowsPerTable = float64(rows) / float64(st.Tables)
 	}
 	return st
 }
@@ -340,6 +367,7 @@ func (s *ShardedStore) addTablesBatch(tables []*table.Table) []int32 {
 		ids[i] = g
 		local := int32(s.shards[sh].NumTables() + len(perShard[sh]))
 		s.refs = append(s.refs, shardRef{shard: int32(sh), local: local})
+		s.dead = append(s.dead, false)
 		s.globalTID[sh] = append(s.globalTID[sh], g)
 		perShard[sh] = append(perShard[sh], t)
 	}
@@ -350,15 +378,4 @@ func (s *ShardedStore) addTablesBatch(tables []*table.Table) []int32 {
 	}
 	s.recomputeBase()
 	return ids
-}
-
-// removeTable tombstones one global table id in place; see
-// Store.removeTable for the semantics. Not safe for use concurrent with
-// readers: CloneRemoveTable is the public path.
-func (s *ShardedStore) removeTable(tid int32) error {
-	if tid < 0 || int(tid) >= len(s.refs) {
-		return berr.New(berr.CodeNotFound, "storage.remove", "no table with id %d", tid)
-	}
-	r := s.refs[tid]
-	return s.shards[r.shard].removeTable(r.local)
 }

@@ -248,7 +248,7 @@ func TestShardedComputeStats(t *testing.T) {
 	if st.NumericCells == 0 || st.AvgPostingLength <= 0 {
 		t.Fatalf("stats content: %+v", st)
 	}
-	mono := buildStore(widerLake()).ComputeStats()
+	mono := Build(widerLake(), 1).ComputeStats()
 	if st.NumericCells != mono.NumericCells {
 		t.Fatal("numeric cell count must not depend on partitioning")
 	}

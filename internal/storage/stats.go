@@ -23,47 +23,3 @@ type Stats struct {
 	ResidentShards int
 	MappedBytes    int64
 }
-
-// ComputeStats scans the index once and returns its summary.
-func (s *Store) ComputeStats() Stats {
-	st := Stats{
-		Shards:         1,
-		Tables:         s.NumTables() - s.numDead,
-		Tombstones:     s.numDead,
-		Entries:        s.NumEntries(),
-		DistinctValues: s.NumDistinctValues(),
-		EstimatedBytes: s.SizeBytes(),
-		ResidentShards: 1,
-	}
-	for _, v := range s.dict {
-		st.DictBytes += int64(len(v))
-	}
-	totalPost := 0
-	for _, p := range s.postings {
-		totalPost += len(p)
-		if len(p) > st.MaxPostingLength {
-			st.MaxPostingLength = len(p)
-		}
-	}
-	if len(s.postings) > 0 {
-		st.AvgPostingLength = float64(totalPost) / float64(len(s.postings))
-	}
-	for _, q := range s.quadrant {
-		if q != QuadrantNull {
-			st.NumericCells++
-		}
-	}
-	var cols, rows int
-	for tid, m := range s.tables {
-		if s.dead[tid] {
-			continue
-		}
-		cols += len(m.ColNames)
-		rows += int(m.NumRows)
-	}
-	if st.Tables > 0 {
-		st.AvgColumnsPerTbl = float64(cols) / float64(st.Tables)
-		st.AvgRowsPerTable = float64(rows) / float64(st.Tables)
-	}
-	return st
-}

@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"strings"
 
-	"blend/internal/berr"
 	"blend/internal/qcr"
 	"blend/internal/table"
 	"blend/internal/xash"
@@ -43,7 +42,10 @@ type TableMeta struct {
 
 // Store is one partition of the AllTables relation plus its indexes and
 // catalog: the per-shard unit a ShardedStore is built from. Entry
-// positions and table ids are local to the partition.
+// positions and table ids are local to the partition. A Store only grows:
+// it is built, then appended to (as a private cowClone once readers share
+// it), and no table in it is ever changed or dropped. Which tables are
+// removed is recorded once, by global id, on the ShardedStore.
 type Store struct {
 	// Dictionary-encoded cell values. The value -> id map is split in two
 	// layers so copy-on-write clones (see cow.go) can share the bulk of it
@@ -71,11 +73,6 @@ type Store struct {
 	tableRange [][2]int32
 
 	tables []TableMeta
-	// dead marks tombstoned tables (removeTable): their catalog slot and
-	// entries stay allocated until compaction, but every read surface skips
-	// them. len(dead) == len(tables) at all times.
-	dead    []bool
-	numDead int
 }
 
 func newStore() *Store {
@@ -133,31 +130,6 @@ func (s *Store) reserve(extra int) {
 	s.quadrant = q
 }
 
-// removeTable tombstones one table: its id stays allocated (ids are never
-// reused before compaction) but the table disappears from every read
-// surface — name lookups, posting scans, table ranges, reconstruction. The
-// entries remain physically present until compaction reclaims them. Not
-// safe for use concurrent with readers.
-func (s *Store) removeTable(tid int32) error {
-	if tid < 0 || int(tid) >= len(s.tables) {
-		return berr.New(berr.CodeNotFound, "storage.remove", "no table with id %d", tid)
-	}
-	if s.dead[tid] {
-		return berr.New(berr.CodeNotFound, "storage.remove", "table %d is already removed", tid)
-	}
-	s.dead[tid] = true
-	s.numDead++
-	return nil
-}
-
-// TableAlive reports whether a table id is allocated and not tombstoned.
-func (s *Store) TableAlive(tid int32) bool {
-	return tid >= 0 && int(tid) < len(s.tables) && !s.dead[tid]
-}
-
-// Tombstones reports the number of removed-but-not-compacted tables.
-func (s *Store) Tombstones() int { return s.numDead }
-
 // addTable indexes one table, assigning it the next table id, and returns
 // that id. It computes, per row, the XASH super key over all cells and,
 // per numeric cell, the quadrant bit against the column mean — the three
@@ -172,7 +144,6 @@ func (s *Store) addTable(t *table.Table) int32 {
 		meta.ColKinds[i] = c.Kind
 	}
 	s.tables = append(s.tables, meta)
-	s.dead = append(s.dead, false)
 
 	// Column means for quadrant bits.
 	means := make([]float64, len(t.Columns))
@@ -272,16 +243,6 @@ func (s *Store) NumDistinctValues() int { return len(s.dict) }
 // TableMeta returns catalog information for a table id.
 func (s *Store) TableMeta(tid int32) TableMeta { return s.tables[tid] }
 
-// TableIDByName returns the id of the named live table, or -1.
-func (s *Store) TableIDByName(name string) int32 {
-	for i, m := range s.tables {
-		if m.Name == name && !s.dead[i] {
-			return int32(i)
-		}
-	}
-	return -1
-}
-
 // Value returns the CellValue of entry i.
 func (s *Store) Value(i int32) string { return s.dict[s.valIdx[i]] }
 
@@ -304,8 +265,8 @@ func (s *Store) SuperKey(i int32) xash.Key {
 func (s *Store) Quadrant(i int32) int8 { return s.quadrant[i] }
 
 // postingList returns every entry position whose CellValue equals v, in
-// ascending order and tombstoned tables included — the in-DB inverted
-// index lookup a PostingCursor gathers from. Callers must not modify it.
+// ascending order and removed tables included — the in-DB inverted index
+// lookup a PostingCursor gathers from. Callers must not modify it.
 func (s *Store) postingList(v string) []int32 {
 	vi, ok := s.lookupValue(v)
 	if !ok {
@@ -314,31 +275,14 @@ func (s *Store) postingList(v string) []int32 {
 	return s.postings[vi]
 }
 
-// Frequency returns the number of live index entries holding value v.
-func (s *Store) Frequency(v string) int {
-	list := s.postingList(v)
-	if s.numDead == 0 {
-		return len(list)
-	}
-	n := 0
-	for _, p := range list {
-		if !s.dead[s.tableIDs[p]] {
-			n++
-		}
-	}
-	return n
-}
-
 // ScanTableNumeric streams the numeric cells (Quadrant not null) of table
 // tid whose RowId < maxRow, in ascending (RowId, ColumnId) order — the
 // per-table quadrant stream the native correlation executor merge-joins
 // against key-column posting hits. Entries within a table are sorted by
 // (RowId, ColumnId), so the first entry at or past maxRow ends the scan.
-// A tombstoned table streams nothing (TableEntries yields the empty
-// range).
 func (s *Store) ScanTableNumeric(tid, maxRow int32, fn func(cid, rid int32, q int8)) {
-	start, end := s.TableEntries(tid)
-	for i := start; i < end; i++ {
+	r := s.tableRange[tid]
+	for i := r[0]; i < r[1]; i++ {
 		rid := s.rowIDs[i]
 		if rid >= maxRow {
 			return
@@ -351,24 +295,13 @@ func (s *Store) ScanTableNumeric(tid, maxRow int32, fn func(cid, rid int32, q in
 	}
 }
 
-// TableEntries returns the [start, end) entry range of a table id (the
-// in-DB index on TableId used for fast table loading). A tombstoned table
-// yields the empty range.
-func (s *Store) TableEntries(tid int32) (start, end int32) {
-	if s.numDead > 0 && s.dead[tid] {
-		return 0, 0
-	}
-	r := s.tableRange[tid]
-	return r[0], r[1]
-}
-
 // ReconstructRow materializes row rid of table tid from the index, with
 // nulls for absent cells — how BLEND validates candidate rows without
 // loading source files.
 func (s *Store) ReconstructRow(tid, rid int32) []string {
 	meta := s.tables[tid]
 	row := make([]string, len(meta.ColNames))
-	start, end := s.TableEntries(tid)
+	start, end := s.tableRange[tid][0], s.tableRange[tid][1]
 	// Entries are sorted by (TableID, RowID, ColumnID): binary search the
 	// row's first entry.
 	lo := start + int32(sort.Search(int(end-start), func(k int) bool {
@@ -380,18 +313,8 @@ func (s *Store) ReconstructRow(tid, rid int32) []string {
 	return row
 }
 
-// ReconstructTable materializes a full table from the index, or nil when
-// the table is tombstoned.
+// ReconstructTable materializes a full table from the index.
 func (s *Store) ReconstructTable(tid int32) *table.Table {
-	if s.numDead > 0 && s.dead[tid] {
-		return nil
-	}
-	return s.reconstructTable(tid)
-}
-
-// reconstructTable materializes a table straight off the physical entry
-// range, regardless of tombstone state.
-func (s *Store) reconstructTable(tid int32) *table.Table {
 	meta := s.tables[tid]
 	t := table.New(meta.Name, meta.ColNames...)
 	for c, k := range meta.ColKinds {
